@@ -51,19 +51,6 @@ class FreshVars:
                 return Var(name, sort)
 
 
-@dataclass(frozen=True)
-class FlatteningResult:
-    formula: Formula
-    result_var: Var
-    fresh_counter: int
-
-
-def flatten_term(t: Term, fresh: FreshVars,
-                 rel_sig: Signature) -> FlatteningResult:
-    atoms, v = _flatten_term(t, fresh, rel_sig)
-    return FlatteningResult(Formula(tuple(atoms)), v, fresh.counter)
-
-
 def _flatten_term(t: Term, fresh: FreshVars,
                   rel_sig: Signature) -> tuple[list[Atom], Var]:
     if isinstance(t, Var):

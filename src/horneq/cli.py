@@ -34,13 +34,12 @@ def _load_facts(path: str, sig) -> tuple[Structure, dict]:
 
 
 def _prepare(t: Theory) -> tuple[Theory, bool]:
-    """Flatten a theory with function symbols and append functionality
-    sequents; reports whether every original sequent was epic."""
-    if is_rhl(t):
-        all_epic = all(classify.classify_sequent(s).epic_phl
-                       for s in t.sequents)
-        return t, all_epic
+    """Flatten a theory whose signature has function symbols and append
+    their functionality sequents; reports whether every original sequent
+    was epic."""
     all_epic = all(classify.classify_sequent(s).epic_phl for s in t.sequents)
+    if is_rhl(t) and not t.signature.functions():
+        return t, all_epic
     return classify.flatten_theory(t, with_functionality=True), all_epic
 
 

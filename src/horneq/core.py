@@ -142,9 +142,14 @@ class Structure:
         return El(sort, self._uf[sort].add())
 
     def find(self, e: El) -> El:
-        if e.sort not in self._uf:
+        """The canonical representative of ``e``; ``e`` itself if it is
+        canonical."""
+        uf = self._uf.get(e.sort)
+        if uf is None:
             raise SignatureError(f"unknown sort {e.sort!r}")
-        return El(e.sort, self._uf[e.sort].find(e.index))
+        if uf.parent[e.index] == e.index:
+            return e
+        return El(e.sort, uf.find(e.index))
 
     def raw_count(self, sort: str) -> int:
         """Number of allocated indices, including merged-away ones."""
@@ -179,7 +184,7 @@ class Structure:
         return decl
 
     def canonical(self, t: tuple[El, ...]) -> tuple[El, ...]:
-        return tuple(self.find(e) for e in t)
+        return tuple([self.find(e) for e in t])
 
     def add_tuple(self, rel: str, t: tuple[El, ...]) -> bool:
         self._check_tuple(rel, t)

@@ -1,6 +1,6 @@
 """Fixed-point evaluation of relational Horn theories.
 
-Each iteration matches every sequent's premise against an immutable snapshot,
+Each iteration matches every sequent's premise against the current result,
 then applies the pending conclusions as a batch: relation atoms insert tuples,
 equality atoms merge union-find classes, conclusion-only variables create
 fresh elements.  Matches whose conclusion already holds are skipped, which
@@ -10,14 +10,16 @@ stops at the first iteration that changes nothing.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from operator import itemgetter
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .core import El, Morphism, SignatureError, Structure
 from .syntax import (DefinedAtom, EqualAtom, Formula, RelAtom, Sequent,
-                     Theory, Var, formula_vars, is_rhl)
+                     Theory, Var, atom_vars, formula_vars, is_rhl)
 
 
 class EvaluationBudgetError(RuntimeError):
@@ -69,15 +71,6 @@ class EvalReport:
 
 
 @dataclass(frozen=True)
-class Match:
-    sequent: Sequent
-    assignment: tuple[tuple[Var, El], ...]
-
-    def as_dict(self) -> dict[Var, El]:
-        return dict(self.assignment)
-
-
-@dataclass(frozen=True)
 class Delta:
     """Tuples and elements new since the previous iteration."""
 
@@ -86,86 +79,319 @@ class Delta:
 
 
 # -- premise matching ------------------------------------------------------
+#
+# A formula, together with its set of pre-bound variables, compiles once
+# into a plan over integer slots: the pre-bound variables first, then the
+# others in first-occurrence order.  Each atom becomes one step:
+#
+#   scan   a relation atom with no argument bound: iterate its tuples;
+#   probe  some arguments bound: look up a hash index on those columns;
+#   test   all arguments bound: a set-membership test;
+#   elems  ``v!`` or ``u = v`` over unbound variables: iterate elements;
+#   same, copy  ``u = v`` with both sides or one side bound;
+#   mark   the delta test on the element a bound ``v!`` or ``u = v`` reads.
+#
+# Without a delta the steps run in source order over sorted tuples, sorted
+# index buckets and elements in index order, so matches come out in
+# nested-loop order.  With a delta, matching is semi-naive: for each atom i
+# that can touch the delta, one variant matches the delta at atom i (run
+# first), the relation without the delta at every atom before i and the
+# full relation after it.  A match lies in exactly one variant, the one of
+# its first delta atom.  Sorting the union on the slot values restores
+# nested-loop order: they are the match's per-atom witnesses, in order.
+
+_FULL, _OLD, _DELTA = 0, 1, 2
 
 
-def _match_atoms(atoms, x: Structure, assignment: dict[Var, El],
-                 used_delta: bool, delta: Optional[Delta],
-                 tuple_cache: dict) -> Iterator[tuple[dict[Var, El], bool]]:
-    if not atoms:
-        if delta is None or used_delta:
-            yield assignment, used_delta
-        return
-    atom, rest = atoms[0], atoms[1:]
-    if isinstance(atom, RelAtom):
-        name = atom.rel.name
-        if name not in tuple_cache:
-            tuple_cache[name] = x.sorted_tuples(name)
-        get = assignment.get
-        for t in tuple_cache[name]:
-            local: dict[Var, El] = {}
-            ok = True
-            for v, e in zip(atom.args, t):
-                bound = get(v)
-                if bound is None:
-                    bound = local.get(v)
-                if bound is None:
-                    local[v] = e
-                elif bound != e:
-                    ok = False
-                    break
-            if not ok:
+class _Step(NamedTuple):
+    kind: str
+    name: str = ""  # relation (scan, probe, test) or sort (elems)
+    mode: int = _FULL
+    slots: tuple[int, ...] = ()  # the slots read, or bound by elems
+    key: Optional[Callable] = None  # probe, test: reads the key off the slots
+    cols: tuple[int, ...] = ()  # probe: the bound columns
+    binds: tuple[tuple[int, int], ...] = ()  # (column, slot) of new variables
+    repeats: tuple[tuple[int, int], ...] = ()  # (column, earlier column)
+
+
+class _Plan(NamedTuple):
+    vars: tuple[Var, ...]  # by slot
+    pre: tuple[Var, ...]  # the pre-bound slots' variables
+    steps: tuple[_Step, ...]
+    variants: tuple[tuple[_Step, ...], ...]
+
+
+def _row(slots: tuple[int, ...]) -> Callable:
+    """Read the given slots as a tuple."""
+    if len(slots) == 1:
+        (s,) = slots
+        return lambda vals: (vals[s],)
+    return itemgetter(*slots) if slots else lambda vals: ()
+
+
+def _steps(atoms, order, modes: dict[int, int], slot: dict[Var, int],
+           bound: set[Var]) -> tuple[_Step, ...]:
+    out: list[_Step] = []
+    for i in order:
+        a, mode = atoms[i], modes.get(i, _FULL)
+        if isinstance(a, RelAtom):
+            cols, keys, binds, repeats = [], [], [], []
+            first: dict[Var, int] = {}
+            for c, v in enumerate(a.args):
+                if v in bound:
+                    cols.append(c)
+                    keys.append(slot[v])
+                elif v in first:
+                    repeats.append((c, first[v]))
+                else:
+                    first[v] = c
+                    binds.append((c, slot[v]))
+            name, keys = a.rel.name, tuple(keys)
+            if not binds:
+                out.append(_Step("test", name, mode, keys, _row(keys)))
+            elif not cols:
+                out.append(_Step("scan", name, mode, binds=tuple(binds),
+                                 repeats=tuple(repeats)))
+            else:
+                out.append(_Step("probe", name, mode, keys, itemgetter(*keys),
+                                 tuple(cols), tuple(binds), tuple(repeats)))
+            bound.update(first)
+        elif isinstance(a, DefinedAtom):
+            v = a.term
+            if v not in bound:
+                out.append(_Step("elems", v.sort, mode, (slot[v],)))
+                bound.add(v)
+            elif mode != _FULL:
+                out.append(_Step("mark", mode=mode, slots=(slot[v],)))
+        else:  # EqualAtom
+            u, v = a.lhs, a.rhs
+            if u not in bound and v not in bound:
+                slots = (slot[u],) if u == v else (slot[u], slot[v])
+                out.append(_Step("elems", u.sort, mode, slots))
+                bound.update((u, v))
                 continue
-            new = dict(assignment)
-            new.update(local)
-            hit = used_delta or (delta is not None and (name, t) in delta.tuples)
-            yield from _match_atoms(rest, x, new, hit, delta, tuple_cache)
-    elif isinstance(atom, DefinedAtom):
-        v = atom.term
-        bound = assignment.get(v)
-        if bound is not None:
-            hit = used_delta or (delta is not None and bound in delta.elements)
-            yield from _match_atoms(rest, x, assignment, hit, delta, tuple_cache)
-        else:
-            for e in x.elements(v.sort):
-                new = dict(assignment)
-                new[v] = e
-                hit = used_delta or (delta is not None and e in delta.elements)
-                yield from _match_atoms(rest, x, new, hit, delta, tuple_cache)
-    else:  # EqualAtom
-        u, v = atom.lhs, atom.rhs
-        bu, bv = assignment.get(u), assignment.get(v)
-        if bu is not None and bv is not None:
-            if bu == bv:
-                yield from _match_atoms(rest, x, assignment, used_delta, delta,
-                                        tuple_cache)
-        elif bu is not None:
-            new = dict(assignment)
-            new[v] = bu
-            yield from _match_atoms(rest, x, new, used_delta, delta, tuple_cache)
-        elif bv is not None:
-            new = dict(assignment)
-            new[u] = bv
-            yield from _match_atoms(rest, x, new, used_delta, delta, tuple_cache)
-        else:
-            for e in x.elements(u.sort):
-                new = dict(assignment)
-                new[u] = e
-                new[v] = e
-                hit = used_delta or (delta is not None and e in delta.elements)
-                yield from _match_atoms(rest, x, new, hit, delta, tuple_cache)
+            if u not in bound or v not in bound:
+                src, dst = (u, v) if u in bound else (v, u)
+                out.append(_Step("copy", slots=(slot[dst], slot[src])))
+                bound.add(dst)
+            elif u != v:
+                out.append(_Step("same", slots=(slot[u], slot[v])))
+            if mode != _FULL:
+                out.append(_Step("mark", mode=mode, slots=(slot[u],)))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=1024)
+def _plan(f: Formula, bound: frozenset[Var]) -> _Plan:
+    if not is_rhl(f):
+        raise SignatureError("find_matches expects an RHL formula")
+    fvars = formula_vars(f)
+    pre = tuple(v for v in fvars if v in bound)
+    order = pre + tuple(v for v in fvars if v not in bound)
+    slot = {v: i for i, v in enumerate(order)}
+    atoms = f.atoms
+    # Every atom can touch the delta except ``u = v`` with a side bound in
+    # source order, which only filters or copies.
+    hits = []
+    seen = set(pre)
+    for i, a in enumerate(atoms):
+        if not (isinstance(a, EqualAtom) and (a.lhs in seen or a.rhs in seen)):
+            hits.append(i)
+        seen.update(atom_vars(a))
+    variants = []
+    for i in hits:
+        modes = {j: _OLD for j in hits if j < i}
+        modes[i] = _DELTA
+        rest = [j for j in range(len(atoms)) if j != i]
+        variants.append(_steps(atoms, [i] + rest, modes, slot, set(pre)))
+    return _Plan(order, pre, _steps(atoms, range(len(atoms)), {}, slot,
+                                    set(pre)), tuple(variants))
+
+
+class _Sources:
+    """What one ``find_matches`` call reads of a structure: each relation in
+    full, without the delta (old) or only the delta, as a set, a sorted
+    list or a hash index with sorted buckets, each built on first use."""
+
+    def __init__(self, x: Structure, delta: Optional[Delta]):
+        self.x = x
+        self.delta = delta
+        self.memo: dict = {}
+
+    def members(self, rel: str, mode: int) -> set[tuple[El, ...]]:
+        full = self.x.rels[rel]
+        if mode == _FULL:
+            return full
+        key = ("set", rel, mode)
+        ts = self.memo.get(key)
+        if ts is None:
+            if mode == _DELTA:
+                ts = {t for r, t in self.delta.tuples if r == rel and t in full}
+            else:
+                ts = full - self.members(rel, _DELTA)
+            self.memo[key] = ts
+        return ts
+
+    def tuples(self, rel: str, mode: int, repeats) -> list[tuple[El, ...]]:
+        key = ("list", rel, mode, repeats)
+        ts = self.memo.get(key)
+        if ts is None:
+            ts = self.memo[key] = [t for t in sorted(self.members(rel, mode))
+                                   if _agrees(t, repeats)]
+        return ts
+
+    def index(self, rel: str, mode: int, cols, repeats) -> dict:
+        key = ("index", rel, mode, cols, repeats)
+        idx = self.memo.get(key)
+        if idx is None:
+            idx = self.memo[key] = {}
+            get = itemgetter(*cols)
+            for t in self.tuples(rel, mode, repeats):
+                k = get(t)
+                bucket = idx.get(k)
+                if bucket is None:
+                    idx[k] = [t]
+                else:
+                    bucket.append(t)
+        return idx
+
+    def elements(self, sort: str, mode: int) -> list[El]:
+        key = ("elements", sort, mode)
+        els = self.memo.get(key)
+        if els is None:
+            els = self.x.elements(sort)
+            if mode != _FULL:
+                d, want = self.delta.elements, mode == _DELTA
+                els = [e for e in els if (e in d) == want]
+            self.memo[key] = els
+        return els
+
+
+def _agrees(t: tuple[El, ...], repeats) -> bool:
+    for c, c0 in repeats:
+        if t[c] != t[c0]:
+            return False
+    return True
+
+
+def _link(steps: tuple[_Step, ...], src: _Sources, out: list) -> Callable:
+    """Chain the steps into one function of the slot list; it appends every
+    complete match to ``out`` as a tuple of slot values."""
+    def emit(vals):
+        out.append(tuple(vals))
+
+    run = emit
+    for st in reversed(steps):
+        run = _LINK[st.kind](st, src, run)
+    return run
+
+
+def _link_scan(st: _Step, src: _Sources, nxt):
+    tuples, binds = src.tuples(st.name, st.mode, st.repeats), st.binds
+
+    def scan(vals):
+        for t in tuples:
+            for c, s in binds:
+                vals[s] = t[c]
+            nxt(vals)
+    return scan
+
+
+def _link_probe(st: _Step, src: _Sources, nxt):
+    get = src.index(st.name, st.mode, st.cols, st.repeats).get
+    key, binds = st.key, st.binds
+
+    def probe(vals):
+        for t in get(key(vals), ()):
+            for c, s in binds:
+                vals[s] = t[c]
+            nxt(vals)
+    return probe
+
+
+def _link_test(st: _Step, src: _Sources, nxt):
+    members, key = src.members(st.name, st.mode), st.key
+
+    def test(vals):
+        if key(vals) in members:
+            nxt(vals)
+    return test
+
+
+def _link_elems(st: _Step, src: _Sources, nxt):
+    els = src.elements(st.name, st.mode)
+    if len(st.slots) == 1:
+        (s,) = st.slots
+
+        def elems(vals):
+            for e in els:
+                vals[s] = e
+                nxt(vals)
+    else:
+        a, b = st.slots
+
+        def elems(vals):
+            for e in els:
+                vals[a] = vals[b] = e
+                nxt(vals)
+    return elems
+
+
+def _link_same(st: _Step, src: _Sources, nxt):
+    a, b = st.slots
+
+    def same(vals):
+        if vals[a] == vals[b]:
+            nxt(vals)
+    return same
+
+
+def _link_copy(st: _Step, src: _Sources, nxt):
+    dst, s = st.slots
+
+    def copy(vals):
+        vals[dst] = vals[s]
+        nxt(vals)
+    return copy
+
+
+def _link_mark(st: _Step, src: _Sources, nxt):
+    (s,) = st.slots
+    d, want = src.delta.elements, st.mode == _DELTA
+
+    def mark(vals):
+        if (vals[s] in d) == want:
+            nxt(vals)
+    return mark
+
+
+_LINK = {"scan": _link_scan, "probe": _link_probe, "test": _link_test,
+         "elems": _link_elems, "same": _link_same, "copy": _link_copy,
+         "mark": _link_mark}
 
 
 def find_matches(f: Formula, x: Structure, delta: Optional[Delta] = None,
                  binding: Optional[dict[Var, El]] = None) -> Iterator[dict[Var, El]]:
     """All interpretations of an RHL formula in ``x``, in deterministic
-    order.  With ``delta``, only interpretations touching at least one
-    delta-marked tuple or element are yielded.  ``binding`` pre-binds
-    variables (used for conclusion extension tests)."""
-    if not is_rhl(f):
-        raise SignatureError("find_matches expects an RHL formula")
-    start = {v: x.find(e) for v, e in (binding or {}).items()}
-    for assignment, _ in _match_atoms(f.atoms, x, start, False, delta, {}):
-        yield assignment
+    (nested-loop) order.  With ``delta``, only interpretations touching at
+    least one delta-marked tuple or element are yielded.  ``binding``
+    pre-binds variables (used for conclusion extension tests)."""
+    start = {v: x.find(e) for v, e in binding.items()} if binding else {}
+    plan = _plan(f, frozenset(start))
+    vals = [start[v] for v in plan.pre]
+    vals += [None] * (len(plan.vars) - len(vals))
+    src = _Sources(x, delta)
+    rows: list[tuple[El, ...]] = []
+    if delta is None:
+        _link(plan.steps, src, rows)(vals)
+    else:
+        for steps in plan.variants:
+            _link(steps, src, rows)(vals)
+        rows.sort()
+    for row in rows:
+        m = dict(start)
+        m.update(zip(plan.vars, row))
+        yield m
 
 
 def _extends(x: Structure, s: Sequent, assignment: dict[Var, El]) -> bool:
@@ -266,7 +492,7 @@ def apply_match(x: Structure, s: Sequent, assignment: dict[Var, El]) -> ChangeSe
             changes.elements_created.append(e)
     for atom in s.conclusion.atoms:
         if isinstance(atom, RelAtom):
-            t = tuple(x.find(full[v]) for v in atom.args)
+            t = tuple([x.find(full[v]) for v in atom.args])
             if x.add_tuple(atom.rel.name, t):
                 changes.tuples_added.append((atom.rel.name, x.canonical(t)))
         elif isinstance(atom, EqualAtom):
@@ -317,30 +543,36 @@ def evaluate(t: Theory, x: Structure,
 
     result = x.copy()
     report = EvalReport()
+    seminaive = cfg.strategy == "seminaive"
     delta: Optional[Delta] = None
 
     while True:
-        snapshot = result.copy()
         stats = IterationStats()
+        # Every premise is matched before any conclusion is applied, so the
+        # matches read ``result`` itself.
         pending: list[tuple[Sequent, dict[Var, El]]] = []
         for s in t.sequents:
-            it_delta = delta if cfg.strategy == "seminaive" else None
-            for m in find_matches(s.premise, snapshot, delta=it_delta):
+            for m in find_matches(s.premise, result, delta=delta):
                 pending.append((s, m))
         new_tuples: set[tuple[str, tuple[El, ...]]] = set()
         new_elements: set[El] = set()
+        merged = False
         for s, m in pending:
-            live = {v: result.find(e) for v, e in m.items()}
-            if not all(_premise_atom_holds(result, a, live)
-                       for a in s.premise.atoms):
-                continue  # invalidated by a merge earlier in this batch
-            if _extends(result, s, live):
+            # Tuples only go away in a merge, so until one happens in this
+            # batch every match still holds and is canonical.
+            if merged:
+                m = {v: result.find(e) for v, e in m.items()}
+                if not all(_premise_atom_holds(result, a, m)
+                           for a in s.premise.atoms):
+                    continue  # invalidated by a merge earlier in this batch
+            if _extends(result, s, m):
                 continue
             stats.matches += 1
-            changes = apply_match(result, s, live)
+            changes = apply_match(result, s, m)
             stats.tuples_added += len(changes.tuples_added)
             stats.merges += len(changes.merges)
             stats.elements_created += len(changes.elements_created)
+            merged = merged or bool(changes.merges)
             new_tuples.update(changes.tuples_added)
             new_tuples.update(changes.recanonicalized)
             new_elements.update(changes.elements_created)
@@ -349,12 +581,14 @@ def evaluate(t: Theory, x: Structure,
         if not stats.changed:
             report.fixed_point = True
             break
-        # Re-canonicalize the delta against the post-iteration structure.
-        delta = Delta(
-            frozenset((rel, result.canonical(tp)) for rel, tp in new_tuples
-                      if result.canonical(tp) in result.rels[rel]),
-            frozenset(result.find(e) for e in new_elements),
-        )
+        if seminaive:
+            # Re-canonicalize the delta against the post-iteration structure.
+            canonical = [(rel, result.canonical(tp)) for rel, tp in new_tuples]
+            delta = Delta(
+                frozenset([(rel, tp) for rel, tp in canonical
+                           if tp in result.rels[rel]]),
+                frozenset([result.find(e) for e in new_elements]),
+            )
         if max_iterations is not None and report.iterations >= max_iterations:
             unit = _unit_morphism(x, result)
             raise EvaluationBudgetError(result, unit, report)
@@ -364,12 +598,12 @@ def evaluate(t: Theory, x: Structure,
 
 
 def _premise_atom_holds(x: Structure, atom, assignment) -> bool:
+    """Does a premise atom hold under a canonical assignment?"""
     if isinstance(atom, RelAtom):
-        return x.has_tuple(atom.rel.name,
-                           tuple(assignment[v] for v in atom.args))
+        return tuple([assignment[v] for v in atom.args]) in x.rels[atom.rel.name]
     if isinstance(atom, DefinedAtom):
         return True
-    return x.find(assignment[atom.lhs]) == x.find(assignment[atom.rhs])
+    return assignment[atom.lhs] == assignment[atom.rhs]
 
 
 def _unit_morphism(x: Structure, result: Structure) -> Morphism:

@@ -183,6 +183,11 @@ _TOKEN_RE = re.compile(
 
 _KEYWORDS = {"sort", "pred", "func", "rule", "true"}
 
+# Deepest nesting of function applications in one term.  Every pass over
+# terms recurses once per level, so the limit keeps them well inside
+# Python's recursion limit.
+MAX_TERM_DEPTH = 200
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -351,16 +356,20 @@ class _Parser:
                              nxt.line, nxt.col)
         return _RawAtom("rel", (term,), t.line, t.col)
 
-    def parse_raw_term(self) -> _RawTerm:
+    def parse_raw_term(self, depth: int = 0) -> _RawTerm:
         tok = self.expect_ident()
         if self.peek().text == "(":
+            if depth == MAX_TERM_DEPTH:
+                raise ParseError(
+                    f"term nested deeper than {MAX_TERM_DEPTH} applications",
+                    tok.line, tok.col)
             self.next()
             args: list[_RawTerm] = []
             if self.peek().text != ")":
-                args.append(self.parse_raw_term())
+                args.append(self.parse_raw_term(depth + 1))
                 while self.peek().text == ",":
                     self.next()
-                    args.append(self.parse_raw_term())
+                    args.append(self.parse_raw_term(depth + 1))
             self.expect(")")
             return _RawTerm(tok.text, tuple(args), tok.line, tok.col)
         return _RawTerm(tok.text, None, tok.line, tok.col)

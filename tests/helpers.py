@@ -228,3 +228,83 @@ def enumerate_structures(sig: Signature, max_elements: int
                 for t in sorted(ts):
                     x.add_tuple(r.name, t)
             yield x
+
+
+# -- reference matcher -----------------------------------------------------
+
+
+def _match_atoms(atoms, x: Structure, assignment: dict[Var, El],
+                 used_delta: bool, delta,
+                 tuple_cache: dict) -> Iterator[tuple[dict[Var, El], bool]]:
+    if not atoms:
+        if delta is None or used_delta:
+            yield assignment, used_delta
+        return
+    atom, rest = atoms[0], atoms[1:]
+    if isinstance(atom, RelAtom):
+        name = atom.rel.name
+        if name not in tuple_cache:
+            tuple_cache[name] = x.sorted_tuples(name)
+        get = assignment.get
+        for t in tuple_cache[name]:
+            local: dict[Var, El] = {}
+            ok = True
+            for v, e in zip(atom.args, t):
+                bound = get(v)
+                if bound is None:
+                    bound = local.get(v)
+                if bound is None:
+                    local[v] = e
+                elif bound != e:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            new = dict(assignment)
+            new.update(local)
+            hit = used_delta or (delta is not None and (name, t) in delta.tuples)
+            yield from _match_atoms(rest, x, new, hit, delta, tuple_cache)
+    elif isinstance(atom, DefinedAtom):
+        v = atom.term
+        bound = assignment.get(v)
+        if bound is not None:
+            hit = used_delta or (delta is not None and bound in delta.elements)
+            yield from _match_atoms(rest, x, assignment, hit, delta, tuple_cache)
+        else:
+            for e in x.elements(v.sort):
+                new = dict(assignment)
+                new[v] = e
+                hit = used_delta or (delta is not None and e in delta.elements)
+                yield from _match_atoms(rest, x, new, hit, delta, tuple_cache)
+    else:  # EqualAtom
+        u, v = atom.lhs, atom.rhs
+        bu, bv = assignment.get(u), assignment.get(v)
+        if bu is not None and bv is not None:
+            if bu == bv:
+                yield from _match_atoms(rest, x, assignment, used_delta, delta,
+                                        tuple_cache)
+        elif bu is not None:
+            new = dict(assignment)
+            new[v] = bu
+            yield from _match_atoms(rest, x, new, used_delta, delta, tuple_cache)
+        elif bv is not None:
+            new = dict(assignment)
+            new[u] = bv
+            yield from _match_atoms(rest, x, new, used_delta, delta, tuple_cache)
+        else:
+            for e in x.elements(u.sort):
+                new = dict(assignment)
+                new[u] = e
+                new[v] = e
+                hit = used_delta or (delta is not None and e in delta.elements)
+                yield from _match_atoms(rest, x, new, hit, delta, tuple_cache)
+
+
+def reference_matches(f: Formula, x: Structure, delta=None,
+                      binding: Optional[dict[Var, El]] = None
+                      ) -> Iterator[dict[Var, El]]:
+    """The reference for ``engine.find_matches``: a recursive nested-loop
+    join over sorted tuples that tests the delta at the leaf."""
+    start = {v: x.find(e) for v, e in (binding or {}).items()}
+    for assignment, _ in _match_atoms(f.atoms, x, start, False, delta, {}):
+        yield assignment

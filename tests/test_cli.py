@@ -52,6 +52,15 @@ class TestCheck:
         code, _, err = run(capsys, "check", "/nonexistent.hq")
         assert code == 2
 
+    def test_deep_term_exit_2(self, files, capsys):
+        term = "f(" * 3000 + "x" + ")" * 3000
+        theory = files("deep.hq", "sort M;\nfunc f : M -> M;\n"
+                                  f"rule {term}! => x = x;\n")
+        code, out, err = run(capsys, "check", theory)
+        assert code == 2 and out == ""
+        assert err.startswith("error: 3:") and err.count("\n") == 1
+        assert "nested deeper than" in err
+
 
 class TestEval:
     def test_closure(self, files, capsys):
@@ -105,6 +114,17 @@ class TestEval:
         code, _, err = run(capsys, "eval", theory, facts, "--strict")
         assert code == 2
         assert "weakly free" in err
+
+    def test_declared_function_gets_functionality(self, files, capsys):
+        # f is never applied in a rule, but its graph must stay functional
+        theory = files("t.hq", "sort V;\nfunc f : V -> V;\npred E : V * V;\n"
+                               "rule E(x, y) => x = y;\n")
+        facts = files("f.hq", "sort V: a b c d;\nf(a, c);\nf(b, d);\n"
+                              "E(a, b);\n")
+        code, out, _ = run(capsys, "eval", theory, facts)
+        assert code == 0
+        assert out == ("sort V: a c;\nE(a, a);\nf(a, c);\n"
+                       "merged:\n  b -> a\n  d -> c\n")
 
     def test_phl_theory_auto_flattened(self, files, capsys):
         theory = files("t.hq", "sort M;\nfunc f : M -> M;\n"

@@ -4,15 +4,17 @@ import warnings
 import pytest
 
 from horneq.classify import classifying_morphism, flatten_theory
-from horneq.core import SignatureError, Structure
-from horneq.engine import (EvalConfig, EvaluationBudgetError, evaluate,
+from horneq.core import El, SignatureError, Structure
+from horneq.engine import (Delta, EvalConfig, EvaluationBudgetError, evaluate,
                            find_matches, is_injective_to, is_orthogonal_to,
                            satisfies, satisfies_phl, satisfies_theory)
+from horneq.facts import model_names, report_dict, serialize_model
 from horneq.syntax import (EqualAtom, Formula, RelAtom, Var,
-                           parse_theory)
+                           parse_theory, sequent_vars)
 
 from helpers import (random_sequent, random_signature, random_structure,
-                     random_theory, structure_from_edges, transitive_closure)
+                     random_theory, reference_matches, structure_from_edges,
+                     transitive_closure)
 
 
 TRANSITIVITY = parse_theory("""
@@ -192,6 +194,71 @@ class TestEvaluate:
         x = Structure(ANTISYMMETRY.signature)
         with pytest.raises(SignatureError):
             evaluate(TRANSITIVITY, x)
+
+
+class TestDifferential:
+    """Seeded fences around the matcher: the compiled plans against the
+    recursive reference matcher, and semi-naive against naive evaluation."""
+
+    def test_matches_equal_reference_in_order(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            sig = random_signature(rng)
+            t = random_theory(rng, sig, surjective=rng.random() < 0.5)
+            x = random_structure(rng, sig, max_elements=4)
+            if rng.random() < 0.3:  # leave merged-away indices behind
+                for sort in sig.sorts:
+                    els = x.elements(sort)
+                    if len(els) > 1:
+                        x.merge(els[0], els[-1])
+            tuples = [(r, tp) for r, ts in x.rels.items() for tp in ts]
+            elements = [e for sort in sig.sorts for e in x.elements(sort)]
+            for s in t.sequents:
+                for f in (s.premise, s.conclusion, s.premise & s.conclusion):
+                    delta = Delta(
+                        frozenset(p for p in tuples if rng.random() < 0.4),
+                        frozenset(e for e in elements if rng.random() < 0.3))
+                    # raw indices, some non-canonical, and variables of
+                    # the sequent that ``f`` may not mention
+                    binding = {v: El(v.sort, rng.randrange(n))
+                               for v in sequent_vars(s)
+                               if (n := x.raw_count(v.sort))
+                               and rng.random() < 0.5}
+                    for d, b in ((None, None), (delta, None),
+                                 (None, binding), (delta, binding)):
+                        got = [list(m.items())
+                               for m in find_matches(f, x, d, b)]
+                        want = [list(m.items())
+                                for m in reference_matches(f, x, d, b)]
+                        assert got == want
+
+    def test_naive_and_seminaive_serialize_identically(self):
+        rng = random.Random(43)
+        for i in range(600):
+            surjective = i % 2 == 0
+            sig = random_signature(rng)
+            t = random_theory(rng, sig, max_sequents=5, surjective=surjective)
+            x = random_structure(rng, sig, max_elements=4, min_elements=1)
+            for r in sig.relations:  # denser inputs take more iterations
+                for _ in range(6):
+                    x.add_tuple(r.name, tuple([rng.choice(x.elements(sort))
+                                               for sort in r.arity]))
+            names = {f"e{e.sort}_{e.index}": e
+                     for sort in sig.sorts for e in x.elements(sort)}
+            texts = []
+            for strategy in ("naive", "seminaive"):
+                cfg = EvalConfig(strategy=strategy,
+                                 max_iterations=None if surjective else 3)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    try:
+                        res, unit, rep = evaluate(t, x, cfg)
+                    except EvaluationBudgetError as err:
+                        res, unit, rep = err.partial, err.unit, err.report
+                out_names, merged = model_names(res, names, unit)
+                texts.append(serialize_model(res, out_names, merged,
+                                             report=report_dict(rep)))
+            assert texts[0] == texts[1]
 
 
 class TestPhlSatisfaction:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horneq.syntax import (App, DefinedAtom, ParseError,
+from horneq.syntax import (MAX_TERM_DEPTH, App, DefinedAtom, ParseError,
                            VacuousSequentWarning,
                            Var, formula_vars, is_rhl, parse_theory,
                            pretty_print, sequent_vars)
@@ -105,6 +105,18 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_theory("sort A;\nsort B;\npred P : A;\npred Q : B;\n"
                          "rule P(x) & Q(y) => x = y;\n")
+
+    def test_term_depth_limit(self):
+        def theory(depth):
+            term = "f(" * depth + "x" + ")" * depth
+            return f"sort M;\nfunc f : M -> M;\nrule {term}! => x = x;\n"
+
+        assert pretty_print(parse_theory(theory(MAX_TERM_DEPTH))) == \
+            theory(MAX_TERM_DEPTH)
+        with pytest.raises(ParseError) as err:
+            parse_theory(theory(MAX_TERM_DEPTH + 1))
+        # located at the application one past the limit
+        assert (err.value.line, err.value.col) == (3, 6 + 2 * MAX_TERM_DEPTH)
 
 
 class TestPrinting:
