@@ -4,12 +4,22 @@ Structures are mutable and single-writer; every public operation leaves all
 stored tuples canonical (each component equal to its union-find
 representative).  Element indices are dense per sort and never reused:
 merged-away indices stay allocated but non-canonical.
+
+A structure's first merge builds its use-lists: for each canonical
+element, the (relation, tuple) entries that hold it.  From then on every
+stored tuple is on the use-list of each of its elements; an entry whose
+tuple is no longer stored is stale and skipped.  A merge therefore visits
+only the merged-away element's entries, and rewrites each live one.
+Tuples enter a structure only through ``add_tuple``, which keeps the
+use-lists once they exist.  ``copy`` does not carry them, so a structure
+that is never merged never builds them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 
@@ -49,12 +59,14 @@ class RelDecl:
 class Signature:
     sorts: tuple[str, ...]
     relations: tuple[RelDecl, ...]
+    _by_name: dict[str, RelDecl] = field(init=False, repr=False,
+                                         compare=False, hash=False)
 
     def __post_init__(self):
         if len(set(self.sorts)) != len(self.sorts):
             raise SignatureError("duplicate sort names")
-        names = [r.name for r in self.relations]
-        if len(set(names)) != len(names):
+        by_name = {r.name: r for r in self.relations}
+        if len(by_name) != len(self.relations):
             raise SignatureError("duplicate relation names")
         for r in self.relations:
             for s in r.arity:
@@ -62,15 +74,16 @@ class Signature:
                     raise SignatureError(
                         f"relation {r.name}: unknown sort {s!r}"
                     )
+        object.__setattr__(self, "_by_name", by_name)
 
     def relation(self, name: str) -> RelDecl:
-        for r in self.relations:
-            if r.name == name:
-                return r
-        raise SignatureError(f"unknown relation {name!r}")
+        decl = self._by_name.get(name)
+        if decl is None:
+            raise SignatureError(f"unknown relation {name!r}")
+        return decl
 
     def has_relation(self, name: str) -> bool:
-        return any(r.name == name for r in self.relations)
+        return name in self._by_name
 
     def functions(self) -> tuple[RelDecl, ...]:
         return tuple(r for r in self.relations if r.kind == "func")
@@ -133,6 +146,12 @@ class Structure:
         self.rels: dict[str, set[tuple[El, ...]]] = {
             r.name: set() for r in sig.relations
         }
+        # Built by the first merge; see the module docstring.
+        self._uses: Optional[
+            defaultdict[El, list[tuple[str, tuple[El, ...]]]]] = None
+        # When a list, ``merge`` appends each (relation, tuple) it newly
+        # stores in rewritten form.
+        self.rewritten: Optional[list[tuple[str, tuple[El, ...]]]] = None
 
     # -- elements ----------------------------------------------------------
 
@@ -189,9 +208,14 @@ class Structure:
     def add_tuple(self, rel: str, t: tuple[El, ...]) -> bool:
         self._check_tuple(rel, t)
         ct = self.canonical(t)
-        if ct in self.rels[rel]:
+        ts = self.rels[rel]
+        if ct in ts:
             return False
-        self.rels[rel].add(ct)
+        ts.add(ct)
+        if self._uses is not None:
+            entry = (rel, ct)
+            for e in ct:
+                self._uses[e].append(entry)
         return True
 
     def has_tuple(self, rel: str, t: tuple[El, ...]) -> bool:
@@ -207,19 +231,40 @@ class Structure:
     # -- merging -----------------------------------------------------------
 
     def merge(self, a: El, b: El) -> El:
+        """Identify ``a`` and ``b``; returns the kept representative, the
+        one with the smaller index.  Only the tuples on the merged-away
+        element's use-list are rewritten."""
         if a.sort != b.sort:
             raise SignatureError(f"merging across sorts {a.sort!r}/{b.sort!r}")
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return ra
+        uses = self._uses
+        if uses is None:
+            uses = self._uses = defaultdict(list)
+            for rel, tuples in self.rels.items():
+                for t in tuples:
+                    entry = (rel, t)
+                    for e in t:
+                        uses[e].append(entry)
         keep = El(a.sort, self._uf[a.sort].union(ra.index, rb.index))
         lose = rb if keep == ra else ra
-        for rel, tuples in self.rels.items():
-            touched = [t for t in tuples if lose in t]
-            for t in touched:
-                tuples.discard(t)
-            for t in touched:
-                tuples.add(self.canonical(t))
+        log = self.rewritten
+        for rel, t in uses.pop(lose, ()):
+            tuples = self.rels[rel]
+            if t not in tuples:
+                continue  # stale: an earlier merge rewrote it
+            tuples.remove(t)
+            # Every other component of t is still canonical.
+            ct = tuple([keep if e == lose else e for e in t])
+            if ct in tuples:
+                continue
+            tuples.add(ct)
+            entry = (rel, ct)
+            for e in ct:
+                uses[e].append(entry)
+            if log is not None:
+                log.append(entry)
         return keep
 
     # -- misc --------------------------------------------------------------

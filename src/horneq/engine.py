@@ -473,7 +473,6 @@ class ChangeSet:
     tuples_added: list[tuple[str, tuple[El, ...]]] = field(default_factory=list)
     merges: list[tuple[El, El]] = field(default_factory=list)
     elements_created: list[El] = field(default_factory=list)
-    recanonicalized: list[tuple[str, tuple[El, ...]]] = field(default_factory=list)
 
     @property
     def changed(self) -> bool:
@@ -494,16 +493,12 @@ def apply_match(x: Structure, s: Sequent, assignment: dict[Var, El]) -> ChangeSe
         if isinstance(atom, RelAtom):
             t = tuple([x.find(full[v]) for v in atom.args])
             if x.add_tuple(atom.rel.name, t):
-                changes.tuples_added.append((atom.rel.name, x.canonical(t)))
+                changes.tuples_added.append((atom.rel.name, t))
         elif isinstance(atom, EqualAtom):
             a, b = x.find(full[atom.lhs]), x.find(full[atom.rhs])
             if a != b:
-                touched = [(rel, t) for rel, ts in x.rels.items() for t in ts
-                           if a in t or b in t]
                 x.merge(a, b)
                 changes.merges.append((a, b))
-                changes.recanonicalized.extend(
-                    (rel, x.canonical(t)) for rel, t in touched)
         # DefinedAtom: the element exists by construction.
     return changes
 
@@ -545,6 +540,11 @@ def evaluate(t: Theory, x: Structure,
     report = EvalReport()
     seminaive = cfg.strategy == "seminaive"
     delta: Optional[Delta] = None
+    if seminaive:
+        # The delta holds only tuples of relations some premise reads.
+        read = {a.rel.name for s in t.sequents for a in s.premise.atoms
+                if isinstance(a, RelAtom)}
+        result.rewritten = []
 
     while True:
         stats = IterationStats()
@@ -554,8 +554,8 @@ def evaluate(t: Theory, x: Structure,
         for s in t.sequents:
             for m in find_matches(s.premise, result, delta=delta):
                 pending.append((s, m))
-        new_tuples: set[tuple[str, tuple[El, ...]]] = set()
-        new_elements: set[El] = set()
+        new_tuples: list[tuple[str, tuple[El, ...]]] = []
+        new_elements: list[El] = []
         merged = False
         for s, m in pending:
             # Tuples only go away in a merge, so until one happens in this
@@ -573,27 +573,31 @@ def evaluate(t: Theory, x: Structure,
             stats.merges += len(changes.merges)
             stats.elements_created += len(changes.elements_created)
             merged = merged or bool(changes.merges)
-            new_tuples.update(changes.tuples_added)
-            new_tuples.update(changes.recanonicalized)
-            new_elements.update(changes.elements_created)
+            new_tuples += changes.tuples_added
+            new_elements += changes.elements_created
         report.iterations += 1
         report.per_iteration.append(stats)
         if not stats.changed:
             report.fixed_point = True
             break
         if seminaive:
-            # Re-canonicalize the delta against the post-iteration structure.
-            canonical = [(rel, result.canonical(tp)) for rel, tp in new_tuples]
+            # A new tuple is either still stored as added or was rewritten
+            # by a merge, which logged the stored form; stale forms drop out.
+            new_tuples += result.rewritten
+            result.rewritten.clear()
+            rels = result.rels
             delta = Delta(
-                frozenset([(rel, tp) for rel, tp in canonical
-                           if tp in result.rels[rel]]),
+                frozenset([(rel, tp) for rel, tp in new_tuples
+                           if rel in read and tp in rels[rel]]),
                 frozenset([result.find(e) for e in new_elements]),
             )
         if max_iterations is not None and report.iterations >= max_iterations:
-            unit = _unit_morphism(x, result)
-            raise EvaluationBudgetError(result, unit, report)
+            break
 
+    result.rewritten = None
     unit = _unit_morphism(x, result)
+    if not report.fixed_point:
+        raise EvaluationBudgetError(result, unit, report)
     return result, unit, report
 
 

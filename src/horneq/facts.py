@@ -18,39 +18,29 @@ import json
 from typing import Optional
 
 from .core import El, Morphism, Signature, Structure
-from .syntax import ParseError, _Token, _tokenize
+from .syntax import ParseError, _Cursor, _Token
 
 
 def parse_facts(text: str, sig: Signature) -> tuple[Structure, dict[str, El]]:
     """Build a structure from a facts file; equality facts are merged on
     load, so returned name bindings are canonical."""
-    tokens = _tokenize(text)
+    cur = _Cursor(text)
     x = Structure(sig)
     names: dict[str, El] = {}
-    sort_of: dict[str, str] = {}
-    pos = 0
-
-    def peek() -> _Token:
-        return tokens[pos]
 
     def at_sym(text: str) -> bool:
-        return tokens[pos].kind == "sym" and tokens[pos].text == text
-
-    def take() -> _Token:
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
+        tok = cur.peek()
+        return tok.kind == "sym" and tok.text == text
 
     def take_ident() -> _Token:
-        tok = take()
+        tok = cur.next()
         if tok.kind != "ident":
             raise ParseError(f"expected a name, found {tok.text!r}",
                              tok.line, tok.col)
         return tok
 
     def take_sym(text: str) -> _Token:
-        tok = take()
+        tok = cur.next()
         if tok.kind != "sym" or tok.text != text:
             raise ParseError(f"expected {text!r}, found {tok.text!r}",
                              tok.line, tok.col)
@@ -61,28 +51,27 @@ def parse_facts(text: str, sig: Signature) -> tuple[Structure, dict[str, El]]:
             raise ParseError(f"unknown element {tok.text!r}", tok.line, tok.col)
         return x.find(names[tok.text])
 
-    while peek().kind != "eof":
-        tok = peek()
+    while cur.peek().kind != "eof":
+        tok = cur.peek()
         if tok.kind == "ident" and tok.text == "sort":
-            take()
+            cur.next()
             sort_tok = take_ident()
             if sort_tok.text not in sig.sorts:
                 raise ParseError(f"unknown sort {sort_tok.text!r}",
                                  sort_tok.line, sort_tok.col)
             take_sym(":")
-            while peek().kind == "ident":
-                name_tok = take()
+            while cur.peek().kind == "ident":
+                name_tok = cur.next()
                 if name_tok.text in names:
                     raise ParseError(
                         f"element name {name_tok.text!r} already declared",
                         name_tok.line, name_tok.col)
                 names[name_tok.text] = x.add_element(sort_tok.text)
-                sort_of[name_tok.text] = sort_tok.text
             take_sym(";")
         elif tok.kind == "ident":
-            head = take()
+            head = cur.next()
             if at_sym("="):
-                take()
+                cur.next()
                 rhs = take_ident()
                 take_sym(";")
                 a, b = element(head), element(rhs)
@@ -102,7 +91,7 @@ def parse_facts(text: str, sig: Signature) -> tuple[Structure, dict[str, El]]:
             if not at_sym(")"):
                 args.append(element(take_ident()))
                 while at_sym(","):
-                    take()
+                    cur.next()
                     args.append(element(take_ident()))
             take_sym(")")
             take_sym(";")

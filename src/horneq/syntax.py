@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .core import RelDecl, Signature
 
@@ -172,11 +172,15 @@ def is_rhl(x) -> bool:
 
 # -- lexer -----------------------------------------------------------------
 
+# One match per token: skip blanks and comments, then read one token.  It
+# always matches, since ``bad`` takes any other character and ``eof`` the
+# end of the text.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<sym>=>|->|[;:*(),=!&])
+    r"""(?:\s+|\#[^\n]*)*
+      (?: (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+        | (?P<sym>=>|->|[;:*(),=!&])
+        | (?P<eof>\Z)
+        | (?P<bad>.) )
     """,
     re.VERBOSE,
 )
@@ -189,37 +193,51 @@ _KEYWORDS = {"sort", "pred", "func", "rule", "true"}
 MAX_TERM_DEPTH = 200
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident" | "sym" | "eof"
     text: str
     line: int
     col: int
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
+class _Cursor:
+    """The tokens of a text, read one ahead of the parser: ``peek`` shows
+    the next token and ``next`` consumes it.  Lines and columns count from
+    1, a tab counting as one column."""
+
+    def __init__(self, text: str):
+        self._text = text
+        self._pos = 0
+        self._line = 1
+        self._line_start = 0  # offset of the current line's first character
+        self._tok = self._read()
+
+    def _read(self) -> _Token:
+        text, pos = self._text, self._pos
         m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
         kind = m.lastgroup
-        value = m.group()
-        if kind == "ident":
-            tokens.append(_Token("ident", value, line, col))
-        elif kind == "sym":
-            tokens.append(_Token("sym", value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+        start = m.start(kind)
+        if start != pos:
+            newlines = text.count("\n", pos, start)
+            if newlines:
+                self._line += newlines
+                self._line_start = text.rindex("\n", pos, start) + 1
+        self._pos = m.end()
+        tok = _Token(kind, m.group(kind), self._line,
+                     start - self._line_start + 1)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {tok.text!r}",
+                             tok.line, tok.col)
+        return tok
+
+    def peek(self) -> _Token:
+        return self._tok
+
+    def next(self) -> _Token:
+        tok = self._tok
+        if tok.kind != "eof":
+            self._tok = self._read()
+        return tok
 
 
 # -- raw (unresolved) syntax trees ----------------------------------------
@@ -241,19 +259,7 @@ class _RawAtom:
     col: int
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        t = self.tokens[self.pos]
-        self.pos += 1
-        return t
-
+class _Parser(_Cursor):
     def expect(self, text: str) -> _Token:
         t = self.next()
         if t.text != text:

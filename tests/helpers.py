@@ -230,6 +230,34 @@ def enumerate_structures(sig: Signature, max_elements: int
             yield x
 
 
+# -- reference merge -------------------------------------------------------
+
+
+def full_scan_merge(x: Structure, a: El, b: El
+                    ) -> tuple[El, set[tuple[str, tuple[El, ...]]]]:
+    """The reference for ``Structure.merge``: union the two classes, then
+    rescan every tuple of every relation for the merged-away element.
+    Returns the kept element and the (relation, tuple) pairs newly stored
+    in rewritten form.  It edits ``x.rels`` directly, so use it only on a
+    structure that ``Structure.merge`` never touches."""
+    ra, rb = x.find(a), x.find(b)
+    if ra == rb:
+        return ra, set()
+    keep = El(a.sort, x._uf[a.sort].union(ra.index, rb.index))
+    lose = rb if keep == ra else ra
+    rewritten = set()
+    for rel, tuples in x.rels.items():
+        touched = [t for t in tuples if lose in t]
+        for t in touched:
+            tuples.discard(t)
+        for t in touched:
+            ct = x.canonical(t)
+            if ct not in tuples:
+                tuples.add(ct)
+                rewritten.add((rel, ct))
+    return keep, rewritten
+
+
 # -- reference matcher -----------------------------------------------------
 
 

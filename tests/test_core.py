@@ -1,13 +1,16 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horneq.core import (Morphism, RelDecl, Signature, SignatureError,
+from horneq.core import (El, Morphism, RelDecl, Signature, SignatureError,
                          Structure, coproduct, enumerate_morphisms,
                          find_isomorphism, is_total_function, pushout,
                          quotient_by_relation)
 
-from helpers import all_isomorphisms, random_signature, random_structure
+from helpers import (all_isomorphisms, full_scan_merge, random_signature,
+                     random_structure)
 
 
 SIG = Signature(("V",), (RelDecl("E", ("V", "V"), "pred"),))
@@ -100,6 +103,58 @@ class TestStructure:
         assert x.is_canonical()
         for t in x.rels["E"]:
             assert x.canonical(t) == t
+
+
+class TestMergeDifferential:
+    def test_use_list_merge_equals_full_scan(self):
+        """Seeded random interleavings of add_element, add_tuple, merge and
+        copy, each applied to a structure and to a twin that merges by full
+        scan.  Tuples may name merged-away elements, and merges hit copies
+        of merged structures (which start without use-lists) as well as
+        merged structures after a copy was taken."""
+        merges_on_copies = merges_after_copy = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            sig = random_signature(rng, max_sorts=2, max_rels=3)
+            pairs = [(Structure(sig), Structure(sig))]
+            merged, copies_of_merged, copied = set(), set(), set()
+            for _ in range(50):
+                x, ref = rng.choice(pairs)
+                op = rng.random()
+                if op < 0.2:
+                    s = rng.choice(sig.sorts)
+                    assert x.add_element(s) == ref.add_element(s)
+                elif op < 0.55:
+                    r = rng.choice(sig.relations)
+                    if all(x.raw_count(s) for s in r.arity):
+                        t = tuple(El(s, rng.randrange(x.raw_count(s)))
+                                  for s in r.arity)
+                        assert (x.add_tuple(r.name, t)
+                                == ref.add_tuple(r.name, t))
+                elif op < 0.9:
+                    s = rng.choice(sig.sorts)
+                    if x.raw_count(s):
+                        a, b = (El(s, rng.randrange(x.raw_count(s)))
+                                for _ in range(2))
+                        if x.find(a) != x.find(b):
+                            merges_on_copies += id(x) in copies_of_merged
+                            merges_after_copy += id(x) in copied
+                            merged.add(id(x))
+                        x.rewritten = []
+                        keep = x.merge(a, b)
+                        want_keep, want = full_scan_merge(ref, a, b)
+                        assert keep == want_keep
+                        assert len(x.rewritten) == len(want)
+                        assert set(x.rewritten) == want
+                else:
+                    y = x.copy()
+                    if id(x) in merged:
+                        copies_of_merged.add(id(y))
+                        copied.add(id(x))
+                    pairs.append((y, ref.copy()))
+                assert x.rels == ref.rels
+                assert x.is_canonical()
+        assert merges_on_copies > 100 and merges_after_copy > 100
 
 
 class TestColimits:

@@ -49,6 +49,25 @@ class TestParseFacts:
             parse_facts("sort A: a;\nsort B: b;\na = b;", t.signature)
 
 
+class TestErrorLocations:
+    """The exact ``line:col: message`` of each error.  Unlike the theory
+    parser, the facts parser names the end of input as ``''``."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("# facts\n\nsort V: a b;\n\tE(a, c);\n", "4:7: unknown element 'c'"),
+        ("sort V: a;\n# $ in a comment\nE(a, @);\n",
+         "3:6: unexpected character '@'"),
+        ("sort V: a b;\nE(a, b)\n# end\n", "4:1: expected ';', found ''"),
+        ("sort V: a b;\nE(a, b)", "2:8: expected ';', found ''"),
+        ("sort V: a;\n\n  \tF(a);\n", "3:4: unknown relation 'F'"),
+        ("sort V: a b;\n\ta = \n  c;\n", "3:3: unknown element 'c'"),
+    ])
+    def test_message_and_position(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_facts(text, SIG)
+        assert str(err.value) == message
+
+
 class TestSerialization:
     def eval_chain(self):
         x, names = parse_facts("sort V: a b c;\nE(a, b);\nE(b, c);\n", SIG)

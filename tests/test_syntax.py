@@ -119,6 +119,30 @@ class TestParsing:
         assert (err.value.line, err.value.col) == (3, 6 + 2 * MAX_TERM_DEPTH)
 
 
+class TestErrorLocations:
+    """The exact ``line:col: message`` of each error; columns count a tab
+    as one character."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("# header comment\n\nsort V;\n\tpred E : V * W;  # trailing\n",
+         "4:15: unknown sort 'W'"),
+        ("sort V;\n# a comment with $ and @\n  pred E : V $ V;\n",
+         "3:14: unexpected character '$'"),
+        ("sort V;\npred E : V * V;\nrule E(x, y) => E(y, x)  # no semicolon\n",
+         "4:1: expected ';', found 'end of input'"),
+        ("sort V;\npred E : V * V;\n\n\trule F(x) => E(x, x);\n",
+         "4:7: unknown relation 'F'"),
+        ("sort V;\npred E : V * V;\nrule E(x, y) =>\n\t\tE(y, q(x));\n",
+         "4:8: unknown symbol 'q'"),
+        ("sort V;\npred E : V * V;\nrule E(x, y) => E(y x);\n",
+         "3:21: expected ')', found 'x'"),
+    ])
+    def test_message_and_position(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_theory(text)
+        assert str(err.value) == message
+
+
 class TestPrinting:
     def test_round_trip_transitivity(self):
         t = parse_theory(TRANSITIVITY)
