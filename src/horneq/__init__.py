@@ -9,8 +9,7 @@ variables.
 """
 
 from .core import (El, Morphism, RelDecl, Signature, SignatureError,
-                   Structure, coproduct, enumerate_morphisms,
-                   find_isomorphism, pushout, quotient_by_relation)
+                   Structure, coproduct, pushout, quotient_by_relation)
 from .syntax import (App, DefinedAtom, EqualAtom, Formula, ParseError,
                      Sequent, Theory, Var, parse_theory, pretty_print)
 from .classify import (classify_sequent, classifying_morphism,
@@ -18,8 +17,9 @@ from .classify import (classify_sequent, classifying_morphism,
                        functionality_theory, sequent_from_morphism,
                        strengthen_theory)
 from .engine import (EvalConfig, EvalReport, EvaluationBudgetError, evaluate,
-                     is_injective_to, is_orthogonal_to, satisfies,
-                     satisfies_theory)
+                     satisfies, satisfies_theory)
+from .oracle import (enumerate_morphisms, find_isomorphism, is_injective_to,
+                     is_orthogonal_to)
 from .transform import (diagonal_embed, epic_transform, quotient_model,
                         setoid_transform, sparse_setoid_transform)
 

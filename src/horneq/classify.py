@@ -212,34 +212,33 @@ def sequent_from_morphism(f: Morphism) -> Sequent:
 # -- PHL classifying structures (free algebraic reflection) ----------------
 
 
+def _reflect(flat: Formula,
+             sig: Signature) -> tuple[Structure, dict[Var, El]]:
+    """The classifying structure of a flattened formula over the
+    relationalized signature, made functional by evaluating
+    ``functionality_theory(sig)``; the interpretation follows the unit."""
+    from . import engine  # deliberate upward call; classify stays engine-free otherwise
+
+    base, interp = classifying_structure(flat, relationalize(sig))
+    result, unit, _ = engine.evaluate(functionality_theory(sig), base,
+                                      engine.EvalConfig())
+    return result, {v: unit.apply(e) for v, e in interp.items()}
+
+
 def classifying_structure_phl(f: Formula,
                               sig: Signature) -> tuple[Structure, dict[Var, El]]:
     """Classifying algebraic structure of a PHL formula: the free algebraic
     reflection of the classifying structure of its flattening."""
-    from . import engine  # deliberate upward call; classify stays engine-free otherwise
-
-    rel_sig = relationalize(sig)
-    flat = flatten_formula(f, rel_sig)
-    base, interp = classifying_structure(flat, rel_sig)
-    result, unit, _ = engine.evaluate(functionality_theory(sig), base,
-                                      engine.EvalConfig())
+    result, interp = _reflect(flatten_formula(f, relationalize(sig)), sig)
     wanted = set(formula_vars(f))
-    return result, {v: unit.apply(e) for v, e in interp.items() if v in wanted}
+    return result, {v: e for v, e in interp.items() if v in wanted}
 
 
 def classifying_morphism_phl(s: Sequent, sig: Signature) -> Morphism:
-    from . import engine
-
-    rel_sig = relationalize(sig)
-    flat = flatten_sequent(s, rel_sig)
-    func_th = functionality_theory(sig)
-    dom0, dom_interp = classifying_structure(flat.premise, rel_sig)
-    cod0, cod_interp = classifying_structure(flat.premise & flat.conclusion,
-                                             rel_sig)
-    dom, dom_unit, _ = engine.evaluate(func_th, dom0, engine.EvalConfig())
-    cod, cod_unit, _ = engine.evaluate(func_th, cod0, engine.EvalConfig())
-    mapping = {dom_unit.apply(e): cod_unit.apply(cod_interp[v])
-               for v, e in dom_interp.items()}
+    flat = flatten_sequent(s, relationalize(sig))
+    dom, dom_interp = _reflect(flat.premise, sig)
+    cod, cod_interp = _reflect(flat.premise & flat.conclusion, sig)
+    mapping = {e: cod_interp[v] for v, e in dom_interp.items()}
     return Morphism(dom, cod, mapping)
 
 

@@ -14,8 +14,7 @@ from typing import Optional
 
 from . import classify, engine, facts, transform
 from .core import SignatureError, Structure
-from .syntax import (ParseError, Sequent, Theory, is_rhl, parse_theory,
-                     pretty_print)
+from .syntax import ParseError, Theory, is_rhl, parse_theory, pretty_print
 
 EXIT_OK = 0
 EXIT_UNSATISFIED = 1
@@ -107,29 +106,21 @@ def cmd_transform(args) -> int:
     return EXIT_OK
 
 
-def _counterexample(x: Structure, s: Sequent,
-                    names: dict) -> Optional[dict[str, str]]:
-    rev = {e: n for n, e in names.items()}
-    for m in engine.find_matches(s.premise, x):
-        if next(engine.find_matches(s.conclusion, x, binding=m), None) is None:
-            return {v.name: rev.get(e, f"_{e.sort}_{e.index}")
-                    for v, e in m.items()}
-    return None
-
-
 def cmd_satisfies(args) -> int:
     t = _load_theory(args.theory)
     rt, _ = _prepare(t)
     x, input_names = _load_facts(args.facts, rt.signature)
+    rev = {e: n for n, e in input_names.items()}
     ok = True
     for i, s in enumerate(rt.sequents):
-        witness = _counterexample(x, s, input_names)
-        if witness is None:
+        m = engine.counterexample(x, s)
+        if m is None:
             print(f"sequent {i}: satisfied")
         else:
             ok = False
-            binding = ", ".join(f"{k}: {v}"
-                                for k, v in sorted(witness.items()))
+            # Sorted as (variable, element) pairs, so x comes before x1.
+            witness = sorted((v.name, rev[e]) for v, e in m.items())
+            binding = ", ".join(f"{k}: {v}" for k, v in witness)
             print(f"sequent {i}: FAILED at {{{binding}}}")
     print("all satisfied" if ok else "unsatisfied")
     return EXIT_OK if ok else EXIT_UNSATISFIED

@@ -17,10 +17,9 @@ that is never merged never builds them.
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 
 class SignatureError(ValueError):
@@ -399,74 +398,3 @@ def quotient_by_relation(x: Structure,
     proj = Morphism(x, q, {e: q.find(e) for s in x.sig.sorts
                            for e in x.elements(s)})
     return q, proj
-
-
-# -- exhaustive search oracles --------------------------------------------
-
-
-def enumerate_morphisms(a: Structure, x: Structure) -> Iterator[Morphism]:
-    """All morphisms a -> x, enumerated deterministically.
-
-    Exponential in the carrier of ``a``; intended as a desk-scale oracle.
-    """
-    if a.sig != x.sig:
-        raise SignatureError("morphism enumeration over mismatched signatures")
-    domain = [e for s in a.sig.sorts for e in a.elements(s)]
-    choices = [x.elements(e.sort) for e in domain]
-    for images in itertools.product(*choices):
-        mapping = dict(zip(domain, images))
-        ok = True
-        for rel, tuples in a.rels.items():
-            for t in tuples:
-                img = tuple(mapping[e] for e in t)
-                if not x.has_tuple(rel, img):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield Morphism(a, x, mapping)
-
-
-def find_isomorphism(x: Structure, y: Structure) -> Optional[Morphism]:
-    """A bijective, relation-preserving-and-reflecting morphism, if one exists.
-
-    Exhaustive over per-sort bijections; desk-scale only.
-    """
-    if x.sig != y.sig:
-        return None
-    for s in x.sig.sorts:
-        if x.element_count(s) != y.element_count(s):
-            return None
-    for rel in x.rels:
-        if len(x.rels[rel]) != len(y.rels[rel]):
-            return None
-    per_sort_x = [x.elements(s) for s in x.sig.sorts]
-    per_sort_y = [y.elements(s) for s in x.sig.sorts]
-    perm_spaces = [itertools.permutations(ys) for ys in per_sort_y]
-    for perms in itertools.product(*perm_spaces):
-        mapping = {}
-        for xs, ys in zip(per_sort_x, perms):
-            mapping.update(zip(xs, ys))
-        ok = True
-        for rel, tuples in x.rels.items():
-            images = {tuple(mapping[e] for e in t) for t in tuples}
-            if images != y.rels[rel]:
-                ok = False
-                break
-        if ok:
-            return Morphism(x, y, mapping)
-    return None
-
-
-def is_total_function(x: Structure, f: str) -> bool:
-    """True iff the function symbol ``f`` is defined on every argument tuple."""
-    decl = x.sig.relation(f)
-    if decl.kind != "func":
-        raise SignatureError(f"{f} is not a function symbol")
-    graph = x.rels[f]
-    arg_spaces = [x.elements(s) for s in decl.arg_sorts]
-    for args in itertools.product(*arg_spaces):
-        if not any(t[:-1] == args for t in graph):
-            return False
-    return True

@@ -11,7 +11,6 @@ stops at the first iteration that changes nothing.
 from __future__ import annotations
 
 import functools
-import itertools
 import warnings
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -399,70 +398,22 @@ def _extends(x: Structure, s: Sequent, assignment: dict[Var, El]) -> bool:
     return next(find_matches(s.conclusion, x, binding=assignment), None) is not None
 
 
+def counterexample(x: Structure, s: Sequent) -> Optional[dict[Var, El]]:
+    """The first premise interpretation, in ``find_matches`` order, that
+    does not extend over the conclusion; ``None`` if there is none."""
+    for m in find_matches(s.premise, x):
+        if not _extends(x, s, m):
+            return m
+    return None
+
+
 def satisfies(x: Structure, s: Sequent) -> bool:
     """Def.-level satisfaction: every premise interpretation extends."""
-    return all(_extends(x, s, m) for m in find_matches(s.premise, x))
+    return counterexample(x, s) is None
 
 
 def satisfies_theory(x: Structure, t: Theory) -> bool:
     return all(satisfies(x, s) for s in t.sequents)
-
-
-# -- PHL satisfaction (independent term-evaluation semantics) --------------
-
-
-def _eval_term(x: Structure, term, assignment: dict[Var, El]) -> Optional[El]:
-    if isinstance(term, Var):
-        return assignment[term]
-    args = []
-    for a in term.args:
-        e = _eval_term(x, a, assignment)
-        if e is None:
-            return None
-        args.append(e)
-    for t in x.rels[term.func.name]:
-        if list(t[:-1]) == args:
-            return t[-1]
-    return None
-
-
-def _phl_atom_holds(x: Structure, atom, assignment) -> bool:
-    if isinstance(atom, RelAtom):
-        args = [_eval_term(x, t, assignment) for t in atom.args]
-        if any(a is None for a in args):
-            return False
-        return x.has_tuple(atom.rel.name, tuple(args))
-    if isinstance(atom, DefinedAtom):
-        return _eval_term(x, atom.term, assignment) is not None
-    l = _eval_term(x, atom.lhs, assignment)
-    r = _eval_term(x, atom.rhs, assignment)
-    return l is not None and l == r
-
-
-def satisfies_phl(x: Structure, s: Sequent) -> bool:
-    """PHL satisfaction over an algebraic structure by direct term
-    evaluation; brute-force over variable assignments."""
-    pvars = formula_vars(s.premise)
-    all_vars = {v: None for v in pvars}
-    for v in formula_vars(s.conclusion):
-        all_vars.setdefault(v)
-    cvars = [v for v in all_vars if v not in set(pvars)]
-    spaces = [x.elements(v.sort) for v in pvars]
-    for images in itertools.product(*spaces):
-        assignment = dict(zip(pvars, images))
-        if not all(_phl_atom_holds(x, a, assignment) for a in s.premise.atoms):
-            continue
-        ext_spaces = [x.elements(v.sort) for v in cvars]
-        found = False
-        for ext in itertools.product(*ext_spaces):
-            full = dict(assignment)
-            full.update(zip(cvars, ext))
-            if all(_phl_atom_holds(x, a, full) for a in s.conclusion.atoms):
-                found = True
-                break
-        if not found:
-            return False
-    return True
 
 
 # -- conclusion application ------------------------------------------------
@@ -473,10 +424,6 @@ class ChangeSet:
     tuples_added: list[tuple[str, tuple[El, ...]]] = field(default_factory=list)
     merges: list[tuple[El, El]] = field(default_factory=list)
     elements_created: list[El] = field(default_factory=list)
-
-    @property
-    def changed(self) -> bool:
-        return bool(self.tuples_added or self.merges or self.elements_created)
 
 
 def apply_match(x: Structure, s: Sequent, assignment: dict[Var, El]) -> ChangeSet:
@@ -556,15 +503,10 @@ def evaluate(t: Theory, x: Structure,
                 pending.append((s, m))
         new_tuples: list[tuple[str, tuple[El, ...]]] = []
         new_elements: list[El] = []
-        merged = False
         for s, m in pending:
-            # Tuples only go away in a merge, so until one happens in this
-            # batch every match still holds and is canonical.
-            if merged:
-                m = {v: result.find(e) for v, e in m.items()}
-                if not all(_premise_atom_holds(result, a, m)
-                           for a in s.premise.atoms):
-                    continue  # invalidated by a merge earlier in this batch
+            # A merge earlier in the batch keeps the canonical image of
+            # every stored tuple stored, so each pending match still holds
+            # up to ``find``; ``_extends`` and ``apply_match`` canonicalize.
             if _extends(result, s, m):
                 continue
             stats.matches += 1
@@ -572,7 +514,6 @@ def evaluate(t: Theory, x: Structure,
             stats.tuples_added += len(changes.tuples_added)
             stats.merges += len(changes.merges)
             stats.elements_created += len(changes.elements_created)
-            merged = merged or bool(changes.merges)
             new_tuples += changes.tuples_added
             new_elements += changes.elements_created
         report.iterations += 1
@@ -601,71 +542,7 @@ def evaluate(t: Theory, x: Structure,
     return result, unit, report
 
 
-def _premise_atom_holds(x: Structure, atom, assignment) -> bool:
-    """Does a premise atom hold under a canonical assignment?"""
-    if isinstance(atom, RelAtom):
-        return tuple([assignment[v] for v in atom.args]) in x.rels[atom.rel.name]
-    if isinstance(atom, DefinedAtom):
-        return True
-    return assignment[atom.lhs] == assignment[atom.rhs]
-
-
 def _unit_morphism(x: Structure, result: Structure) -> Morphism:
     # Element indices of the input are preserved by copy-then-extend.
     mapping = {e: result.find(e) for s in x.sig.sorts for e in x.elements(s)}
     return Morphism(x, result, mapping)
-
-
-# -- lifting-property checkers --------------------------------------------
-
-
-def is_injective_to(x: Structure, f: Morphism) -> bool:
-    """Every map dom(f) -> x extends along f.  Brute-force enumeration."""
-    from .core import enumerate_morphisms
-
-    for a in enumerate_morphisms(f.dom, x):
-        if _count_lifts(x, f, a, stop_at=1) == 0:
-            return False
-    return True
-
-
-def is_orthogonal_to(x: Structure, f: Morphism) -> bool:
-    """Every map dom(f) -> x extends along f in exactly one way."""
-    from .core import enumerate_morphisms
-
-    for a in enumerate_morphisms(f.dom, x):
-        if _count_lifts(x, f, a, stop_at=2) != 1:
-            return False
-    return True
-
-
-def _count_lifts(x: Structure, f: Morphism, a: Morphism, stop_at: int) -> int:
-    """Number of maps b : cod(f) -> x with b . f = a, up to ``stop_at``."""
-    b, sig = f.cod, f.cod.sig
-    fixed: dict[El, El] = {}
-    for s in sig.sorts:
-        for e in f.dom.elements(s):
-            img = f.apply(e)
-            want = a.apply(e)
-            if img in fixed and fixed[img] != want:
-                return 0
-            fixed[img] = want
-    free = [e for s in sig.sorts for e in b.elements(s) if e not in fixed]
-    spaces = [x.elements(e.sort) for e in free]
-    count = 0
-    for images in itertools.product(*spaces):
-        mapping = dict(fixed)
-        mapping.update(zip(free, images))
-        ok = True
-        for rel, tuples in b.rels.items():
-            for t in tuples:
-                if not x.has_tuple(rel, tuple(mapping[e] for e in t)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            count += 1
-            if count >= stop_at:
-                return count
-    return count

@@ -9,7 +9,8 @@ A facts file lists named elements per sort followed by ground facts:
 Serialization is the inverse direction: canonical elements per sort,
 one fact per line, and a ``merged:`` section mapping names that lost
 their union-find class to the surviving name.  Fresh elements created
-during evaluation are named ``_<sort>_<index>``.
+during evaluation are named ``_<sort>_<index>``, with ``_`` appended
+while that name is taken by an input name.
 """
 
 from __future__ import annotations
@@ -118,7 +119,8 @@ def model_names(result: Structure, input_names: dict[str, El],
     """Name every canonical element of ``result``.  Input names follow the
     unit morphism; a class that absorbed several names keeps the one whose
     element has the smallest index, and the rest go to the merged list.
-    Unnamed elements get generated ``_<sort>_<index>`` names."""
+    Unnamed elements get generated ``_<sort>_<index>`` names, extended by
+    ``_`` until they differ from every input name, merged-away ones too."""
     by_class: dict[El, list[tuple[int, str]]] = {}
     for name, e in sorted(input_names.items()):
         img = unit.apply(e) if unit is not None else result.find(e)
@@ -131,10 +133,14 @@ def model_names(result: Structure, input_names: dict[str, El],
         names[img] = survivor
         merged.extend((other, survivor) for _, other in entries[1:])
     merged.sort()
+    taken = set(input_names)
     for s in result.sig.sorts:
         for e in result.elements(s):
             if e not in names:
-                names[e] = f"_{s}_{e.index}"
+                name = f"_{s}_{e.index}"
+                while name in taken:
+                    name += "_"
+                names[e] = name
     return names, merged
 
 

@@ -89,9 +89,6 @@ class Formula:
         return Formula(self.atoms + other.atoms)
 
 
-TOP = Formula(())
-
-
 @dataclass(frozen=True)
 class Sequent:
     premise: Formula

@@ -11,8 +11,8 @@ import itertools
 import random
 from typing import Iterator, Optional
 
-from horneq.core import (El, Morphism, RelDecl, Signature, Structure,
-                         enumerate_morphisms)
+from horneq.core import El, Morphism, RelDecl, Signature, Structure
+from horneq.oracle import enumerate_morphisms
 from horneq.syntax import (DefinedAtom, EqualAtom, Formula, RelAtom,
                            Sequent, Theory, Var, formula_vars)
 

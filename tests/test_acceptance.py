@@ -19,12 +19,11 @@ import numpy as np
 from horneq.classify import (classify_sequent, classifying_morphism,
                              flatten_sequent, flatten_theory, relationalize,
                              sequent_from_morphism, strengthen_theory)
-from horneq.core import (Morphism, RelDecl, Signature, Structure,
-                         enumerate_morphisms, find_isomorphism)
-from horneq.engine import (EvalConfig, evaluate, is_injective_to,
-                           is_orthogonal_to, satisfies, satisfies_phl,
-                           satisfies_theory)
+from horneq.core import Morphism, RelDecl, Signature, Structure
+from horneq.engine import EvalConfig, evaluate, satisfies, satisfies_theory
 from horneq.facts import model_names, serialize_model
+from horneq.oracle import (enumerate_morphisms, find_isomorphism,
+                           is_injective_to, is_orthogonal_to, satisfies_phl)
 from horneq.syntax import (App, DefinedAtom, EqualAtom, Formula, RelAtom,
                            Sequent, Var, formula_vars, parse_theory)
 from horneq.transform import (diagonal_embed, epic_transform, quotient_model,

@@ -107,6 +107,20 @@ class TestEval:
         assert code == 3
         assert "sort V: a" in out
 
+    @pytest.mark.filterwarnings("ignore:theory has non-surjective")
+    def test_fresh_names_avoid_input_names(self, files, capsys):
+        from horneq.facts import parse_facts
+        from horneq.syntax import parse_theory
+        text = "sort V;\npred E : V * V;\nrule E(x, y) => E(y, z);\n"
+        theory = files("t.hq", text)
+        facts = files("f.hq", "sort V: a _V_2;\nE(_V_2, a);\n")
+        code, out, _ = run(capsys, "eval", theory, facts,
+                           "--max-iterations", "1", "--emit-partial")
+        assert code == 3
+        assert out == "sort V: a _V_2 _V_2_;\nE(a, _V_2_);\nE(_V_2, a);\n"
+        x, names = parse_facts(out, parse_theory(text).signature)
+        assert x.element_count("V") == len(names) == 3
+
     def test_strict_rejects_weakly_free(self, files, capsys):
         theory = files("t.hq", "sort V;\npred E : V * V;\n"
                                "rule E(u, u) => E(u, w);\n")
@@ -183,6 +197,15 @@ class TestSatisfies:
         code, out, _ = run(capsys, "satisfies", theory, facts)
         assert code == 1
         assert "FAILED at {u: a, v: b, w: c}" in out
+
+    def test_witness_sorted_by_variable_name(self, files, capsys):
+        # As "k: v" strings, "x1: b" would sort before "x: a".
+        theory = files("t.hq", "sort V;\npred E : V * V;\n"
+                               "rule E(x, x1) => E(x1, x);\n")
+        facts = files("f.hq", "sort V: a b;\nE(a, b);\n")
+        code, out, _ = run(capsys, "satisfies", theory, facts)
+        assert code == 1
+        assert "sequent 0: FAILED at {x: a, x1: b}" in out
 
     def test_empty_theory_passes(self, files, capsys):
         theory = files("t.hq", "sort V;\npred E : V * V;\n")

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horneq.core import (El, Morphism, RelDecl, Signature, SignatureError,
-                         Structure, coproduct, enumerate_morphisms,
-                         find_isomorphism, is_total_function, pushout,
-                         quotient_by_relation)
+                         Structure, coproduct, pushout, quotient_by_relation)
+from horneq.oracle import (enumerate_morphisms, find_isomorphism,
+                           is_total_function)
 
 from helpers import (all_isomorphisms, full_scan_merge, random_signature,
                      random_structure)

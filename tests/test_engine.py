@@ -6,9 +6,9 @@ import pytest
 from horneq.classify import classifying_morphism, flatten_theory
 from horneq.core import El, SignatureError, Structure
 from horneq.engine import (Delta, EvalConfig, EvaluationBudgetError, evaluate,
-                           find_matches, is_injective_to, is_orthogonal_to,
-                           satisfies, satisfies_phl, satisfies_theory)
+                           find_matches, satisfies, satisfies_theory)
 from horneq.facts import model_names, report_dict, serialize_model
+from horneq.oracle import is_injective_to, is_orthogonal_to, satisfies_phl
 from horneq.syntax import (EqualAtom, Formula, RelAtom, Var,
                            parse_theory, sequent_vars)
 

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from horneq.classify import classify_sequent
-from horneq.core import SignatureError, Structure, find_isomorphism
+from horneq.core import SignatureError, Structure
 from horneq.engine import EvalConfig, evaluate
+from horneq.oracle import find_isomorphism
 from horneq.syntax import parse_theory, pretty_print
 from horneq.transform import (PreconditionError, diagonal_embed,
                               epic_transform, quotient_model,
@@ -158,10 +159,12 @@ class TestSetoidPipeline:
             t = random_theory(rng, sig, surjective=True)
             x = random_structure(rng, sig, max_elements=3)
             direct, _, _ = evaluate(t, x)
-            dense = self.pipeline(t, x, setoid_transform)
-            sparse = self.pipeline(t, x, sparse_setoid_transform)
-            assert find_isomorphism(dense, direct) is not None
-            assert find_isomorphism(sparse, direct) is not None
+            for strategy in ("naive", "seminaive"):
+                dense = self.pipeline(t, x, setoid_transform, strategy)
+                sparse = self.pipeline(t, x, sparse_setoid_transform,
+                                       strategy)
+                assert find_isomorphism(dense, direct) is not None
+                assert find_isomorphism(sparse, direct) is not None
 
 
 class TestEpicTransform:
