@@ -110,7 +110,8 @@ def cmd_satisfies(args) -> int:
     t = _load_theory(args.theory)
     rt, _ = _prepare(t)
     x, input_names = _load_facts(args.facts, rt.signature)
-    rev = {e: n for n, e in input_names.items()}
+    # The first name of an element wins: declared names precede aliases.
+    rev = {e: n for n, e in reversed(input_names.items())}
     ok = True
     for i, s in enumerate(rt.sequents):
         m = engine.counterexample(x, s)

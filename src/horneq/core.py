@@ -197,7 +197,7 @@ class Structure:
                 raise SignatureError(
                     f"{rel}: component of sort {e.sort!r}, expected {s!r}"
                 )
-            if e.index >= self.raw_count(s):
+            if e.index >= len(self._uf[s].parent):
                 raise SignatureError(f"{rel}: element {e} not in structure")
         return decl
 

@@ -1,101 +1,189 @@
 """Ground-fact files and deterministic model output.
 
-A facts file lists named elements per sort followed by ground facts:
+A facts file lists named elements per sort followed by ground facts, and
+may end in a ``merged:`` section of ``old -> new`` lines, each binding
+the new name ``old`` to the element of ``new``:
 
     sort V: a b c;
     E(a, b);
     a = b;        # identify two names up front
+    merged:
+      d -> a
 
 Serialization is the inverse direction: canonical elements per sort,
 one fact per line, and a ``merged:`` section mapping names that lost
 their union-find class to the surviving name.  Fresh elements created
 during evaluation are named ``_<sort>_<index>``, with ``_`` appended
-while that name is taken by an input name.
+while that name is taken by an input name.  So text output is a valid
+facts file, and reading it back keeps every survivor; output with a
+``report:`` section, and JSON output, are not.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from typing import Optional
 
 from .core import El, Morphism, Signature, Structure
 from .syntax import ParseError, _Cursor, _Token
 
 
+# The fast path reads a whole ground fact ``R(a1, ..., an);`` with one
+# match.  Between two tokens it allows what the token reader skips, except
+# that a comment must end in a newline: so a gap splits one way only, a
+# failed match backtracks in linear time, and a comment that ends the text
+# is left to the token reader.  Group 1 is ``R``, group 2 the arguments.
+_GAP = r"(?:\s|\#[^\n]*\n)*"
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_FACT_RE = re.compile(
+    rf"{_GAP}({_NAME}){_GAP}\({_GAP}"
+    rf"(?:({_NAME}(?:{_GAP},{_GAP}{_NAME})*){_GAP})?\){_GAP};")
+# The names of an argument list.  A comment reads as an empty name, which
+# no lookup finds, so such a fact goes to the token reader.
+_ARG_RE = re.compile(rf"\#[^\n]*|({_NAME})")
+
+
 def parse_facts(text: str, sig: Signature) -> tuple[Structure, dict[str, El]]:
     """Build a structure from a facts file; equality facts are merged on
-    load, so returned name bindings are canonical."""
-    cur = _Cursor(text)
+    load, so returned name bindings are canonical.  Declared names come
+    first, in declaration order, then the ``merged:`` aliases.
+
+    Each ground fact that matches ``_FACT_RE`` and passes every lookup and
+    check is added straight away.  Anything else, and every error, goes to
+    the token reader, which reads that one statement and raises the same
+    error, at the same place, as if it had read the whole text."""
     x = Structure(sig)
     names: dict[str, El] = {}
+    # A statement that starts with ``sort`` is a sort line.
+    arities = {r.name: r.arity for r in sig.relations if r.name != "sort"}
+    pos = 0
+    counted, line, line_start = 0, 1, 0  # the line state at ``counted``
+    while True:
+        m = _FACT_RE.match(text, pos)
+        fact = m and _ground_fact(m, arities, names)
+        if fact:
+            x.add_tuple(*fact)
+            pos = m.end()
+            continue
+        newlines = text.count("\n", counted, pos)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", counted, pos) + 1
+        reader = _Reader(text, (pos, line, line_start))
+        if reader.peek().kind == "eof":
+            break
+        reader.statement(x, names)
+        pos, line, line_start = reader.where()
+        counted = pos
 
-    def at_sym(text: str) -> bool:
-        tok = cur.peek()
+    names = {n: x.find(e) for n, e in names.items()}
+    return x, names
+
+
+def _ground_fact(m: re.Match, arities: dict[str, tuple[str, ...]],
+                 names: dict[str, El]
+                 ) -> Optional[tuple[str, tuple[El, ...]]]:
+    """The relation and tuple of a fast-path match, or None when a lookup
+    or a check fails."""
+    rel, body = m.groups()
+    arity = arities.get(rel)
+    if arity is None:
+        return None
+    args = _ARG_RE.findall(body) if body else []
+    if len(args) != len(arity):
+        return None
+    t = tuple([names.get(a) for a in args])
+    for e, s in zip(t, arity):
+        if e is None or e.sort != s:
+            return None
+    return rel, t
+
+
+class _Reader(_Cursor):
+    """The token reader: one statement at a time, every error located."""
+
+    def at_sym(self, text: str) -> bool:
+        tok = self.peek()
         return tok.kind == "sym" and tok.text == text
 
-    def take_ident() -> _Token:
-        tok = cur.next()
+    def take_ident(self) -> _Token:
+        tok = self.next()
         if tok.kind != "ident":
             raise ParseError(f"expected a name, found {tok.text!r}",
                              tok.line, tok.col)
         return tok
 
-    def take_sym(text: str) -> _Token:
-        tok = cur.next()
+    def take_sym(self, text: str) -> _Token:
+        tok = self.next()
         if tok.kind != "sym" or tok.text != text:
             raise ParseError(f"expected {text!r}, found {tok.text!r}",
                              tok.line, tok.col)
         return tok
 
-    def element(tok: _Token) -> El:
-        if tok.text not in names:
-            raise ParseError(f"unknown element {tok.text!r}", tok.line, tok.col)
-        return x.find(names[tok.text])
+    def statement(self, x: Structure, names: dict[str, El]) -> None:
+        """Read one statement into ``x`` and ``names``; a ``merged:``
+        section runs to the end of the text."""
+        sig = x.sig
 
-    while cur.peek().kind != "eof":
-        tok = cur.peek()
-        if tok.kind == "ident" and tok.text == "sort":
-            cur.next()
-            sort_tok = take_ident()
+        def element(tok: _Token) -> El:
+            if tok.text not in names:
+                raise ParseError(f"unknown element {tok.text!r}",
+                                 tok.line, tok.col)
+            return x.find(names[tok.text])
+
+        def declare(tok: _Token, e: El) -> None:
+            if tok.text in names:
+                raise ParseError(
+                    f"element name {tok.text!r} already declared",
+                    tok.line, tok.col)
+            names[tok.text] = e
+
+        tok = self.peek()
+        if tok.kind != "ident":
+            raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
+        head = self.next()
+        if head.text == "sort":
+            sort_tok = self.take_ident()
             if sort_tok.text not in sig.sorts:
                 raise ParseError(f"unknown sort {sort_tok.text!r}",
                                  sort_tok.line, sort_tok.col)
-            take_sym(":")
-            while cur.peek().kind == "ident":
-                name_tok = cur.next()
-                if name_tok.text in names:
-                    raise ParseError(
-                        f"element name {name_tok.text!r} already declared",
-                        name_tok.line, name_tok.col)
-                names[name_tok.text] = x.add_element(sort_tok.text)
-            take_sym(";")
-        elif tok.kind == "ident":
-            head = cur.next()
-            if at_sym("="):
-                cur.next()
-                rhs = take_ident()
-                take_sym(";")
-                a, b = element(head), element(rhs)
-                if a.sort != b.sort:
-                    raise ParseError("cannot identify elements of different "
-                                     f"sorts {a.sort!r} and {b.sort!r}",
-                                     head.line, head.col)
-                if a != b:
-                    x.merge(a, b)
-                continue
+            self.take_sym(":")
+            while self.peek().kind == "ident":
+                declare(self.next(), x.add_element(sort_tok.text))
+            self.take_sym(";")
+        elif self.at_sym("="):
+            self.next()
+            rhs = self.take_ident()
+            self.take_sym(";")
+            a, b = element(head), element(rhs)
+            if a.sort != b.sort:
+                raise ParseError("cannot identify elements of different "
+                                 f"sorts {a.sort!r} and {b.sort!r}",
+                                 head.line, head.col)
+            if a != b:
+                x.merge(a, b)
+        elif head.text == "merged" and self.at_sym(":"):
+            # ``old -> new`` lines up to the end: old names new's element.
+            self.next()
+            while self.peek().kind != "eof":
+                old = self.take_ident()
+                self.take_sym("->")
+                declare(old, element(self.take_ident()))
+        else:
             if not sig.has_relation(head.text):
                 raise ParseError(f"unknown relation {head.text!r}",
                                  head.line, head.col)
             decl = sig.relation(head.text)
-            take_sym("(")
+            self.take_sym("(")
             args = []
-            if not at_sym(")"):
-                args.append(element(take_ident()))
-                while at_sym(","):
-                    cur.next()
-                    args.append(element(take_ident()))
-            take_sym(")")
-            take_sym(";")
+            if not self.at_sym(")"):
+                args.append(element(self.take_ident()))
+                while self.at_sym(","):
+                    self.next()
+                    args.append(element(self.take_ident()))
+            self.take_sym(")")
+            self.take_sym(";")
             if len(args) != len(decl.arity):
                 raise ParseError(
                     f"relation {decl.name!r} expects {len(decl.arity)} "
@@ -106,11 +194,6 @@ def parse_facts(text: str, sig: Signature) -> tuple[Structure, dict[str, El]]:
                         f"argument of sort {e.sort!r} where {s!r} expected",
                         head.line, head.col)
             x.add_tuple(decl.name, tuple(args))
-        else:
-            raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
-
-    names = {n: x.find(e) for n, e in names.items()}
-    return x, names
 
 
 def model_names(result: Structure, input_names: dict[str, El],
@@ -118,17 +201,20 @@ def model_names(result: Structure, input_names: dict[str, El],
                 ) -> tuple[dict[El, str], list[tuple[str, str]]]:
     """Name every canonical element of ``result``.  Input names follow the
     unit morphism; a class that absorbed several names keeps the one whose
-    element has the smallest index, and the rest go to the merged list.
-    Unnamed elements get generated ``_<sort>_<index>`` names, extended by
-    ``_`` until they differ from every input name, merged-away ones too."""
+    element has the smallest index, the first in ``input_names`` order
+    among names of one element, and the rest go to the merged list.  As
+    ``parse_facts`` lists declared names before ``merged:`` aliases, a
+    model read back from ``eval`` output keeps its survivors.  Unnamed
+    elements get generated ``_<sort>_<index>`` names, extended by ``_``
+    until they differ from every input name, merged-away ones too."""
     by_class: dict[El, list[tuple[int, str]]] = {}
-    for name, e in sorted(input_names.items()):
+    for name, e in input_names.items():
         img = unit.apply(e) if unit is not None else result.find(e)
         by_class.setdefault(img, []).append((e.index, name))
     names: dict[El, str] = {}
     merged: list[tuple[str, str]] = []
     for img, entries in by_class.items():
-        entries.sort()
+        entries.sort(key=lambda entry: entry[0])
         survivor = entries[0][1]
         names[img] = survivor
         merged.extend((other, survivor) for _, other in entries[1:])

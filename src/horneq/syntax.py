@@ -200,14 +200,24 @@ class _Token(NamedTuple):
 class _Cursor:
     """The tokens of a text, read one ahead of the parser: ``peek`` shows
     the next token and ``next`` consumes it.  Lines and columns count from
-    1, a tab counting as one column."""
+    1, a tab counting as one column.
 
-    def __init__(self, text: str):
+    ``start`` is the offset to read from, its line, and the offset of that
+    line's first character; ``where`` gives the same triple for the next
+    token, so a reader can hand the rest of the text to another cursor
+    without counting lines from the top again."""
+
+    def __init__(self, text: str, start: tuple[int, int, int] = (0, 1, 0)):
         self._text = text
-        self._pos = 0
-        self._line = 1
-        self._line_start = 0  # offset of the current line's first character
+        # _line_start: offset of the current line's first character
+        self._pos, self._line, self._line_start = start
         self._tok = self._read()
+
+    def where(self) -> tuple[int, int, int]:
+        """Where the next token starts, as a ``start`` for a new cursor.
+        Tokens hold no newline, so its line is still the current one."""
+        return (self._line_start + self._tok.col - 1, self._line,
+                self._line_start)
 
     def _read(self) -> _Token:
         text, pos = self._text, self._pos

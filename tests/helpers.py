@@ -13,8 +13,9 @@ from typing import Iterator, Optional
 
 from horneq.core import El, Morphism, RelDecl, Signature, Structure
 from horneq.oracle import enumerate_morphisms
-from horneq.syntax import (DefinedAtom, EqualAtom, Formula, RelAtom,
-                           Sequent, Theory, Var, formula_vars)
+from horneq.syntax import (DefinedAtom, EqualAtom, Formula, ParseError,
+                           RelAtom, Sequent, Theory, Var, _Cursor, _Token,
+                           formula_vars)
 
 
 def random_signature(rng: random.Random, max_sorts: int = 2,
@@ -336,3 +337,98 @@ def reference_matches(f: Formula, x: Structure, delta=None,
     start = {v: x.find(e) for v, e in (binding or {}).items()}
     for assignment, _ in _match_atoms(f.atoms, x, start, False, delta, {}):
         yield assignment
+
+
+# -- reference facts reader ------------------------------------------------
+
+
+def reference_parse_facts(text: str, sig: Signature
+                          ) -> tuple[Structure, dict[str, El]]:
+    """The reference for ``facts.parse_facts``: the token reader alone,
+    without the fast path for ground facts or the ``merged:`` section."""
+    cur = _Cursor(text)
+    x = Structure(sig)
+    names: dict[str, El] = {}
+
+    def at_sym(text: str) -> bool:
+        tok = cur.peek()
+        return tok.kind == "sym" and tok.text == text
+
+    def take_ident() -> _Token:
+        tok = cur.next()
+        if tok.kind != "ident":
+            raise ParseError(f"expected a name, found {tok.text!r}",
+                             tok.line, tok.col)
+        return tok
+
+    def take_sym(text: str) -> _Token:
+        tok = cur.next()
+        if tok.kind != "sym" or tok.text != text:
+            raise ParseError(f"expected {text!r}, found {tok.text!r}",
+                             tok.line, tok.col)
+        return tok
+
+    def element(tok: _Token) -> El:
+        if tok.text not in names:
+            raise ParseError(f"unknown element {tok.text!r}", tok.line, tok.col)
+        return x.find(names[tok.text])
+
+    while cur.peek().kind != "eof":
+        tok = cur.peek()
+        if tok.kind == "ident" and tok.text == "sort":
+            cur.next()
+            sort_tok = take_ident()
+            if sort_tok.text not in sig.sorts:
+                raise ParseError(f"unknown sort {sort_tok.text!r}",
+                                 sort_tok.line, sort_tok.col)
+            take_sym(":")
+            while cur.peek().kind == "ident":
+                name_tok = cur.next()
+                if name_tok.text in names:
+                    raise ParseError(
+                        f"element name {name_tok.text!r} already declared",
+                        name_tok.line, name_tok.col)
+                names[name_tok.text] = x.add_element(sort_tok.text)
+            take_sym(";")
+        elif tok.kind == "ident":
+            head = cur.next()
+            if at_sym("="):
+                cur.next()
+                rhs = take_ident()
+                take_sym(";")
+                a, b = element(head), element(rhs)
+                if a.sort != b.sort:
+                    raise ParseError("cannot identify elements of different "
+                                     f"sorts {a.sort!r} and {b.sort!r}",
+                                     head.line, head.col)
+                if a != b:
+                    x.merge(a, b)
+                continue
+            if not sig.has_relation(head.text):
+                raise ParseError(f"unknown relation {head.text!r}",
+                                 head.line, head.col)
+            decl = sig.relation(head.text)
+            take_sym("(")
+            args = []
+            if not at_sym(")"):
+                args.append(element(take_ident()))
+                while at_sym(","):
+                    cur.next()
+                    args.append(element(take_ident()))
+            take_sym(")")
+            take_sym(";")
+            if len(args) != len(decl.arity):
+                raise ParseError(
+                    f"relation {decl.name!r} expects {len(decl.arity)} "
+                    f"arguments, got {len(args)}", head.line, head.col)
+            for e, s in zip(args, decl.arity):
+                if e.sort != s:
+                    raise ParseError(
+                        f"argument of sort {e.sort!r} where {s!r} expected",
+                        head.line, head.col)
+            x.add_tuple(decl.name, tuple(args))
+        else:
+            raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
+
+    names = {n: x.find(e) for n, e in names.items()}
+    return x, names

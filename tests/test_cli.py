@@ -78,6 +78,20 @@ class TestEval:
         assert code == 0
         assert "merged:\n  b -> a" in out
 
+    def test_survivor_does_not_depend_on_how_names_merged(self, files,
+                                                          capsys):
+        # b is declared first, so it survives whether the facts or the
+        # theory identify it with a.
+        theory = files("t.hq", ANTISYMMETRY)
+        _, by_rule, _ = run(capsys, "eval", theory,
+                            files("f.hq", "sort V: b a;\nLe(a, b);\n"
+                                          "Le(b, a);\n"))
+        _, by_fact, _ = run(capsys, "eval", theory,
+                            files("g.hq", "sort V: b a;\nb = a;\n"
+                                          "Le(a, a);\n"))
+        assert by_rule == by_fact == ("sort V: b;\nLe(b, b);\n"
+                                      "merged:\n  a -> b\n")
+
     def test_seminaive_identical_bytes(self, files, capsys):
         theory = files("t.hq", TRANSITIVITY)
         facts = files("f.hq", CHAIN)
@@ -220,3 +234,49 @@ class TestSatisfies:
         closed = files("g.hq", out)
         code, _, _ = run(capsys, "satisfies", theory, closed)
         assert code == 0
+
+
+class TestEvalOutputAsFacts:
+    """Text ``eval`` output, ``merged:`` section included, reads back as a
+    facts file; ``--report`` and ``--format json`` output do not."""
+
+    # The survivor b sorts after its alias a.
+    MERGING = "sort V: b a c;\nLe(a, b);\nLe(b, a);\nLe(c, c);\n"
+
+    def test_eval_output_with_merges_satisfies(self, files, capsys):
+        theory = files("t.hq", ANTISYMMETRY)
+        _, out, _ = run(capsys, "eval", theory, files("f.hq", self.MERGING))
+        assert "merged:\n  a -> b\n" in out
+        code, _, _ = run(capsys, "satisfies", theory, files("g.hq", out))
+        assert code == 0
+
+    def test_eval_of_eval_output_is_identical(self, files, capsys):
+        theory = files("t.hq", ANTISYMMETRY)
+        _, out, _ = run(capsys, "eval", theory, files("f.hq", self.MERGING))
+        code, again, _ = run(capsys, "eval", theory, files("g.hq", out))
+        assert code == 0 and again == out
+
+    def test_witness_names_survivor(self, files, capsys):
+        theory = files("t.hq", "sort V;\npred Le : V * V;\npred P : V;\n"
+                               "rule Le(u, v) => P(u);\n")
+        facts = files("f.hq", "sort V: b;\nLe(b, b);\nmerged:\n  a -> b\n")
+        code, out, _ = run(capsys, "satisfies", theory, facts)
+        assert code == 1
+        assert "sequent 0: FAILED at {u: b, v: b}" in out
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--report"], "unknown relation 'report'"),
+        (["--format", "json"], "1:1: unexpected character '{'"),
+    ])
+    def test_report_and_json_unreadable(self, files, capsys, flags, message):
+        theory = files("t.hq", TRANSITIVITY)
+        _, out, _ = run(capsys, "eval", theory, files("f.hq", CHAIN), *flags)
+        code, _, err = run(capsys, "satisfies", theory, files("g.hq", out))
+        assert code == 2 and message in err
+
+    def test_report_after_merged_unreadable(self, files, capsys):
+        theory = files("t.hq", ANTISYMMETRY)
+        _, out, _ = run(capsys, "eval", theory, files("f.hq", self.MERGING),
+                        "--report")
+        code, _, err = run(capsys, "satisfies", theory, files("g.hq", out))
+        assert code == 2 and "expected '->', found ':'" in err

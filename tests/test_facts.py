@@ -1,5 +1,10 @@
+import random
+
 import pytest
 
+from helpers import reference_parse_facts
+from horneq import facts
+from horneq.core import RelDecl, Signature
 from horneq.engine import evaluate
 from horneq.facts import (model_names, parse_facts, report_dict,
                           serialize_model)
@@ -61,11 +66,192 @@ class TestErrorLocations:
         ("sort V: a b;\nE(a, b)", "2:8: expected ';', found ''"),
         ("sort V: a;\n\n  \tF(a);\n", "3:4: unknown relation 'F'"),
         ("sort V: a b;\n\ta = \n  c;\n", "3:3: unknown element 'c'"),
+        # after facts the fast path read, with no line count from the top
+        ("sort V: a b;\nE(a, b);\nE(b, a); E(a, a);\n\nE(b,\tc);\n",
+         "5:6: unknown element 'c'"),
+        # a fact split across lines, then a bad one on its last line
+        ("sort V: a b;\nE(a,\n  b\n);  E(b, b, a);\n",
+         "4:5: relation 'E' expects 2 arguments, got 3"),
+        ("sort V: a b;\nE(a, # the source\n\n   q # and no target\n);\n",
+         "4:4: unknown element 'q'"),
     ])
     def test_message_and_position(self, text, message):
         with pytest.raises(ParseError) as err:
             parse_facts(text, SIG)
         assert str(err.value) == message
+
+
+class TestMergedSection:
+    """``eval`` output ends in ``old -> new`` lines under ``merged:``, each
+    an alias for the element of a declared name."""
+
+    def test_alias_binds_survivor(self):
+        x, names = parse_facts(
+            "sort V: a c;\nE(a, c);\nmerged:\n  b -> a\n  d -> c\n", SIG)
+        assert x.element_count("V") == x.raw_count("V") == 2
+        assert names["b"] == names["a"] and names["d"] == names["c"]
+        assert list(names) == ["a", "c", "b", "d"]
+
+    def test_relation_named_merged(self):
+        sig = Signature(("V",), (RelDecl("merged", ("V",)),))
+        x, names = parse_facts(
+            "sort V: a;\nmerged(a);\nmerged:\n  b -> a\n", sig)
+        assert x.rels["merged"] == {(names["a"],)}
+        assert names["b"] == names["a"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("sort V: a;\nmerged:\n  b -> c\n", "3:8: unknown element 'c'"),
+        ("sort V: a b;\nmerged:\n  b -> a\n",
+         "3:3: element name 'b' already declared"),
+        ("sort V: a;\nmerged:\n  b -> a\nE(a, a);\n",
+         "4:2: expected '->', found '('"),
+        ("sort V: a;\nmerged:\n  b a\n", "3:5: expected '->', found 'a'"),
+        ("sort V: a;\nmerged:\n  b -> a\nreport:\n  iterations: 1\n",
+         "4:7: expected '->', found ':'"),
+        ("sort V: a;\nreport:\n  iterations: 1\n",
+         "2:1: unknown relation 'report'"),
+    ])
+    def test_rejects(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_facts(text, SIG)
+        assert str(err.value) == message
+
+
+DIFF_SIG = Signature(("A", "B"), (
+    RelDecl("E", ("A", "A")), RelDecl("F", ("A", "B")), RelDecl("P", ("A",)),
+    RelDecl("T", ("A", "A", "A")), RelDecl("Z", ())))
+
+# What goes between two tokens; the comments name elements and symbols.
+GAPS = ["", " ", "\t", "\n", " \n\t ", "# a0\n", " # E(a0, a1);\n", "#\n",
+        "\t#, b0 ) ;\n  "]
+
+
+def _facts_text(rng: random.Random) -> tuple[str, list[int]]:
+    """A valid facts text over ``DIFF_SIG``, and the offsets of the names
+    in its facts and equations.  It holds sort lines, facts (some
+    repeated, some split one argument a line, some with a comment naming
+    an element inside the argument list) and equations, with a random
+    gap before every token."""
+    declared = {"A": [f"a{i}" for i in range(rng.randint(1, 4))],
+                "B": [f"b{i}" for i in range(rng.choice((0, 2, 3)))]}
+    statements = [["sort", s, ":", *ns, ";"] for s, ns in declared.items()]
+    rng.shuffle(statements)
+    facts_so_far: list[list[str]] = []
+    for _ in range(rng.randint(0, 12)):
+        kind = rng.random()
+        if kind < 0.1 and facts_so_far:
+            statements.append(rng.choice(facts_so_far))
+        elif kind < 0.25:
+            sort = rng.choice([s for s, ns in declared.items() if ns])
+            statements.append([rng.choice(declared[sort]), "=",
+                               rng.choice(declared[sort]), ";"])
+        else:
+            rel = rng.choice([r for r in DIFF_SIG.relations
+                              if all(declared[s] for s in r.arity)])
+            args = [rng.choice(declared[s]) for s in rel.arity]
+            if rng.random() < 0.4:  # one argument a line
+                body = [f"\n  {a}," for a in args]
+                if body:
+                    body[-1] = body[-1][:-1]
+                fact = [rel.name, "(", *body, "\n)", ";"]
+            else:
+                body = []
+                for a in args:
+                    body.append(a)
+                    if rng.random() < 0.3:
+                        body.append(f"#{rng.choice(declared['A'])}\n")
+                    body.append(",")
+                fact = [rel.name, "(", *body[:-1], ")", ";"]
+            facts_so_far.append(fact)
+            statements.append(fact)
+    out: list[str] = []
+    spots = []
+    size = 0
+    for tokens in statements:
+        for tok in tokens:
+            gap = rng.choice(GAPS)
+            if (not gap.strip(" \t\n") and out and out[-1][-1:].isalnum()
+                    and tok[0].isalnum()):
+                gap += " "  # keep two names apart
+            size += len(gap)
+            name = tok.lstrip()
+            if tokens[0] != "sort" and name[:1].isalpha():
+                spots.append(size + len(tok) - len(name))
+            out += [gap, tok]
+            size += len(tok)
+    out.append(rng.choice(GAPS + ["# last comment, no newline"]))
+    return "".join(out), spots
+
+
+def _mutated(rng: random.Random, text: str, spots: list[int]) -> str:
+    """``text`` with one character deleted, inserted or replaced.  Half
+    the edits hit the first letter of a name: a new letter can change a
+    fact's relation or an argument's sort, and a ``#`` before a name can
+    leave a fact one argument short but still well formed."""
+    op = rng.random()
+    if op < 0.5 and spots:
+        i = rng.choice(spots)
+        if op < 0.25:
+            return text[:i] + "#" + text[i:]
+        return text[:i] + rng.choice("abEFPTZ".replace(text[i], "")) \
+            + text[i + 1:]
+    i = rng.randrange(len(text) + 1)
+    char = rng.choice("ab01_,;:=()#@- \n\tE")
+    if op < 4 / 6 and i < len(text):
+        return text[:i] + text[i + 1:]
+    if op < 5 / 6 and i < len(text):
+        return text[:i] + char + text[i + 1:]
+    return text[:i] + char + text[i:]
+
+
+def _outcome(parse, text: str):
+    try:
+        x, names = parse(text, DIFF_SIG)
+    except Exception as err:  # compared by type and message
+        return type(err).__name__, str(err)
+    return (x.rels, {s: x.raw_count(s) for s in DIFF_SIG.sorts}, names)
+
+
+class TestDifferential:
+    def test_equals_token_reader(self, monkeypatch):
+        """Seeded valid texts and one-character mutations of them: the
+        fast path plus token reader against the token reader alone."""
+        counts = {"fast": 0, "deferred": 0}
+        ground_fact, statement = facts._ground_fact, facts._Reader.statement
+
+        def counted_ground_fact(*args):
+            fact = ground_fact(*args)
+            counts["fast"] += fact is not None
+            return fact
+
+        def counted_statement(*args):
+            counts["deferred"] += 1
+            return statement(*args)
+
+        monkeypatch.setattr(facts, "_ground_fact", counted_ground_fact)
+        monkeypatch.setattr(facts._Reader, "statement", counted_statement)
+        rng = random.Random(5)
+        errors = 0
+        for _ in range(600):
+            text, spots = _facts_text(rng)
+            for case in (text, _mutated(rng, text, spots),
+                         _mutated(rng, text, spots)):
+                want = _outcome(reference_parse_facts, case)
+                assert _outcome(parse_facts, case) == want, case
+                errors += want[0] == "ParseError"
+        assert counts["fast"] > 2000 and counts["deferred"] > 2000
+        assert errors > 200
+
+    def test_relation_named_sort(self):
+        """Not a fact: a statement that starts with ``sort`` is a sort
+        line."""
+        sig = Signature(("A",), (RelDecl("sort", ("A",)),))
+        text = "sort A: a;\nsort(a);\n"
+        want = "2:5: expected a name, found '('"
+        for parse in (reference_parse_facts, parse_facts):
+            with pytest.raises(ParseError) as err:
+                parse(text, sig)
+            assert str(err.value) == want
 
 
 class TestSerialization:
