@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("facts")
     p.add_argument("--max-iterations", type=int, default=None)
     p.add_argument("--strategy", choices=["naive", "seminaive"],
-                   default="naive")
+                   default="seminaive")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--report", action="store_true")
     p.add_argument("--emit-partial", action="store_true")

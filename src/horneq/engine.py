@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -37,7 +38,7 @@ class EvaluationBudgetError(RuntimeError):
 @dataclass(frozen=True)
 class EvalConfig:
     max_iterations: Optional[int] = None
-    strategy: str = "naive"  # "naive" | "seminaive"
+    strategy: str = "seminaive"  # "seminaive" | "naive" (the reference)
     strictness: str = "warn"  # "warn" | "error"
     epic_origin: bool = False  # set by callers that flattened an epic PHL theory
 
@@ -77,11 +78,12 @@ class Delta:
     elements: frozenset[El]
 
 
-# -- premise matching ------------------------------------------------------
+# -- matching ---------------------------------------------------------------
 #
-# A formula, together with its set of pre-bound variables, compiles once
-# into a plan over integer slots: the pre-bound variables first, then the
-# others in first-occurrence order.  Each atom becomes one step:
+# A formula, together with an ordered tuple of pre-bound variables,
+# compiles into a plan over integer slots: the pre-bound variables first,
+# then the formula's others in first-occurrence order.  Each atom becomes
+# a step (``u = v`` with no side bound two: elems into u, copy into v):
 #
 #   scan   a relation atom with no argument bound: iterate its tuples;
 #   probe  some arguments bound: look up a hash index on those columns;
@@ -90,14 +92,18 @@ class Delta:
 #   same, copy  ``u = v`` with both sides or one side bound;
 #   mark   the delta test on the element a bound ``v!`` or ``u = v`` reads.
 #
-# Without a delta the steps run in source order over sorted tuples, sorted
-# index buckets and elements in index order, so matches come out in
-# nested-loop order.  With a delta, matching is semi-naive: for each atom i
-# that can touch the delta, one variant matches the delta at atom i (run
-# first), the relation without the delta at every atom before i and the
-# full relation after it.  A match lies in exactly one variant, the one of
-# its first delta atom.  Sorting the union on the slot values restores
-# nested-loop order: they are the match's per-atom witnesses, in order.
+# Without a delta the steps run in source order.  With a delta, matching is
+# semi-naive: for each atom i that can touch the delta, one variant matches
+# the delta at atom i (run first), the relation without the delta at every
+# atom before i and the full relation after it.  A match lies in exactly
+# one variant, the one of its first delta atom.  Either way the steps read
+# sets, index buckets and elements in no particular order, and the rows
+# are sorted once at the end.  A row's slot values are the match's
+# per-atom witnesses, in order, so sorting them gives nested-loop order.
+#
+# A sequent compiles once into a rule: its premise plan, and a conclusion
+# plan whose first slots are the premise's variables, so a premise row is
+# already the start of a conclusion row.
 
 _FULL, _OLD, _DELTA = 0, 1, 2
 
@@ -106,7 +112,7 @@ class _Step(NamedTuple):
     kind: str
     name: str = ""  # relation (scan, probe, test) or sort (elems)
     mode: int = _FULL
-    slots: tuple[int, ...] = ()  # the slots read, or bound by elems
+    slots: tuple[int, ...] = ()  # the slots read, or the slot elems binds
     key: Optional[Callable] = None  # probe, test: reads the key off the slots
     cols: tuple[int, ...] = ()  # probe: the bound columns
     binds: tuple[tuple[int, int], ...] = ()  # (column, slot) of new variables
@@ -115,9 +121,16 @@ class _Step(NamedTuple):
 
 class _Plan(NamedTuple):
     vars: tuple[Var, ...]  # by slot
-    pre: tuple[Var, ...]  # the pre-bound slots' variables
     steps: tuple[_Step, ...]
     variants: tuple[tuple[_Step, ...], ...]
+
+
+class _Rule(NamedTuple):
+    premise: _Plan
+    conclusion: _Plan  # its first slots are the premise's
+    fresh: tuple[str, ...]  # the sorts of the conclusion-only slots
+    # per conclusion atom: (relation, slots), or (None, (u, v)) for u = v
+    heads: tuple[tuple[Optional[str], tuple[int, ...]], ...]
 
 
 def _row(slots: tuple[int, ...]) -> Callable:
@@ -155,20 +168,13 @@ def _steps(atoms, order, modes: dict[int, int], slot: dict[Var, int],
                 out.append(_Step("probe", name, mode, keys, itemgetter(*keys),
                                  tuple(cols), tuple(binds), tuple(repeats)))
             bound.update(first)
-        elif isinstance(a, DefinedAtom):
-            v = a.term
-            if v not in bound:
-                out.append(_Step("elems", v.sort, mode, (slot[v],)))
-                bound.add(v)
-            elif mode != _FULL:
-                out.append(_Step("mark", mode=mode, slots=(slot[v],)))
-        else:  # EqualAtom
-            u, v = a.lhs, a.rhs
+        else:  # ``u = v``, or ``v!`` read as ``v = v``
+            u, v = ((a.term, a.term) if isinstance(a, DefinedAtom)
+                    else (a.lhs, a.rhs))
             if u not in bound and v not in bound:
-                slots = (slot[u],) if u == v else (slot[u], slot[v])
-                out.append(_Step("elems", u.sort, mode, slots))
-                bound.update((u, v))
-                continue
+                out.append(_Step("elems", u.sort, mode, (slot[u],)))
+                bound.add(u)
+                mode = _FULL  # the elements step already read the delta
             if u not in bound or v not in bound:
                 src, dst = (u, v) if u in bound else (v, u)
                 out.append(_Step("copy", slots=(slot[dst], slot[src])))
@@ -180,13 +186,10 @@ def _steps(atoms, order, modes: dict[int, int], slot: dict[Var, int],
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=1024)
-def _plan(f: Formula, bound: frozenset[Var]) -> _Plan:
+def _plan(f: Formula, pre: tuple[Var, ...] = ()) -> _Plan:
     if not is_rhl(f):
-        raise SignatureError("find_matches expects an RHL formula")
-    fvars = formula_vars(f)
-    pre = tuple(v for v in fvars if v in bound)
-    order = pre + tuple(v for v in fvars if v not in bound)
+        raise SignatureError("matching expects an RHL formula")
+    order = pre + tuple(v for v in formula_vars(f) if v not in pre)
     slot = {v: i for i, v in enumerate(order)}
     atoms = f.atoms
     # Every atom can touch the delta except ``u = v`` with a side bound in
@@ -203,14 +206,28 @@ def _plan(f: Formula, bound: frozenset[Var]) -> _Plan:
         modes[i] = _DELTA
         rest = [j for j in range(len(atoms)) if j != i]
         variants.append(_steps(atoms, [i] + rest, modes, slot, set(pre)))
-    return _Plan(order, pre, _steps(atoms, range(len(atoms)), {}, slot,
-                                    set(pre)), tuple(variants))
+    return _Plan(order, _steps(atoms, range(len(atoms)), {}, slot, set(pre)),
+                 tuple(variants))
+
+
+@functools.lru_cache(maxsize=1024)
+def _rule(s: Sequent) -> _Rule:
+    premise = _plan(s.premise)
+    conclusion = _plan(s.conclusion, premise.vars)
+    slot = {v: i for i, v in enumerate(conclusion.vars)}
+    heads = tuple(
+        (a.rel.name, tuple([slot[v] for v in a.args]))
+        if isinstance(a, RelAtom) else (None, (slot[a.lhs], slot[a.rhs]))
+        for a in s.conclusion.atoms if not isinstance(a, DefinedAtom))
+    fresh = tuple(v.sort for v in conclusion.vars[len(premise.vars):])
+    return _Rule(premise, conclusion, fresh, heads)
 
 
 class _Sources:
-    """What one ``find_matches`` call reads of a structure: each relation in
-    full, without the delta (old) or only the delta, as a set, a sorted
-    list or a hash index with sorted buckets, each built on first use."""
+    """What one ``_rows`` call reads of a structure: each relation in full,
+    without the delta (old) or only the delta, as a set or as a hash index
+    on some columns, and the elements of each sort, each built on first
+    use.  Nothing is sorted here; ``_rows`` sorts the rows it returns."""
 
     def __init__(self, x: Structure, delta: Optional[Delta]):
         self.x = x
@@ -231,27 +248,14 @@ class _Sources:
             self.memo[key] = ts
         return ts
 
-    def tuples(self, rel: str, mode: int, repeats) -> list[tuple[El, ...]]:
-        key = ("list", rel, mode, repeats)
-        ts = self.memo.get(key)
-        if ts is None:
-            ts = self.memo[key] = [t for t in sorted(self.members(rel, mode))
-                                   if _agrees(t, repeats)]
-        return ts
-
     def index(self, rel: str, mode: int, cols, repeats) -> dict:
         key = ("index", rel, mode, cols, repeats)
         idx = self.memo.get(key)
         if idx is None:
-            idx = self.memo[key] = {}
+            idx = self.memo[key] = defaultdict(list)
             get = itemgetter(*cols)
-            for t in self.tuples(rel, mode, repeats):
-                k = get(t)
-                bucket = idx.get(k)
-                if bucket is None:
-                    idx[k] = [t]
-                else:
-                    bucket.append(t)
+            for t in _agreeing(self.members(rel, mode), repeats):
+                idx[get(t)].append(t)
         return idx
 
     def elements(self, sort: str, mode: int) -> list[El]:
@@ -266,11 +270,11 @@ class _Sources:
         return els
 
 
-def _agrees(t: tuple[El, ...], repeats) -> bool:
-    for c, c0 in repeats:
-        if t[c] != t[c0]:
-            return False
-    return True
+def _agreeing(ts, repeats):
+    """The tuples of ``ts`` whose repeated columns agree."""
+    if not repeats:
+        return ts
+    return [t for t in ts if all(t[c] == t[c0] for c, c0 in repeats)]
 
 
 def _link(steps: tuple[_Step, ...], src: _Sources, out: list) -> Callable:
@@ -286,7 +290,8 @@ def _link(steps: tuple[_Step, ...], src: _Sources, out: list) -> Callable:
 
 
 def _link_scan(st: _Step, src: _Sources, nxt):
-    tuples, binds = src.tuples(st.name, st.mode, st.repeats), st.binds
+    tuples = _agreeing(src.members(st.name, st.mode), st.repeats)
+    binds = st.binds
 
     def scan(vals):
         for t in tuples:
@@ -318,21 +323,12 @@ def _link_test(st: _Step, src: _Sources, nxt):
 
 
 def _link_elems(st: _Step, src: _Sources, nxt):
-    els = src.elements(st.name, st.mode)
-    if len(st.slots) == 1:
-        (s,) = st.slots
+    els, (s,) = src.elements(st.name, st.mode), st.slots
 
-        def elems(vals):
-            for e in els:
-                vals[s] = e
-                nxt(vals)
-    else:
-        a, b = st.slots
-
-        def elems(vals):
-            for e in els:
-                vals[a] = vals[b] = e
-                nxt(vals)
+    def elems(vals):
+        for e in els:
+            vals[s] = e
+            nxt(vals)
     return elems
 
 
@@ -369,41 +365,40 @@ _LINK = {"scan": _link_scan, "probe": _link_probe, "test": _link_test,
          "mark": _link_mark}
 
 
+def _rows(plan: _Plan, x: Structure, delta: Optional[Delta] = None,
+          start: tuple[El, ...] = ()) -> list[tuple[El, ...]]:
+    """The plan's matches in ``x`` as slot rows, in nested-loop order; the
+    first slots hold ``start``.  With ``delta``, only the matches touching
+    at least one delta-marked tuple or element."""
+    vals = list(start)
+    vals += [None] * (len(plan.vars) - len(vals))
+    src = _Sources(x, delta)
+    rows: list[tuple[El, ...]] = []
+    for steps in (plan.steps,) if delta is None else plan.variants:
+        _link(steps, src, rows)(vals)
+    rows.sort()
+    return rows
+
+
 def find_matches(f: Formula, x: Structure, delta: Optional[Delta] = None,
                  binding: Optional[dict[Var, El]] = None) -> Iterator[dict[Var, El]]:
     """All interpretations of an RHL formula in ``x``, in deterministic
     (nested-loop) order.  With ``delta``, only interpretations touching at
     least one delta-marked tuple or element are yielded.  ``binding``
-    pre-binds variables (used for conclusion extension tests)."""
+    pre-binds variables, ``f``'s or not; they lead every yielded dict."""
     start = {v: x.find(e) for v, e in binding.items()} if binding else {}
-    plan = _plan(f, frozenset(start))
-    vals = [start[v] for v in plan.pre]
-    vals += [None] * (len(plan.vars) - len(vals))
-    src = _Sources(x, delta)
-    rows: list[tuple[El, ...]] = []
-    if delta is None:
-        _link(plan.steps, src, rows)(vals)
-    else:
-        for steps in plan.variants:
-            _link(steps, src, rows)(vals)
-        rows.sort()
-    for row in rows:
-        m = dict(start)
-        m.update(zip(plan.vars, row))
-        yield m
-
-
-def _extends(x: Structure, s: Sequent, assignment: dict[Var, El]) -> bool:
-    """Can the premise interpretation be extended over the conclusion?"""
-    return next(find_matches(s.conclusion, x, binding=assignment), None) is not None
+    plan = _plan(f, tuple(start))
+    for row in _rows(plan, x, delta, tuple(start.values())):
+        yield dict(zip(plan.vars, row))
 
 
 def counterexample(x: Structure, s: Sequent) -> Optional[dict[Var, El]]:
     """The first premise interpretation, in ``find_matches`` order, that
     does not extend over the conclusion; ``None`` if there is none."""
-    for m in find_matches(s.premise, x):
-        if not _extends(x, s, m):
-            return m
+    rule = _rule(s)
+    for row in _rows(rule.premise, x):
+        if not _rows(rule.conclusion, x, start=row):
+            return dict(zip(rule.premise.vars, row))
     return None
 
 
@@ -426,27 +421,28 @@ class ChangeSet:
     elements_created: list[El] = field(default_factory=list)
 
 
-def apply_match(x: Structure, s: Sequent, assignment: dict[Var, El]) -> ChangeSet:
-    """Adjoin the conclusion along a premise match: the pushout of the
-    sequent's classifying morphism along the match, realized in place."""
+def apply_match(x: Structure, rule: _Rule, row: tuple[El, ...]) -> ChangeSet:
+    """Adjoin the conclusion along a premise match, given as a row of
+    canonical elements in the rule's premise slots: the pushout of the
+    sequent's classifying morphism along the match, realized in place.
+    The conclusion-only slots get fresh elements, in slot order."""
     changes = ChangeSet()
-    full = {v: x.find(e) for v, e in assignment.items()}
-    for v in formula_vars(s.conclusion):
-        if v not in full:
-            e = x.add_element(v.sort)
-            full[v] = e
-            changes.elements_created.append(e)
-    for atom in s.conclusion.atoms:
-        if isinstance(atom, RelAtom):
-            t = tuple([x.find(full[v]) for v in atom.args])
-            if x.add_tuple(atom.rel.name, t):
-                changes.tuples_added.append((atom.rel.name, t))
-        elif isinstance(atom, EqualAtom):
-            a, b = x.find(full[atom.lhs]), x.find(full[atom.rhs])
+    full = list(row)
+    for sort in rule.fresh:
+        e = x.add_element(sort)
+        full.append(e)
+        changes.elements_created.append(e)
+    find = x.find
+    for name, slots in rule.heads:
+        if name is None:
+            a, b = find(full[slots[0]]), find(full[slots[1]])
             if a != b:
                 x.merge(a, b)
                 changes.merges.append((a, b))
-        # DefinedAtom: the element exists by construction.
+        else:
+            t = tuple([find(full[i]) for i in slots])
+            if x.add_tuple(name, t):
+                changes.tuples_added.append((name, t))
     return changes
 
 
@@ -493,24 +489,25 @@ def evaluate(t: Theory, x: Structure,
                 if isinstance(a, RelAtom)}
         result.rewritten = []
 
+    rules = [_rule(s) for s in t.sequents]
     while True:
         stats = IterationStats()
         # Every premise is matched before any conclusion is applied, so the
         # matches read ``result`` itself.
-        pending: list[tuple[Sequent, dict[Var, El]]] = []
-        for s in t.sequents:
-            for m in find_matches(s.premise, result, delta=delta):
-                pending.append((s, m))
+        pending = [(rule, row) for rule in rules
+                   for row in _rows(rule.premise, result, delta)]
         new_tuples: list[tuple[str, tuple[El, ...]]] = []
         new_elements: list[El] = []
-        for s, m in pending:
+        for rule, row in pending:
             # A merge earlier in the batch keeps the canonical image of
-            # every stored tuple stored, so each pending match still holds
-            # up to ``find``; ``_extends`` and ``apply_match`` canonicalize.
-            if _extends(result, s, m):
+            # every stored tuple stored, so each pending row still matches
+            # up to ``find``.  Before the first merge the rows are canonical.
+            if stats.merges:
+                row = tuple([result.find(e) for e in row])
+            if _rows(rule.conclusion, result, start=row):
                 continue
             stats.matches += 1
-            changes = apply_match(result, s, m)
+            changes = apply_match(result, rule, row)
             stats.tuples_added += len(changes.tuples_added)
             stats.merges += len(changes.merges)
             stats.elements_created += len(changes.elements_created)

@@ -12,6 +12,7 @@ import random
 from typing import Iterator, Optional
 
 from horneq.core import El, Morphism, RelDecl, Signature, Structure
+from horneq.engine import EvalReport, IterationStats
 from horneq.oracle import enumerate_morphisms
 from horneq.syntax import (DefinedAtom, EqualAtom, Formula, ParseError,
                            RelAtom, Sequent, Theory, Var, _Cursor, _Token,
@@ -337,6 +338,69 @@ def reference_matches(f: Formula, x: Structure, delta=None,
     start = {v: x.find(e) for v, e in (binding or {}).items()}
     for assignment, _ in _match_atoms(f.atoms, x, start, False, delta, {}):
         yield assignment
+
+
+def reference_witness(x: Structure, s: Sequent
+                      ) -> Optional[dict[Var, El]]:
+    """The reference for ``engine.counterexample``: the first premise
+    match, in ``reference_matches`` order, with no conclusion match under
+    its binding."""
+    for m in reference_matches(s.premise, x):
+        if next(reference_matches(s.conclusion, x, binding=m), None) is None:
+            return m
+    return None
+
+
+def _reference_apply(x: Structure, s: Sequent, assignment: dict[Var, El],
+                     stats: IterationStats) -> None:
+    full = {v: x.find(e) for v, e in assignment.items()}
+    for v in formula_vars(s.conclusion):
+        if v not in full:
+            full[v] = x.add_element(v.sort)
+            stats.elements_created += 1
+    for atom in s.conclusion.atoms:
+        if isinstance(atom, RelAtom):
+            if x.add_tuple(atom.rel.name,
+                           tuple(x.find(full[v]) for v in atom.args)):
+                stats.tuples_added += 1
+        elif isinstance(atom, EqualAtom):
+            a, b = x.find(full[atom.lhs]), x.find(full[atom.rhs])
+            if a != b:
+                x.merge(a, b)
+                stats.merges += 1
+
+
+def reference_evaluate(t: Theory, x: Structure,
+                       max_iterations: Optional[int] = None
+                       ) -> tuple[Structure, Morphism, EvalReport]:
+    """The reference for ``engine.evaluate``: naive iteration on
+    ``Var``-keyed dicts.  Each iteration matches every premise with
+    ``reference_matches``, then fires, in that order, each match that
+    ``reference_matches`` cannot extend over the conclusion.  A run that
+    hits ``max_iterations`` returns its partial result with
+    ``fixed_point`` false instead of raising."""
+    result = x.copy()
+    report = EvalReport()
+    while True:
+        stats = IterationStats()
+        pending = [(s, m) for s in t.sequents
+                   for m in reference_matches(s.premise, result)]
+        for s, m in pending:
+            if next(reference_matches(s.conclusion, result, binding=m),
+                    None) is not None:
+                continue
+            stats.matches += 1
+            _reference_apply(result, s, m, stats)
+        report.iterations += 1
+        report.per_iteration.append(stats)
+        if not stats.changed:
+            report.fixed_point = True
+            break
+        if max_iterations is not None and report.iterations >= max_iterations:
+            break
+    unit = Morphism(x, result, {e: result.find(e) for sort in x.sig.sorts
+                                for e in x.elements(sort)})
+    return result, unit, report
 
 
 # -- reference facts reader ------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 
 from horneq.classify import classifying_morphism, flatten_theory
 from horneq.core import El, SignatureError, Structure
-from horneq.engine import (Delta, EvalConfig, EvaluationBudgetError, evaluate,
+from horneq.engine import (Delta, EvalConfig, EvaluationBudgetError,
+                           IterationStats, counterexample, evaluate,
                            find_matches, satisfies, satisfies_theory)
 from horneq.facts import model_names, report_dict, serialize_model
 from horneq.oracle import is_injective_to, is_orthogonal_to, satisfies_phl
@@ -13,7 +14,8 @@ from horneq.syntax import (EqualAtom, Formula, RelAtom, Var,
                            parse_theory, sequent_vars)
 
 from helpers import (random_sequent, random_signature, random_structure,
-                     random_theory, reference_matches, structure_from_edges,
+                     random_theory, reference_evaluate, reference_matches,
+                     reference_witness, structure_from_edges,
                      transitive_closure)
 
 
@@ -151,7 +153,7 @@ class TestEvaluate:
             sig = random_signature(rng)
             t = random_theory(rng, sig, surjective=True)
             x = random_structure(rng, sig, max_elements=4)
-            naive, _, _ = evaluate(t, x)
+            naive, _, _ = evaluate(t, x, EvalConfig(strategy="naive"))
             semi, _, _ = evaluate(t, x, EvalConfig(strategy="seminaive"))
             for r in sig.relations:
                 assert naive.sorted_tuples(r.name) == \
@@ -259,6 +261,77 @@ class TestDifferential:
                 texts.append(serialize_model(res, out_names, merged,
                                              report=report_dict(rep)))
             assert texts[0] == texts[1]
+
+
+def _merge_some(rng, x):
+    """Merge the first and last element of some sorts, leaving
+    merged-away indices behind."""
+    for sort in x.sig.sorts:
+        els = x.elements(sort)
+        if len(els) > 1 and rng.random() < 0.5:
+            x.merge(els[0], els[-1])
+
+
+class TestCompiledRules:
+    """Seeded fences around rule compilation: evaluation and witnesses
+    against the dict-based reference evaluator in ``helpers``, which shares
+    no code with the engine's matcher."""
+
+    def test_evaluate_serializes_like_reference(self):
+        rng = random.Random(47)
+        totals = IterationStats()
+        for i in range(300):
+            surjective = i % 2 == 0
+            sig = random_signature(rng)
+            t = random_theory(rng, sig, max_sequents=4, surjective=surjective)
+            x = random_structure(rng, sig, max_elements=4, min_elements=1)
+            for r in sig.relations:  # denser inputs take more iterations
+                for _ in range(4):
+                    x.add_tuple(r.name, tuple([rng.choice(x.elements(sort))
+                                               for sort in r.arity]))
+            if rng.random() < 0.3:
+                _merge_some(rng, x)
+            names = {f"e{e.sort}_{e.index}": e
+                     for sort in sig.sorts for e in x.elements(sort)}
+            limit = None if surjective else 3
+            runs = [reference_evaluate(t, x, limit)]
+            for strategy in ("naive", "seminaive"):
+                cfg = EvalConfig(strategy=strategy, max_iterations=limit)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    try:
+                        runs.append(evaluate(t, x, cfg))
+                    except EvaluationBudgetError as err:
+                        runs.append((err.partial, err.unit, err.report))
+            texts = []
+            for res, unit, rep in runs:
+                out_names, merged = model_names(res, names, unit)
+                texts.append(serialize_model(res, out_names, merged,
+                                             report=report_dict(rep)))
+            assert texts[1] == texts[0]
+            assert texts[2] == texts[0]
+            for stats in runs[0][2].per_iteration:
+                totals.merges += stats.merges
+                totals.elements_created += stats.elements_created
+        # the seeds exercise merges and fresh elements, not only tuples
+        assert totals.merges > 40 and totals.elements_created > 40
+
+    def test_counterexample_equals_reference_witness(self):
+        rng = random.Random(53)
+        for i in range(300):
+            sig = random_signature(rng)
+            # odd seeds may have existential conclusion variables
+            s = random_sequent(rng, sig, surjective=i % 2 == 0)
+            for max_elements in (2, 4):
+                x = random_structure(rng, sig, max_elements=max_elements)
+                if rng.random() < 0.5:
+                    _merge_some(rng, x)
+                got = counterexample(x, s)
+                want = reference_witness(x, s)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert list(got.items()) == list(want.items())
+                assert satisfies(x, s) == (want is None)
 
 
 class TestPhlSatisfaction:
