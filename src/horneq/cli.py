@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from typing import Optional
 
 from . import classify, engine, facts, transform
@@ -171,15 +172,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None,
+                  line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ParseError, SignatureError, transform.PreconditionError,
-            OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except (ParseError, SignatureError, transform.PreconditionError,
+                OSError, ValueError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

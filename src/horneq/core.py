@@ -10,9 +10,11 @@ element, the (relation, tuple) entries that hold it.  From then on every
 stored tuple is on the use-list of each of its elements; an entry whose
 tuple is no longer stored is stale and skipped.  A merge therefore visits
 only the merged-away element's entries, and rewrites each live one.
-Tuples enter a structure only through ``add_tuple``, which keeps the
-use-lists once they exist.  ``copy`` does not carry them, so a structure
-that is never merged never builds them.
+``copy`` does not carry them, so a structure that is never merged never
+builds them.  While ``log`` is a list, each (relation, tuple) newly stored
+is appended to it; a later merge may rewrite a logged tuple away.  Both
+are kept by ``_store``, the one routine that adds to ``rels``, which
+``add_tuple`` and ``merge`` call.
 """
 
 from __future__ import annotations
@@ -148,9 +150,8 @@ class Structure:
         # Built by the first merge; see the module docstring.
         self._uses: Optional[
             defaultdict[El, list[tuple[str, tuple[El, ...]]]]] = None
-        # When a list, ``merge`` appends each (relation, tuple) it newly
-        # stores in rewritten form.
-        self.rewritten: Optional[list[tuple[str, tuple[El, ...]]]] = None
+        # When a list, each (relation, tuple) newly stored is appended.
+        self.log: Optional[list[tuple[str, tuple[El, ...]]]] = None
 
     # -- elements ----------------------------------------------------------
 
@@ -204,18 +205,23 @@ class Structure:
     def canonical(self, t: tuple[El, ...]) -> tuple[El, ...]:
         return tuple([self.find(e) for e in t])
 
-    def add_tuple(self, rel: str, t: tuple[El, ...]) -> bool:
-        self._check_tuple(rel, t)
-        ct = self.canonical(t)
+    def _store(self, rel: str, ct: tuple[El, ...]) -> bool:
+        """Store the canonical tuple ``ct``; ``False`` if it was stored."""
         ts = self.rels[rel]
         if ct in ts:
             return False
         ts.add(ct)
-        if self._uses is not None:
-            entry = (rel, ct)
+        entry, uses, log = (rel, ct), self._uses, self.log
+        if uses is not None:
             for e in ct:
-                self._uses[e].append(entry)
+                uses[e].append(entry)
+        if log is not None:
+            log.append(entry)
         return True
+
+    def add_tuple(self, rel: str, t: tuple[El, ...]) -> bool:
+        self._check_tuple(rel, t)
+        return self._store(rel, self.canonical(t))
 
     def has_tuple(self, rel: str, t: tuple[El, ...]) -> bool:
         self._check_tuple(rel, t)
@@ -248,22 +254,13 @@ class Structure:
                         uses[e].append(entry)
         keep = El(a.sort, self._uf[a.sort].union(ra.index, rb.index))
         lose = rb if keep == ra else ra
-        log = self.rewritten
         for rel, t in uses.pop(lose, ()):
             tuples = self.rels[rel]
             if t not in tuples:
                 continue  # stale: an earlier merge rewrote it
             tuples.remove(t)
             # Every other component of t is still canonical.
-            ct = tuple([keep if e == lose else e for e in t])
-            if ct in tuples:
-                continue
-            tuples.add(ct)
-            entry = (rel, ct)
-            for e in ct:
-                uses[e].append(entry)
-            if log is not None:
-                log.append(entry)
+            self._store(rel, tuple([keep if e == lose else e for e in t]))
         return keep
 
     # -- misc --------------------------------------------------------------

@@ -72,9 +72,10 @@ class EvalReport:
 
 @dataclass(frozen=True)
 class Delta:
-    """Tuples and elements new since the previous iteration."""
+    """Tuples and elements new since the previous iteration: the tuples by
+    relation, every one of them stored, and the canonical elements."""
 
-    tuples: frozenset[tuple[str, tuple[El, ...]]]
+    tuples: dict[str, set[tuple[El, ...]]]
     elements: frozenset[El]
 
 
@@ -106,6 +107,7 @@ class Delta:
 # already the start of a conclusion row.
 
 _FULL, _OLD, _DELTA = 0, 1, 2
+_NONE = frozenset()
 
 
 class _Step(NamedTuple):
@@ -226,8 +228,9 @@ def _rule(s: Sequent) -> _Rule:
 class _Sources:
     """What one ``_rows`` call reads of a structure: each relation in full,
     without the delta (old) or only the delta, as a set or as a hash index
-    on some columns, and the elements of each sort, each built on first
-    use.  Nothing is sorted here; ``_rows`` sorts the rows it returns."""
+    on some columns, and the elements of each sort.  The delta's sets are
+    read as they are; the rest is built on first use.  Nothing is sorted
+    here; ``_rows`` sorts the rows it returns."""
 
     def __init__(self, x: Structure, delta: Optional[Delta]):
         self.x = x
@@ -238,14 +241,12 @@ class _Sources:
         full = self.x.rels[rel]
         if mode == _FULL:
             return full
-        key = ("set", rel, mode)
-        ts = self.memo.get(key)
+        delta = self.delta.tuples.get(rel, _NONE)
+        if mode == _DELTA:
+            return delta
+        ts = self.memo.get(("old", rel))
         if ts is None:
-            if mode == _DELTA:
-                ts = {t for r, t in self.delta.tuples if r == rel and t in full}
-            else:
-                ts = full - self.members(rel, _DELTA)
-            self.memo[key] = ts
+            ts = self.memo["old", rel] = full - delta
         return ts
 
     def index(self, rel: str, mode: int, cols, repeats) -> dict:
@@ -384,8 +385,9 @@ def find_matches(f: Formula, x: Structure, delta: Optional[Delta] = None,
                  binding: Optional[dict[Var, El]] = None) -> Iterator[dict[Var, El]]:
     """All interpretations of an RHL formula in ``x``, in deterministic
     (nested-loop) order.  With ``delta``, only interpretations touching at
-    least one delta-marked tuple or element are yielded.  ``binding``
-    pre-binds variables, ``f``'s or not; they lead every yielded dict."""
+    least one of its tuples or elements are yielded; its tuples must be
+    stored in ``x``, as ``evaluate``'s are.  ``binding`` pre-binds
+    variables, ``f``'s or not; they lead every yielded dict."""
     start = {v: x.find(e) for v, e in binding.items()} if binding else {}
     plan = _plan(f, tuple(start))
     for row in _rows(plan, x, delta, tuple(start.values())):
@@ -414,36 +416,26 @@ def satisfies_theory(x: Structure, t: Theory) -> bool:
 # -- conclusion application ------------------------------------------------
 
 
-@dataclass
-class ChangeSet:
-    tuples_added: list[tuple[str, tuple[El, ...]]] = field(default_factory=list)
-    merges: list[tuple[El, El]] = field(default_factory=list)
-    elements_created: list[El] = field(default_factory=list)
-
-
-def apply_match(x: Structure, rule: _Rule, row: tuple[El, ...]) -> ChangeSet:
+def apply_match(x: Structure, rule: _Rule, row: tuple[El, ...],
+                stats: IterationStats) -> None:
     """Adjoin the conclusion along a premise match, given as a row of
     canonical elements in the rule's premise slots: the pushout of the
     sequent's classifying morphism along the match, realized in place.
-    The conclusion-only slots get fresh elements, in slot order."""
-    changes = ChangeSet()
-    full = list(row)
-    for sort in rule.fresh:
-        e = x.add_element(sort)
-        full.append(e)
-        changes.elements_created.append(e)
+    The conclusion-only slots get fresh elements, in slot order.  The
+    tuples, merges and elements it makes are counted into ``stats``; what
+    it stores is also on ``x.log`` when that is a list."""
+    full = list(row) + [x.add_element(sort) for sort in rule.fresh]
+    stats.elements_created += len(rule.fresh)
     find = x.find
     for name, slots in rule.heads:
         if name is None:
             a, b = find(full[slots[0]]), find(full[slots[1]])
             if a != b:
                 x.merge(a, b)
-                changes.merges.append((a, b))
+                stats.merges += 1
         else:
-            t = tuple([find(full[i]) for i in slots])
-            if x.add_tuple(name, t):
-                changes.tuples_added.append((name, t))
-    return changes
+            stats.tuples_added += x.add_tuple(
+                name, tuple([find(full[i]) for i in slots]))
 
 
 # -- the evaluation loop ---------------------------------------------------
@@ -487,17 +479,17 @@ def evaluate(t: Theory, x: Structure,
         # The delta holds only tuples of relations some premise reads.
         read = {a.rel.name for s in t.sequents for a in s.premise.atoms
                 if isinstance(a, RelAtom)}
-        result.rewritten = []
+        result.log = []
 
     rules = [_rule(s) for s in t.sequents]
+    sorts = t.signature.sorts
     while True:
         stats = IterationStats()
+        counts = [result.raw_count(s) for s in sorts]
         # Every premise is matched before any conclusion is applied, so the
         # matches read ``result`` itself.
         pending = [(rule, row) for rule in rules
                    for row in _rows(rule.premise, result, delta)]
-        new_tuples: list[tuple[str, tuple[El, ...]]] = []
-        new_elements: list[El] = []
         for rule, row in pending:
             # A merge earlier in the batch keeps the canonical image of
             # every stored tuple stored, so each pending row still matches
@@ -507,32 +499,28 @@ def evaluate(t: Theory, x: Structure,
             if _rows(rule.conclusion, result, start=row):
                 continue
             stats.matches += 1
-            changes = apply_match(result, rule, row)
-            stats.tuples_added += len(changes.tuples_added)
-            stats.merges += len(changes.merges)
-            stats.elements_created += len(changes.elements_created)
-            new_tuples += changes.tuples_added
-            new_elements += changes.elements_created
+            apply_match(result, rule, row, stats)
         report.iterations += 1
         report.per_iteration.append(stats)
         if not stats.changed:
             report.fixed_point = True
             break
         if seminaive:
-            # A new tuple is either still stored as added or was rewritten
-            # by a merge, which logged the stored form; stale forms drop out.
-            new_tuples += result.rewritten
-            result.rewritten.clear()
-            rels = result.rels
-            delta = Delta(
-                frozenset([(rel, tp) for rel, tp in new_tuples
-                           if rel in read and tp in rels[rel]]),
-                frozenset([result.find(e) for e in new_elements]),
-            )
+            # The log holds every tuple stored in this batch; those a later
+            # merge rewrote away are no longer stored and drop out.
+            rels, tuples = result.rels, defaultdict(set)
+            for rel, tp in result.log:
+                if rel in read and tp in rels[rel]:
+                    tuples[rel].add(tp)
+            result.log.clear()
+            find = result.find
+            delta = Delta(tuples, frozenset([
+                find(El(s, i)) for s, n in zip(sorts, counts)
+                for i in range(n, result.raw_count(s))]))
         if max_iterations is not None and report.iterations >= max_iterations:
             break
 
-    result.rewritten = None
+    result.log = None
     unit = _unit_morphism(x, result)
     if not report.fixed_point:
         raise EvaluationBudgetError(result, unit, report)

@@ -292,7 +292,8 @@ def _match_atoms(atoms, x: Structure, assignment: dict[Var, El],
                 continue
             new = dict(assignment)
             new.update(local)
-            hit = used_delta or (delta is not None and (name, t) in delta.tuples)
+            hit = used_delta or (delta is not None
+                                 and t in delta.tuples.get(name, ()))
             yield from _match_atoms(rest, x, new, hit, delta, tuple_cache)
     elif isinstance(atom, DefinedAtom):
         v = atom.term

@@ -48,6 +48,14 @@ class TestCheck:
         assert code == 2
         assert "error" in err
 
+    def test_vacuous_rule_warns_on_one_line(self, files, capsys):
+        theory = files("t.hq", "sort V;\npred E : V * V;\n"
+                               "rule E(x, y) => true;\n")
+        code, out, err = run(capsys, "check", theory)
+        assert code == 0 and "sequent 0:" in out
+        assert err == ("warning: 3:1: sequent has an empty conclusion "
+                       "and is vacuous\n")
+
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent.hq")
         assert code == 2
@@ -116,12 +124,14 @@ class TestEval:
         code, out, err = run(capsys, "eval", theory, facts,
                              "--max-iterations", "2")
         assert code == 3 and out == ""
+        assert err == ("warning: theory has non-surjective sequents of "
+                       "unknown origin; the result is only weakly free\n"
+                       "error: no fixed point within 2 iterations\n")
         code, out, _ = run(capsys, "eval", theory, facts,
                            "--max-iterations", "2", "--emit-partial")
         assert code == 3
         assert "sort V: a" in out
 
-    @pytest.mark.filterwarnings("ignore:theory has non-surjective")
     def test_fresh_names_avoid_input_names(self, files, capsys):
         from horneq.facts import parse_facts
         from horneq.syntax import parse_theory

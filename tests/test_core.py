@@ -111,12 +111,20 @@ class TestMergeDifferential:
         copy, each applied to a structure and to a twin that merges by full
         scan.  Tuples may name merged-away elements, and merges hit copies
         of merged structures (which start without use-lists) as well as
-        merged structures after a copy was taken."""
+        merged structures after a copy was taken.  Each structure logs
+        from its creation on: its logged tuples still stored are exactly
+        the tuples stored since, and a merge logs what it rewrote."""
         merges_on_copies = merges_after_copy = 0
+
+        def stored(x):
+            return {(r, t) for r, ts in x.rels.items() for t in ts}
+
         for seed in range(300):
             rng = random.Random(seed)
             sig = random_signature(rng, max_sorts=2, max_rels=3)
             pairs = [(Structure(sig), Structure(sig))]
+            pairs[0][0].log = []
+            at_start = {id(pairs[0][0]): set()}
             merged, copies_of_merged, copied = set(), set(), set()
             for _ in range(50):
                 x, ref = rng.choice(pairs)
@@ -140,20 +148,24 @@ class TestMergeDifferential:
                             merges_on_copies += id(x) in copies_of_merged
                             merges_after_copy += id(x) in copied
                             merged.add(id(x))
-                        x.rewritten = []
+                        n = len(x.log)
                         keep = x.merge(a, b)
                         want_keep, want = full_scan_merge(ref, a, b)
                         assert keep == want_keep
-                        assert len(x.rewritten) == len(want)
-                        assert set(x.rewritten) == want
+                        assert len(x.log) - n == len(want)
+                        assert set(x.log[n:]) == want
                 else:
                     y = x.copy()
+                    assert y.log is None
+                    y.log, at_start[id(y)] = [], stored(y)
                     if id(x) in merged:
                         copies_of_merged.add(id(y))
                         copied.add(id(x))
                     pairs.append((y, ref.copy()))
                 assert x.rels == ref.rels
                 assert x.is_canonical()
+                assert ({(r, t) for r, t in x.log if t in x.rels[r]}
+                        == stored(x) - at_start[id(x)])
         assert merges_on_copies > 100 and merges_after_copy > 100
 
 

@@ -1,5 +1,6 @@
 import random
 import warnings
+from collections import defaultdict
 
 import pytest
 
@@ -172,6 +173,19 @@ class TestEvaluate:
         assert err.value.report.iterations == 3
         assert err.value.partial.element_count("V") > 1
 
+    def test_log_is_off_after_evaluate(self):
+        """Semi-naive evaluation logs what it stores; neither its result
+        nor a partial result leaves with the log on."""
+        x = structure_from_edges(SIG, "E", 3, {(0, 1), (1, 2)})
+        res, _, _ = evaluate(TRANSITIVITY, x)
+        assert res.log is None and x.log is None
+        t = parse_theory("sort V;\npred E : V * V;\nrule v! => E(v, w);\n")
+        x = Structure(t.signature)
+        x.add_element("V")
+        with pytest.raises(EvaluationBudgetError) as err:
+            evaluate(t, x, EvalConfig(max_iterations=2, epic_origin=True))
+        assert err.value.partial.log is None
+
     def test_nonsurjective_warns_and_strict_raises(self):
         t = parse_theory("sort V;\npred E : V * V;\nrule v! => E(v, w);\n")
         x = Structure(t.signature)
@@ -217,8 +231,12 @@ class TestDifferential:
             elements = [e for sort in sig.sorts for e in x.elements(sort)]
             for s in t.sequents:
                 for f in (s.premise, s.conclusion, s.premise & s.conclusion):
+                    picked = defaultdict(set)
+                    for r, tp in tuples:
+                        if rng.random() < 0.4:
+                            picked[r].add(tp)
                     delta = Delta(
-                        frozenset(p for p in tuples if rng.random() < 0.4),
+                        dict(picked),
                         frozenset(e for e in elements if rng.random() < 0.3))
                     # raw indices, some non-canonical, and variables of
                     # the sequent that ``f`` may not mention
