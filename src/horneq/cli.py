@@ -9,6 +9,7 @@ strengthen), satisfies.  Exit codes: 0 ok, 1 unsatisfied, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 from typing import Optional
@@ -128,7 +129,10 @@ def cmd_satisfies(args) -> int:
     return EXIT_OK if ok else EXIT_UNSATISFIED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of every ``main`` call, built on the first; callers
+    share it and must not change it."""
     parser = argparse.ArgumentParser(
         prog="horneq",
         description="Horn-logic-with-equality engine: classify theories, "
@@ -178,8 +182,7 @@ def _show_warning(message, category, filename, lineno, file=None,
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     with warnings.catch_warnings():
         warnings.simplefilter("default")
         warnings.showwarning = _show_warning

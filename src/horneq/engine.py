@@ -83,24 +83,27 @@ class Delta:
 #
 # A formula, together with an ordered tuple of pre-bound variables,
 # compiles into a plan over integer slots: the pre-bound variables first,
-# then the formula's others in first-occurrence order.  Each atom becomes
-# a step (``u = v`` with no side bound two: elems into u, copy into v):
+# then the formula's others in first-occurrence order.  A match of ``v!``
+# is a map out of a one-element structure, so ``v!`` reads the carrier of
+# v's sort: a relation of 1-tuples keyed ``(sort,)``, which no relation
+# name equals.  ``u = v`` reads it too when neither side is bound.  Each
+# atom becomes one or more steps:
 #
-#   scan   a relation atom with no argument bound: iterate its tuples;
+#   scan   a relation or carrier with no argument bound: iterate its tuples;
 #   probe  some arguments bound: look up a hash index on those columns;
 #   test   all arguments bound: a set-membership test;
-#   elems  ``v!`` or ``u = v`` over unbound variables: iterate elements;
-#   same, copy  ``u = v`` with both sides or one side bound;
-#   mark   the delta test on the element a bound ``v!`` or ``u = v`` reads.
+#   same, copy  ``u = v`` with both sides or one side bound.
 #
 # Without a delta the steps run in source order.  With a delta, matching is
 # semi-naive: for each atom i that can touch the delta, one variant matches
 # the delta at atom i (run first), the relation without the delta at every
 # atom before i and the full relation after it.  A match lies in exactly
-# one variant, the one of its first delta atom.  Either way the steps read
-# sets, index buckets and elements in no particular order, and the rows
-# are sorted once at the end.  A row's slot values are the match's
-# per-atom witnesses, in order, so sorting them gives nested-loop order.
+# one variant, the one of its first delta atom; there a bound ``v!`` or
+# ``u = v`` tests its element against the carrier in the atom's mode.
+# Either way the steps read sets and index buckets in no particular order,
+# and the rows are sorted once at the end.  A row's slot values are the
+# match's per-atom witnesses, in order, so sorting them gives nested-loop
+# order.
 #
 # A sequent compiles once into a rule: its premise plan, and a conclusion
 # plan whose first slots are the premise's variables, so a premise row is
@@ -108,13 +111,16 @@ class Delta:
 
 _FULL, _OLD, _DELTA = 0, 1, 2
 _NONE = frozenset()
+# A plan's steps run as nested calls, one frame a step, so a plan has at
+# most this many: well under Python's default recursion limit of 1000.
+MAX_PLAN_STEPS = 500
 
 
 class _Step(NamedTuple):
     kind: str
-    name: str = ""  # relation (scan, probe, test) or sort (elems)
+    name: object = ""  # relation name, or ``(sort,)`` for a carrier
     mode: int = _FULL
-    slots: tuple[int, ...] = ()  # the slots read, or the slot elems binds
+    slots: tuple[int, ...] = ()  # the slots read
     key: Optional[Callable] = None  # probe, test: reads the key off the slots
     cols: tuple[int, ...] = ()  # probe: the bound columns
     binds: tuple[tuple[int, int], ...] = ()  # (column, slot) of new variables
@@ -144,7 +150,7 @@ def _row(slots: tuple[int, ...]) -> Callable:
 
 
 def _steps(atoms, order, modes: dict[int, int], slot: dict[Var, int],
-           bound: set[Var]) -> tuple[_Step, ...]:
+           bound: set[Var], where: str) -> tuple[_Step, ...]:
     out: list[_Step] = []
     for i in order:
         a, mode = atoms[i], modes.get(i, _FULL)
@@ -173,10 +179,11 @@ def _steps(atoms, order, modes: dict[int, int], slot: dict[Var, int],
         else:  # ``u = v``, or ``v!`` read as ``v = v``
             u, v = ((a.term, a.term) if isinstance(a, DefinedAtom)
                     else (a.lhs, a.rhs))
+            carrier = (u.sort,)
             if u not in bound and v not in bound:
-                out.append(_Step("elems", u.sort, mode, (slot[u],)))
+                out.append(_Step("scan", carrier, mode, binds=((0, slot[u]),)))
                 bound.add(u)
-                mode = _FULL  # the elements step already read the delta
+                mode = _FULL  # the scan already read the delta
             if u not in bound or v not in bound:
                 src, dst = (u, v) if u in bound else (v, u)
                 out.append(_Step("copy", slots=(slot[dst], slot[src])))
@@ -184,11 +191,16 @@ def _steps(atoms, order, modes: dict[int, int], slot: dict[Var, int],
             elif u != v:
                 out.append(_Step("same", slots=(slot[u], slot[v])))
             if mode != _FULL:
-                out.append(_Step("mark", mode=mode, slots=(slot[u],)))
+                keys = (slot[u],)
+                out.append(_Step("test", carrier, mode, keys, _row(keys)))
+    if len(out) > MAX_PLAN_STEPS:
+        raise SignatureError(f"{where}a formula of {len(out)} matching steps; "
+                             f"a plan has at most {MAX_PLAN_STEPS}")
     return tuple(out)
 
 
-def _plan(f: Formula, pre: tuple[Var, ...] = ()) -> _Plan:
+def _plan(f: Formula, pre: tuple[Var, ...] = (), where: str = "") -> _Plan:
+    """The plan of ``f``; ``where`` leads the error of one too long."""
     if not is_rhl(f):
         raise SignatureError("matching expects an RHL formula")
     order = pre + tuple(v for v in formula_vars(f) if v not in pre)
@@ -202,20 +214,21 @@ def _plan(f: Formula, pre: tuple[Var, ...] = ()) -> _Plan:
         if not (isinstance(a, EqualAtom) and (a.lhs in seen or a.rhs in seen)):
             hits.append(i)
         seen.update(atom_vars(a))
+    steps = _steps(atoms, range(len(atoms)), {}, slot, set(pre), where)
     variants = []
     for i in hits:
         modes = {j: _OLD for j in hits if j < i}
         modes[i] = _DELTA
         rest = [j for j in range(len(atoms)) if j != i]
-        variants.append(_steps(atoms, [i] + rest, modes, slot, set(pre)))
-    return _Plan(order, _steps(atoms, range(len(atoms)), {}, slot, set(pre)),
-                 tuple(variants))
+        variants.append(_steps(atoms, [i] + rest, modes, slot, set(pre), where))
+    return _Plan(order, steps, tuple(variants))
 
 
 @functools.lru_cache(maxsize=1024)
 def _rule(s: Sequent) -> _Rule:
-    premise = _plan(s.premise)
-    conclusion = _plan(s.conclusion, premise.vars)
+    where = "{}:{}: ".format(*s.location) if s.location else ""
+    premise = _plan(s.premise, (), where)
+    conclusion = _plan(s.conclusion, premise.vars, where)
     slot = {v: i for i, v in enumerate(conclusion.vars)}
     heads = tuple(
         (a.rel.name, tuple([slot[v] for v in a.args]))
@@ -226,22 +239,29 @@ def _rule(s: Sequent) -> _Rule:
 
 
 class _Sources:
-    """What one ``_rows`` call reads of a structure: each relation in full,
-    without the delta (old) or only the delta, as a set or as a hash index
-    on some columns, and the elements of each sort.  The delta's sets are
-    read as they are; the rest is built on first use.  Nothing is sorted
-    here; ``_rows`` sorts the rows it returns."""
+    """What one ``_rows`` call reads of a structure: each relation or
+    carrier in full, without the delta (old) or only the delta, as a set or
+    as a hash index on some columns.  The delta's tuple sets are read as
+    they are; the rest is built on first use, unsorted."""
 
     def __init__(self, x: Structure, delta: Optional[Delta]):
-        self.x = x
-        self.delta = delta
-        self.memo: dict = {}
+        self.x, self.delta, self.memo = x, delta, {}
 
-    def members(self, rel: str, mode: int) -> set[tuple[El, ...]]:
-        full = self.x.rels[rel]
-        if mode == _FULL:
-            return full
-        delta = self.delta.tuples.get(rel, _NONE)
+    def members(self, rel, mode: int) -> set[tuple[El, ...]]:
+        if isinstance(rel, str):
+            full = self.x.rels[rel]
+            if mode == _FULL:
+                return full
+            delta = self.delta.tuples.get(rel, _NONE)
+        else:  # the carrier ``(sort,)``: the canonical elements as 1-tuples
+            if rel not in self.memo:
+                (sort,) = rel
+                d = self.delta.elements if self.delta else _NONE
+                self.memo[rel] = ({(e,) for e in self.x.elements(sort)},
+                                  {(e,) for e in d if e.sort == sort})
+            full, delta = self.memo[rel]
+            if mode == _FULL:
+                return full
         if mode == _DELTA:
             return delta
         ts = self.memo.get(("old", rel))
@@ -258,17 +278,6 @@ class _Sources:
             for t in _agreeing(self.members(rel, mode), repeats):
                 idx[get(t)].append(t)
         return idx
-
-    def elements(self, sort: str, mode: int) -> list[El]:
-        key = ("elements", sort, mode)
-        els = self.memo.get(key)
-        if els is None:
-            els = self.x.elements(sort)
-            if mode != _FULL:
-                d, want = self.delta.elements, mode == _DELTA
-                els = [e for e in els if (e in d) == want]
-            self.memo[key] = els
-        return els
 
 
 def _agreeing(ts, repeats):
@@ -323,16 +332,6 @@ def _link_test(st: _Step, src: _Sources, nxt):
     return test
 
 
-def _link_elems(st: _Step, src: _Sources, nxt):
-    els, (s,) = src.elements(st.name, st.mode), st.slots
-
-    def elems(vals):
-        for e in els:
-            vals[s] = e
-            nxt(vals)
-    return elems
-
-
 def _link_same(st: _Step, src: _Sources, nxt):
     a, b = st.slots
 
@@ -351,19 +350,8 @@ def _link_copy(st: _Step, src: _Sources, nxt):
     return copy
 
 
-def _link_mark(st: _Step, src: _Sources, nxt):
-    (s,) = st.slots
-    d, want = src.delta.elements, st.mode == _DELTA
-
-    def mark(vals):
-        if (vals[s] in d) == want:
-            nxt(vals)
-    return mark
-
-
 _LINK = {"scan": _link_scan, "probe": _link_probe, "test": _link_test,
-         "elems": _link_elems, "same": _link_same, "copy": _link_copy,
-         "mark": _link_mark}
+         "same": _link_same, "copy": _link_copy}
 
 
 def _rows(plan: _Plan, x: Structure, delta: Optional[Delta] = None,
@@ -457,9 +445,9 @@ def evaluate(t: Theory, x: Structure,
     if x.sig != t.signature:
         raise SignatureError("structure signature does not match the theory")
 
-    from .classify import classify_sequent  # syntactic check only
-
-    all_surjective = all(classify_sequent(s).surjective for s in t.sequents)
+    rules = [_rule(s) for s in t.sequents]
+    # An RHL sequent is surjective when its conclusion has no fresh variable.
+    all_surjective = not any(rule.fresh for rule in rules)
     if not all_surjective and not cfg.epic_origin:
         message = ("theory has non-surjective sequents of unknown origin; "
                    "the result is only weakly free")
@@ -481,7 +469,6 @@ def evaluate(t: Theory, x: Structure,
                 if isinstance(a, RelAtom)}
         result.log = []
 
-    rules = [_rule(s) for s in t.sequents]
     sorts = t.signature.sorts
     while True:
         stats = IterationStats()

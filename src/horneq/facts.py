@@ -25,7 +25,7 @@ import json
 import re
 from typing import Optional
 
-from .core import El, Morphism, Signature, Structure
+from .core import El, Morphism, Signature, SignatureError, Structure
 from .syntax import ParseError, _Cursor, _Token
 
 
@@ -49,21 +49,17 @@ def parse_facts(text: str, sig: Signature) -> tuple[Structure, dict[str, El]]:
     load, so returned name bindings are canonical.  Declared names come
     first, in declaration order, then the ``merged:`` aliases.
 
-    Each ground fact that matches ``_FACT_RE`` and passes every lookup and
-    check is added straight away.  Anything else, and every error, goes to
-    the token reader, which reads that one statement and raises the same
+    Each ground fact that matches ``_FACT_RE`` and that ``_ground_fact``
+    can add is added straight away.  Anything else, and every error, goes
+    to the token reader, which reads that one statement and raises the same
     error, at the same place, as if it had read the whole text."""
     x = Structure(sig)
     names: dict[str, El] = {}
-    # A statement that starts with ``sort`` is a sort line.
-    arities = {r.name: r.arity for r in sig.relations if r.name != "sort"}
     pos = 0
     counted, line, line_start = 0, 1, 0  # the line state at ``counted``
     while True:
         m = _FACT_RE.match(text, pos)
-        fact = m and _ground_fact(m, arities, names)
-        if fact:
-            x.add_tuple(*fact)
+        if m and _ground_fact(m, x, names):
             pos = m.end()
             continue
         newlines = text.count("\n", counted, pos)
@@ -81,22 +77,23 @@ def parse_facts(text: str, sig: Signature) -> tuple[Structure, dict[str, El]]:
     return x, names
 
 
-def _ground_fact(m: re.Match, arities: dict[str, tuple[str, ...]],
-                 names: dict[str, El]
+def _ground_fact(m: re.Match, x: Structure, names: dict[str, El]
                  ) -> Optional[tuple[str, tuple[El, ...]]]:
-    """The relation and tuple of a fast-path match, or None when a lookup
-    or a check fails."""
+    """Add the fact of a fast-path match to ``x``; the relation and tuple
+    added, or None, with ``x`` unchanged, when the relation is named
+    ``sort`` (that statement is a sort line), an argument name is unknown,
+    or ``add_tuple`` rejects the tuple."""
     rel, body = m.groups()
-    arity = arities.get(rel)
-    if arity is None:
+    if rel == "sort":
         return None
-    args = _ARG_RE.findall(body) if body else []
-    if len(args) != len(arity):
-        return None
+    args = _ARG_RE.findall(body) if body else ()
     t = tuple([names.get(a) for a in args])
-    for e, s in zip(t, arity):
-        if e is None or e.sort != s:
-            return None
+    if None in t:
+        return None
+    try:
+        x.add_tuple(rel, t)
+    except SignatureError:
+        return None
     return rel, t
 
 

@@ -1,8 +1,14 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import horneq
 from horneq.cli import main
+from horneq.engine import MAX_PLAN_STEPS
 
 
 TRANSITIVITY = """sort V;
@@ -244,6 +250,64 @@ class TestSatisfies:
         closed = files("g.hq", out)
         code, _, _ = run(capsys, "satisfies", theory, closed)
         assert code == 0
+
+
+# Rules whose plans are longer than ``MAX_PLAN_STEPS``, with facts that
+# match every step, so that running such a plan would recurse once a step.
+CHAIN_RULE = ("sort V;\npred E : V * V;\nrule "
+              + " & ".join(f"E(x{i}, x{i + 1})" for i in range(1000))
+              + " => E(x0, x1000);\n")
+NESTED = "f(" * 199 + "x{}" + ")" * 199
+NESTED_RULE = ("sort V;\nfunc f : V -> V;\npred P : V;\nrule "
+               + " & ".join(f"P({NESTED.format(i)})" for i in range(6))
+               + " => P(x0);\n")
+
+
+class TestLongRules:
+    @pytest.mark.parametrize("theory, facts, where", [
+        (CHAIN_RULE, "sort V: a;\nE(a, a);\n", "3:1"),
+        (NESTED_RULE, "sort V: a;\nP(a);\nf(a, a);\n", "4:1"),
+    ], ids=["chain", "nested"])
+    @pytest.mark.parametrize("command", ["eval", "satisfies"])
+    def test_too_many_steps_exit_2(self, files, capsys, theory, facts, where,
+                                   command):
+        code, out, err = run(capsys, command, files("t.hq", theory),
+                             files("f.hq", facts))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {where}: a formula of ")
+        assert err.endswith(f"; a plan has at most {MAX_PLAN_STEPS}\n")
+        assert err.count("\n") == 1
+
+    # The nested rule is not RHL, so ``transform`` rejects it anyway.
+    @pytest.mark.parametrize("theory, argv", [
+        (CHAIN_RULE, ["check"]), (CHAIN_RULE, ["flatten"]),
+        (CHAIN_RULE, ["transform", "setoid"]),
+        (CHAIN_RULE, ["transform", "epic"]),
+        (NESTED_RULE, ["check"]), (NESTED_RULE, ["flatten"])])
+    def test_compilers_accept(self, files, capsys, theory, argv):
+        code, out, err = run(capsys, *argv, files("t.hq", theory))
+        assert code == 0 and out and err == ""
+
+
+class TestParserReuse:
+    def test_report_then_plain_equal_separate_runs(self, files, capsys):
+        """``main`` reuses one parser: a ``--report`` run leaves nothing
+        behind for the next run in the same process."""
+        argvs = [["eval", files("t.hq", TRANSITIVITY), files("f.hq", CHAIN),
+                  "--report"]]
+        argvs.append(argvs[0][:-1])
+        in_process = [run(capsys, *argv) for argv in argvs]
+        src = str(pathlib.Path(horneq.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        separate = []
+        for argv in argvs:
+            done = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from horneq.cli import main; sys.exit(main())",
+                 *argv], capture_output=True, text=True, env=env)
+            separate.append((done.returncode, done.stdout, done.stderr))
+        assert in_process == separate
+        assert "report:" in separate[0][1] and "report:" not in separate[1][1]
 
 
 class TestEvalOutputAsFacts:

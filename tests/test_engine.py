@@ -6,9 +6,10 @@ import pytest
 
 from horneq.classify import classifying_morphism, flatten_theory
 from horneq.core import El, SignatureError, Structure
-from horneq.engine import (Delta, EvalConfig, EvaluationBudgetError,
-                           IterationStats, counterexample, evaluate,
-                           find_matches, satisfies, satisfies_theory)
+from horneq.engine import (MAX_PLAN_STEPS, Delta, EvalConfig,
+                           EvaluationBudgetError, IterationStats,
+                           counterexample, evaluate, find_matches, satisfies,
+                           satisfies_theory)
 from horneq.facts import model_names, report_dict, serialize_model
 from horneq.oracle import is_injective_to, is_orthogonal_to, satisfies_phl
 from horneq.syntax import (EqualAtom, Formula, RelAtom, Var,
@@ -76,6 +77,19 @@ class TestMatching:
         x = Structure(t.signature)
         with pytest.raises(SignatureError):
             list(find_matches(t.sequents[0].premise, x))
+
+    def test_plan_length_bound(self):
+        """A chain of ``MAX_PLAN_STEPS`` atoms runs, one frame a step, on a
+        self-loop; one atom more is rejected before it runs."""
+        x = structure_from_edges(SIG, "E", 1, {(0, 0)})
+        vs = [Var(f"x{i}", "V") for i in range(MAX_PLAN_STEPS + 2)]
+        atoms = [RelAtom(SIG.relation("E"), (a, b))
+                 for a, b in zip(vs, vs[1:])]
+        matches = list(find_matches(Formula(tuple(atoms[:-1])), x))
+        assert len(matches) == 1
+        with pytest.raises(SignatureError,
+                           match=f"^a formula of {MAX_PLAN_STEPS + 1} "):
+            list(find_matches(Formula(tuple(atoms)), x))
 
 
 class TestSatisfaction:

@@ -145,6 +145,65 @@ class TestQuotientDiagonal:
             quotient_model(z)
 
 
+def _equivalence_error(name, elems, rel):
+    """The first of the three defining properties that ``rel`` lacks, by
+    the definitions, as ``quotient_model`` words it; None if it has all."""
+    if any((e, e) not in rel for e in elems):
+        return f"{name} is not reflexive"
+    if any((b, a) not in rel for a, b in rel):
+        return f"{name} is not symmetric"
+    if any(b == c and (a, d) not in rel for a, b in rel for c, d in rel):
+        return f"{name} is not transitive"
+    return None
+
+
+def _verdict(y):
+    try:
+        return None, quotient_model(y).element_count("V")
+    except PreconditionError as err:
+        return str(err), None
+
+
+class TestQuotientEquivalenceCheck:
+    def test_verdict_and_message_match_definition(self):
+        """Seeded relations on up to 5 elements: an equivalence relation
+        with up to two pairs toggled, one way or both."""
+        rng = random.Random(67)
+        verdicts = set()
+        for _ in range(500):
+            n = rng.randint(0, 5)
+            y = diagonal_embed(structure_from_edges(
+                TRANSITIVITY.signature, "E", n, set()))
+            els = y.elements("V")
+            block = [rng.randrange(3) for _ in els]
+            rel = y.rels["Eq_V"]
+            rel.update((a, b) for a, i in zip(els, block)
+                       for b, j in zip(els, block) if i == j)
+            for _ in range(rng.randint(0, 2) if els else 0):
+                a, b = rng.choice(els), rng.choice(els)
+                for pair in ((a, b), (b, a))[:rng.randint(1, 2)]:
+                    rel.symmetric_difference_update({pair})
+            want = _equivalence_error("Eq_V", els, set(rel))
+            classes = len({frozenset(b for b in els if (a, b) in rel)
+                           for a in els})
+            assert _verdict(y) == (want, None if want else classes)
+            verdicts.add(want)
+        assert verdicts == {None, "Eq_V is not reflexive",
+                            "Eq_V is not symmetric",
+                            "Eq_V is not transitive"}
+
+    def test_one_class_of_150(self):
+        y = diagonal_embed(structure_from_edges(
+            TRANSITIVITY.signature, "E", 150, {(0, 1)}))
+        els = y.elements("V")
+        rel = y.rels["Eq_V"]
+        rel.update((a, b) for a in els for b in els)
+        assert _verdict(y) == (None, 1)
+        a, b = els[3], els[7]
+        rel.difference_update({(a, b), (b, a)})
+        assert _verdict(y) == ("Eq_V is not transitive", None)
+
+
 class TestSetoidPipeline:
     def pipeline(self, t, x, transform_fn, strategy="naive"):
         out = transform_fn(t)
