@@ -114,6 +114,8 @@ def cmd_satisfies(args) -> int:
     x, input_names = _load_facts(args.facts, rt.signature)
     # The first name of an element wins: declared names precede aliases.
     rev = {e: n for n, e in reversed(input_names.items())}
+    for s in rt.sequents:  # a plan error comes before any verdict
+        engine._rule(s)
     ok = True
     for i, s in enumerate(rt.sequents):
         m = engine.counterexample(x, s)

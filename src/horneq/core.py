@@ -13,8 +13,10 @@ only the merged-away element's entries, and rewrites each live one.
 ``copy`` does not carry them, so a structure that is never merged never
 builds them.  While ``log`` is a list, each (relation, tuple) newly stored
 is appended to it; a later merge may rewrite a logged tuple away.  Both
-are kept by ``_store``, the one routine that adds to ``rels``, which
-``add_tuple`` and ``merge`` call.
+are kept by ``store``, the one routine that adds to ``rels``, which
+``add_tuple`` and ``merge`` call with a canonical, sort-checked tuple.
+``add_tuple`` and ``has_tuple`` get theirs from ``_check_tuple``, which
+checks a tuple and returns its canonical form in the same pass.
 """
 
 from __future__ import annotations
@@ -187,26 +189,31 @@ class Structure:
 
     # -- tuples ------------------------------------------------------------
 
-    def _check_tuple(self, rel: str, t: tuple[El, ...]) -> RelDecl:
-        decl = self.sig.relation(rel)
-        if len(t) != len(decl.arity):
+    def _check_tuple(self, rel: str, t: tuple[El, ...]) -> tuple[El, ...]:
+        """``t`` checked against ``rel`` and made canonical in one pass."""
+        arity = self.sig.relation(rel).arity
+        if len(t) != len(arity):
             raise SignatureError(
-                f"{rel}: expected {len(decl.arity)} components, got {len(t)}"
+                f"{rel}: expected {len(arity)} components, got {len(t)}"
             )
-        for e, s in zip(t, decl.arity):
+        out = []
+        for e, s in zip(t, arity):
             if e.sort != s:
                 raise SignatureError(
                     f"{rel}: component of sort {e.sort!r}, expected {s!r}"
                 )
-            if e.index >= len(self._uf[s].parent):
+            uf = self._uf[s]
+            if e.index >= len(uf.parent):
                 raise SignatureError(f"{rel}: element {e} not in structure")
-        return decl
+            out.append(e if uf.parent[e.index] == e.index
+                       else El(s, uf.find(e.index)))
+        return tuple(out)
 
     def canonical(self, t: tuple[El, ...]) -> tuple[El, ...]:
         return tuple([self.find(e) for e in t])
 
-    def _store(self, rel: str, ct: tuple[El, ...]) -> bool:
-        """Store the canonical tuple ``ct``; ``False`` if it was stored."""
+    def store(self, rel: str, ct: tuple[El, ...]) -> bool:
+        """Store the canonical, checked ``ct``; ``False`` if already stored."""
         ts = self.rels[rel]
         if ct in ts:
             return False
@@ -220,12 +227,10 @@ class Structure:
         return True
 
     def add_tuple(self, rel: str, t: tuple[El, ...]) -> bool:
-        self._check_tuple(rel, t)
-        return self._store(rel, self.canonical(t))
+        return self.store(rel, self._check_tuple(rel, t))
 
     def has_tuple(self, rel: str, t: tuple[El, ...]) -> bool:
-        self._check_tuple(rel, t)
-        return self.canonical(t) in self.rels[rel]
+        return self._check_tuple(rel, t) in self.rels[rel]
 
     def sorted_tuples(self, rel: str) -> list[tuple[El, ...]]:
         return sorted(self.rels[rel])
@@ -260,7 +265,7 @@ class Structure:
                 continue  # stale: an earlier merge rewrote it
             tuples.remove(t)
             # Every other component of t is still canonical.
-            self._store(rel, tuple([keep if e == lose else e for e in t]))
+            self.store(rel, tuple([keep if e == lose else e for e in t]))
         return keep
 
     # -- misc --------------------------------------------------------------

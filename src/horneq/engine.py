@@ -94,7 +94,9 @@ class Delta:
 #   test   all arguments bound: a set-membership test;
 #   same, copy  ``u = v`` with both sides or one side bound.
 #
-# Without a delta the steps run in source order.  With a delta, matching is
+# Without a delta the steps run in source order, except that each ``u = v``
+# moves up to right after the first atom that binds one of its sides, so
+# a later atom reads the copied side as bound.  With a delta, matching is
 # semi-naive: for each atom i that can touch the delta, one variant matches
 # the delta at atom i (run first), the relation without the delta at every
 # atom before i and the full relation after it.  A match lies in exactly
@@ -107,7 +109,10 @@ class Delta:
 #
 # A sequent compiles once into a rule: its premise plan, and a conclusion
 # plan whose first slots are the premise's variables, so a premise row is
-# already the start of a conclusion row.
+# already the start of a conclusion row.  A premise match extends over the
+# conclusion when that plan has a row from it.  Without conclusion-only
+# variables that is a direct test on the canonical row: each relation head's
+# tuple is stored, and each equality head's two elements are the same.
 
 _FULL, _OLD, _DELTA = 0, 1, 2
 _NONE = frozenset()
@@ -139,6 +144,7 @@ class _Rule(NamedTuple):
     fresh: tuple[str, ...]  # the sorts of the conclusion-only slots
     # per conclusion atom: (relation, slots), or (None, (u, v)) for u = v
     heads: tuple[tuple[Optional[str], tuple[int, ...]], ...]
+    holds: Callable  # holds(x, row): the canonical premise row extends
 
 
 def _row(slots: tuple[int, ...]) -> Callable:
@@ -152,7 +158,13 @@ def _row(slots: tuple[int, ...]) -> Callable:
 def _steps(atoms, order, modes: dict[int, int], slot: dict[Var, int],
            bound: set[Var], where: str) -> tuple[_Step, ...]:
     out: list[_Step] = []
-    for i in order:
+    # Each ``u = v`` goes right after the first atom that binds a side.
+    eqs = [i for i in order if isinstance(atoms[i], EqualAtom)]
+    todo = list(order)
+    while todo:
+        i = next((j for j in eqs if j in todo and (
+            atoms[j].lhs in bound or atoms[j].rhs in bound)), todo[0])
+        todo.remove(i)
         a, mode = atoms[i], modes.get(i, _FULL)
         if isinstance(a, RelAtom):
             cols, keys, binds, repeats = [], [], [], []
@@ -235,7 +247,24 @@ def _rule(s: Sequent) -> _Rule:
         if isinstance(a, RelAtom) else (None, (slot[a.lhs], slot[a.rhs]))
         for a in s.conclusion.atoms if not isinstance(a, DefinedAtom))
     fresh = tuple(v.sort for v in conclusion.vars[len(premise.vars):])
-    return _Rule(premise, conclusion, fresh, heads)
+    return _Rule(premise, conclusion, fresh, heads,
+                 _holds(conclusion, fresh, heads))
+
+
+def _holds(conclusion: _Plan, fresh, heads) -> Callable:
+    """The extension check on a canonical premise row.  Without
+    conclusion-only slots each head is tested directly: its tuple is
+    stored, or its two slots are equal; a ``v!`` head always holds."""
+    if fresh:
+        return lambda x, row: bool(_rows(conclusion, x, start=row))
+    tests = [(lambda x, row, a=slots[0], b=slots[1]: row[a] == row[b])
+             if name is None else
+             (lambda x, row, name=name, key=_row(slots):
+              key(row) in x.rels[name])
+             for name, slots in heads]
+    if len(tests) == 1:
+        return tests[0]
+    return lambda x, row: all(test(x, row) for test in tests)
 
 
 class _Sources:
@@ -384,10 +413,12 @@ def find_matches(f: Formula, x: Structure, delta: Optional[Delta] = None,
 
 def counterexample(x: Structure, s: Sequent) -> Optional[dict[Var, El]]:
     """The first premise interpretation, in ``find_matches`` order, that
-    does not extend over the conclusion; ``None`` if there is none."""
+    does not extend over the conclusion; ``None`` if there is none.  Each
+    premise row is checked by ``holds``, which runs the conclusion plan
+    only when the conclusion has variables of its own."""
     rule = _rule(s)
     for row in _rows(rule.premise, x):
-        if not _rows(rule.conclusion, x, start=row):
+        if not rule.holds(x, row):
             return dict(zip(rule.premise.vars, row))
     return None
 
@@ -409,21 +440,21 @@ def apply_match(x: Structure, rule: _Rule, row: tuple[El, ...],
     """Adjoin the conclusion along a premise match, given as a row of
     canonical elements in the rule's premise slots: the pushout of the
     sequent's classifying morphism along the match, realized in place.
-    The conclusion-only slots get fresh elements, in slot order.  The
-    tuples, merges and elements it makes are counted into ``stats``; what
-    it stores is also on ``x.log`` when that is a list."""
+    The conclusion-only slots get fresh elements, in slot order.  The row
+    is kept canonical across each merge, so its tuples go to ``x.store``
+    unchecked.  The tuples, merges and elements it makes are counted into
+    ``stats``; what it stores is also on ``x.log`` when that is a list."""
     full = list(row) + [x.add_element(sort) for sort in rule.fresh]
     stats.elements_created += len(rule.fresh)
-    find = x.find
     for name, slots in rule.heads:
         if name is None:
-            a, b = find(full[slots[0]]), find(full[slots[1]])
+            a, b = full[slots[0]], full[slots[1]]
             if a != b:
                 x.merge(a, b)
                 stats.merges += 1
+                full = [x.find(e) for e in full]
         else:
-            stats.tuples_added += x.add_tuple(
-                name, tuple([find(full[i]) for i in slots]))
+            stats.tuples_added += x.store(name, tuple([full[i] for i in slots]))
 
 
 # -- the evaluation loop ---------------------------------------------------
@@ -475,18 +506,20 @@ def evaluate(t: Theory, x: Structure,
         counts = [result.raw_count(s) for s in sorts]
         # Every premise is matched before any conclusion is applied, so the
         # matches read ``result`` itself.
-        pending = [(rule, row) for rule in rules
-                   for row in _rows(rule.premise, result, delta)]
-        for rule, row in pending:
-            # A merge earlier in the batch keeps the canonical image of
-            # every stored tuple stored, so each pending row still matches
-            # up to ``find``.  Before the first merge the rows are canonical.
-            if stats.merges:
-                row = tuple([result.find(e) for e in row])
-            if _rows(rule.conclusion, result, start=row):
-                continue
-            stats.matches += 1
-            apply_match(result, rule, row, stats)
+        pending = [(rule, _rows(rule.premise, result, delta))
+                   for rule in rules]
+        for rule, rows in pending:
+            holds = rule.holds
+            for row in rows:
+                # The rows are canonical until the batch's first merge, and
+                # match up to ``find`` after it: a merge keeps every stored
+                # tuple's canonical image stored.
+                if stats.merges:
+                    row = tuple([result.find(e) for e in row])
+                if holds(result, row):
+                    continue
+                stats.matches += 1
+                apply_match(result, rule, row, stats)
         report.iterations += 1
         report.per_iteration.append(stats)
         if not stats.changed:

@@ -278,6 +278,15 @@ class TestLongRules:
         assert err.endswith(f"; a plan has at most {MAX_PLAN_STEPS}\n")
         assert err.count("\n") == 1
 
+    def test_satisfies_prints_no_verdict_before_plan_error(self, files,
+                                                           capsys):
+        theory = CHAIN_RULE.replace("rule ", "rule E(u, v) => E(v, u);\nrule ")
+        code, out, err = run(capsys, "satisfies", files("t.hq", theory),
+                             files("f.hq", "sort V: a;\nE(a, a);\n"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: 4:1: a formula of ")
+        assert err.count("\n") == 1
+
     # The nested rule is not RHL, so ``transform`` rejects it anyway.
     @pytest.mark.parametrize("theory, argv", [
         (CHAIN_RULE, ["check"]), (CHAIN_RULE, ["flatten"]),

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -103,6 +104,37 @@ class TestStructure:
         assert x.is_canonical()
         for t in x.rels["E"]:
             assert x.canonical(t) == t
+
+
+class TestTupleChecks:
+    """``add_tuple`` and ``has_tuple`` check a tuple and canonicalize it in
+    one pass; the messages and the stored form are pinned here."""
+
+    @pytest.mark.parametrize("rel, args, message", [
+        ("S", (0, 1), "unknown relation 'S'"),
+        ("R", (0,), "R: expected 2 components, got 1"),
+        ("R", (0, 0), "R: component of sort 'A', expected 'B'"),
+        ("R", (0, 2), "R: element El(sort='B', index=1) not in structure"),
+    ])
+    @pytest.mark.parametrize("method", ["add_tuple", "has_tuple"])
+    def test_messages(self, method, rel, args, message):
+        sig = Signature(("A", "B"), (RelDecl("R", ("A", "B"), "pred"),))
+        x = Structure(sig)
+        els = [x.add_element("A"), x.add_element("B"), El("B", 1)]
+        with pytest.raises(SignatureError, match=f"^{re.escape(message)}$"):
+            getattr(x, method)(rel, tuple(els[i] for i in args))
+        assert x.total_tuple_count() == 0
+
+    def test_merged_away_element_is_stored_canonical(self):
+        x, els = chain(3)
+        x.merge(els[0], els[2])
+        assert x.add_tuple("E", (els[2], els[2]))
+        assert (els[0], els[0]) in x.rels["E"]
+        assert (els[2], els[2]) not in x.rels["E"]
+        assert x.has_tuple("E", (els[2], els[0]))
+        assert x.has_tuple("E", (els[1], els[2]))
+        assert not x.add_tuple("E", (els[0], els[2]))
+        assert x.is_canonical()
 
 
 class TestMergeDifferential:

@@ -4,12 +4,13 @@ from collections import defaultdict
 
 import pytest
 
+from horneq import engine
 from horneq.classify import classifying_morphism, flatten_theory
 from horneq.core import El, SignatureError, Structure
-from horneq.engine import (MAX_PLAN_STEPS, Delta, EvalConfig,
-                           EvaluationBudgetError, IterationStats,
-                           counterexample, evaluate, find_matches, satisfies,
-                           satisfies_theory)
+from horneq.engine import (_DELTA, _FULL, _OLD, MAX_PLAN_STEPS, Delta,
+                           EvalConfig, EvaluationBudgetError, IterationStats,
+                           _rows, _rule, counterexample, evaluate,
+                           find_matches, satisfies, satisfies_theory)
 from horneq.facts import model_names, report_dict, serialize_model
 from horneq.oracle import is_injective_to, is_orthogonal_to, satisfies_phl
 from horneq.syntax import (EqualAtom, Formula, RelAtom, Var,
@@ -90,6 +91,22 @@ class TestMatching:
         with pytest.raises(SignatureError,
                            match=f"^a formula of {MAX_PLAN_STEPS + 1} "):
             list(find_matches(Formula(tuple(atoms)), x))
+
+    def test_premise_equality_runs_as_copy(self):
+        """``f(x) = f(y)`` flattens to ``f(x, _u0) & f(y, _u1) & _u0 = _u1``.
+        The equality runs right after the first ``f``, in the full plan and
+        in both variants, so the second ``f`` is a probe."""
+        t = flatten_theory(parse_theory(
+            "sort V;\nfunc f : V -> V;\nrule f(x) = f(y) => x = y;\n"))
+        plan = _rule(t.sequents[0]).premise
+
+        def shape(steps):
+            return [(st.kind, st.mode) for st in steps]
+        assert shape(plan.steps) == [
+            ("scan", _FULL), ("copy", _FULL), ("probe", _FULL)]
+        assert [shape(v) for v in plan.variants] == [
+            [("scan", _DELTA), ("copy", _FULL), ("probe", _FULL)],
+            [("scan", _DELTA), ("copy", _FULL), ("probe", _OLD)]]
 
 
 class TestSatisfaction:
@@ -364,6 +381,59 @@ class TestCompiledRules:
                 if got is not None:
                     assert list(got.items()) == list(want.items())
                 assert satisfies(x, s) == (want is None)
+
+
+class TestDirectCheck:
+    """The extension check of a rule without conclusion-only variables
+    tests the canonical premise row directly; it must agree with running
+    the conclusion plan from that row."""
+
+    def test_holds_equals_conclusion_plan(self):
+        rng = random.Random(59)
+        seen = defaultdict(int)
+        for i in range(300):
+            sig = random_signature(rng)
+            t = random_theory(rng, sig, surjective=i % 2 == 0)
+            x = random_structure(rng, sig, max_elements=4)
+            if rng.random() < 0.5:
+                _merge_some(rng, x)
+            for s in t.sequents:
+                rule = _rule(s)
+                for row in _rows(rule.premise, x):
+                    got = rule.holds(x, row)
+                    assert got == bool(_rows(rule.conclusion, x, start=row))
+                    seen[bool(rule.fresh), got] += 1
+        # both verdicts, with and without conclusion-only variables
+        assert min(seen.values()) > 40 and len(seen) == 4
+
+    def _starts(self, monkeypatch):
+        """Record, per ``engine._rows`` call, whether it had a start row."""
+        starts = []
+        rows = engine._rows
+
+        def counted(plan, x, delta=None, start=()):
+            starts.append(bool(start))
+            return rows(plan, x, delta, start)
+        monkeypatch.setattr(engine, "_rows", counted)
+        return starts
+
+    def test_no_conclusion_plan_without_fresh_variables(self, monkeypatch):
+        starts = self._starts(monkeypatch)
+        x = structure_from_edges(ANTISYMMETRY.signature, "Le", 4,
+                                 {(0, 1), (1, 0), (1, 2), (2, 3)})
+        for s in ANTISYMMETRY.sequents:
+            assert counterexample(x, s) is not None
+        res, _, rep = evaluate(ANTISYMMETRY, x)
+        assert sum(st.merges for st in rep.per_iteration) == 1
+        assert satisfies_theory(res, ANTISYMMETRY)
+        assert len(starts) == 8 and not any(starts)
+
+    def test_fresh_variables_run_the_conclusion_plan(self, monkeypatch):
+        starts = self._starts(monkeypatch)
+        t = parse_theory("sort V;\npred E : V * V;\nrule v! => E(v, w);\n")
+        x = structure_from_edges(t.signature, "E", 2, {(0, 1)})
+        assert counterexample(x, t.sequents[0]) is not None
+        assert starts.count(True) == 2
 
 
 class TestPhlSatisfaction:
