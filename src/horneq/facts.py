@@ -26,16 +26,12 @@ import re
 from typing import Optional
 
 from .core import El, Morphism, Signature, SignatureError, Structure
-from .syntax import ParseError, _Cursor, _Token
+from .syntax import (ParseError, _Cursor, _GAP, _NAME, _read_statements,
+                     _Token)
 
 
 # The fast path reads a whole ground fact ``R(a1, ..., an);`` with one
-# match.  Between two tokens it allows what the token reader skips, except
-# that a comment must end in a newline: so a gap splits one way only, a
-# failed match backtracks in linear time, and a comment that ends the text
-# is left to the token reader.  Group 1 is ``R``, group 2 the arguments.
-_GAP = r"(?:\s|\#[^\n]*\n)*"
-_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+# match.  Group 1 is ``R``, group 2 the arguments.
 _FACT_RE = re.compile(
     rf"{_GAP}({_NAME}){_GAP}\({_GAP}"
     rf"(?:({_NAME}(?:{_GAP},{_GAP}{_NAME})*){_GAP})?\){_GAP};")
@@ -55,24 +51,9 @@ def parse_facts(text: str, sig: Signature) -> tuple[Structure, dict[str, El]]:
     error, at the same place, as if it had read the whole text."""
     x = Structure(sig)
     names: dict[str, El] = {}
-    pos = 0
-    counted, line, line_start = 0, 1, 0  # the line state at ``counted``
-    while True:
-        m = _FACT_RE.match(text, pos)
-        if m and _ground_fact(m, x, names):
-            pos = m.end()
-            continue
-        newlines = text.count("\n", counted, pos)
-        if newlines:
-            line += newlines
-            line_start = text.rindex("\n", counted, pos) + 1
-        reader = _Reader(text, (pos, line, line_start))
-        if reader.peek().kind == "eof":
-            break
-        reader.statement(x, names)
-        pos, line, line_start = reader.where()
-        counted = pos
-
+    _read_statements(text, _FACT_RE,
+                     lambda m, _: _ground_fact(m, x, names), _Reader,
+                     lambda reader: reader.statement(x, names))
     names = {n: x.find(e) for n, e in names.items()}
     return x, names
 

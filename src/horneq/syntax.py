@@ -15,6 +15,14 @@ Grammar (``#`` starts a line comment)::
     formula   := "true" | atom ("&" atom)*
     atom      := IDENT "(" terms? ")" | term "!" | term "=" term
     term      := IDENT | IDENT "(" terms? ")"
+
+``parse_theory`` reads a statement at a time.  A rule over flat atoms
+(``R(x, y)``, ``u = v``, ``v!``, no comment inside) is read with one match
+of ``_RULE_RE`` and resolved straight from the declarations.  The token
+reader, ``_Parser``, reads everything else, and reads again each fast rule
+that fails to resolve, so every error comes from it or ``_resolve_rule``.
+Rules are resolved after the last statement, so a syntax error comes
+before any resolution error.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional, Union
 
-from .core import RelDecl, Signature
+from .core import RelDecl, Signature, SignatureError
 
 
 class ParseError(ValueError):
@@ -247,6 +255,66 @@ class _Cursor:
         return tok
 
 
+# -- statements ------------------------------------------------------------
+
+# What a fast path allows between two tokens: what the token reader skips,
+# except that a comment must end in a newline.  So a gap splits one way
+# only, a failed match backtracks in linear time, and a comment that ends
+# the text is left to the token reader.
+_GAP = r"(?:\s|\#[^\n]*\n)*"
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME_RE = re.compile(_NAME)
+
+# A rule over flat atoms, read with one match, with no comment inside the
+# rule.  Group 1 is ``rule``, groups 2 and 3 the sides.  A keyword among
+# the names, which ``_KEYWORD_RE`` finds, sends the rule to the token
+# reader; the pattern does not exclude them, as that makes it compile
+# three times slower.
+_FLAT_ATOM = (rf"{_NAME}\s*(?:\(\s*(?:{_NAME}(?:\s*,\s*{_NAME})*\s*)?\)"
+              rf"|=\s*{_NAME}|!)")
+_FLAT_SIDE = rf"true|{_FLAT_ATOM}(?:\s*&\s*{_FLAT_ATOM})*"
+_RULE_RE = re.compile(
+    rf"{_GAP}(rule)\s+({_FLAT_SIDE})\s*=>\s*({_FLAT_SIDE})\s*;")
+_KEYWORD_RE = re.compile(
+    rf"(?<![A-Za-z0-9_])(?:{'|'.join(sorted(_KEYWORDS))})(?![A-Za-z0-9_])")
+# The atoms of a side that ``_RULE_RE`` matched: the name, then ``(`` and
+# the arguments, the right-hand side of ``=``, or neither for ``!``.
+_ATOM_RE = re.compile(rf"({_NAME})\s*(?:(\()([^)]*)\)|=\s*({_NAME})|!)")
+
+
+def _read_statements(text: str, pattern: re.Pattern, fast, reader,
+                     statement) -> None:
+    """Read ``text`` a statement at a time.  A statement is one match of
+    ``pattern`` that ``fast(m, start)`` takes; else ``statement(reader)``
+    reads it from a token reader ``reader(text, start)``, which is kept
+    for the next statement while the pattern fails.  ``start(offset)``, for
+    an offset in the match, gives the start of a ``_Cursor`` there."""
+    pos = counted = line_start = 0  # the line state is that at ``counted``
+    line = 1
+    cur = None  # a reader whose next token starts at ``pos``
+
+    def start(offset: int) -> tuple[int, int, int]:
+        nonlocal counted, line, line_start
+        newlines = text.count("\n", counted, offset)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", counted, offset) + 1
+        counted = offset
+        return offset, line, line_start
+
+    while True:
+        m = pattern.match(text, pos)
+        if m and fast(m, start):
+            pos, cur = m.end(), None
+            continue
+        cur = cur or reader(text, start(pos))
+        if cur.peek().kind == "eof":
+            return
+        statement(cur)
+        pos, line, line_start = cur.where()
+        counted = pos
+
+
 # -- raw (unresolved) syntax trees ----------------------------------------
 
 
@@ -283,49 +351,46 @@ class _Parser(_Cursor):
 
     # -- declarations ------------------------------------------------------
 
-    def parse_theory(self) -> Theory:
-        sorts: list[str] = []
-        rels: list[RelDecl] = []
-        raw_rules: list[tuple[list[_RawAtom], list[_RawAtom], tuple[int, int]]] = []
-        while self.peek().kind != "eof":
-            t = self.peek()
-            if t.text == "sort":
-                self.next()
-                name = self.expect_ident().text
-                if name in sorts:
-                    raise ParseError(f"duplicate sort {name!r}", t.line, t.col)
-                sorts.append(name)
-                self.expect(";")
-            elif t.text in ("pred", "func"):
-                self.next()
-                name = self.expect_ident().text
-                if any(r.name == name for r in rels):
-                    raise ParseError(f"duplicate relation {name!r}", t.line, t.col)
-                self.expect(":")
-                args = self.parse_sorts(sorts, t)
-                if t.text == "func":
-                    self.expect("->")
-                    result = self.expect_ident().text
-                    if result not in sorts:
-                        raise ParseError(f"unknown sort {result!r}", t.line, t.col)
-                    rels.append(RelDecl(name, tuple(args) + (result,), "func"))
-                else:
-                    rels.append(RelDecl(name, tuple(args), "pred"))
-                self.expect(";")
-            elif t.text == "rule":
-                self.next()
-                premise = self.parse_raw_formula()
-                self.expect("=>")
-                conclusion = self.parse_raw_formula()
-                self.expect(";")
-                raw_rules.append((premise, conclusion, (t.line, t.col)))
+    def statement(self, sorts: list[str],
+                  rels: list[RelDecl]) -> Optional[tuple]:
+        """Read one statement.  A declaration goes into ``sorts`` or
+        ``rels``; a rule is returned unresolved, with its location."""
+        t = self.peek()
+        if t.text == "sort":
+            self.next()
+            name = self.expect_ident().text
+            if name in sorts:
+                raise ParseError(f"duplicate sort {name!r}", t.line, t.col)
+            sorts.append(name)
+            self.expect(";")
+        elif t.text in ("pred", "func"):
+            self.next()
+            name = self.expect_ident().text
+            if any(r.name == name for r in rels):
+                raise ParseError(f"duplicate relation {name!r}", t.line, t.col)
+            self.expect(":")
+            args = self.parse_sorts(sorts, t)
+            if t.text == "func":
+                self.expect("->")
+                result = self.expect_ident().text
+                if result not in sorts:
+                    raise ParseError(f"unknown sort {result!r}", t.line, t.col)
+                rels.append(RelDecl(name, tuple(args) + (result,), "func"))
             else:
-                raise ParseError(
-                    f"expected declaration or rule, found {t.text or 'end of input'!r}",
-                    t.line, t.col)
-        sig = Signature(tuple(sorts), tuple(rels))
-        sequents = tuple(_resolve_rule(sig, p, c, loc) for p, c, loc in raw_rules)
-        return Theory(sig, sequents)
+                rels.append(RelDecl(name, tuple(args), "pred"))
+            self.expect(";")
+        elif t.text == "rule":
+            self.next()
+            premise = self.parse_raw_formula()
+            self.expect("=>")
+            conclusion = self.parse_raw_formula()
+            self.expect(";")
+            return premise, conclusion, (t.line, t.col)
+        else:
+            raise ParseError(
+                f"expected declaration or rule, found {t.text or 'end of input'!r}",
+                t.line, t.col)
+        return None
 
     def parse_sorts(self, sorts: list[str], at: _Token) -> list[str]:
         out: list[str] = []
@@ -531,20 +596,82 @@ def _resolve_rule(sig: Signature, premise: list[_RawAtom],
     solver = _SortSolver()
     for a in premise + conclusion:
         _walk_atom(sig, a, solver)
-    seq = Sequent(
+    return Sequent(
         Formula(tuple(_build_atom(sig, a, solver) for a in premise)),
         Formula(tuple(_build_atom(sig, a, solver) for a in conclusion)),
         location=loc,
     )
-    if not seq.conclusion.atoms:
-        warnings.warn(
-            f"{loc[0]}:{loc[1]}: sequent has an empty conclusion and is vacuous",
-            VacuousSequentWarning, stacklevel=3)
-    return seq
+
+
+def _flat_sequent(sig: Signature, m: re.Match,
+                  loc: tuple[int, int]) -> Optional[Sequent]:
+    """The sequent of a rule that ``_RULE_RE`` matched, resolved straight
+    from the declarations.  None exactly where ``_resolve_rule`` raises:
+    its checks pass or fail whatever their order."""
+    solver = _SortSolver()
+    sides = [_ATOM_RE.findall(side) for side in m.group(2, 3)]
+    try:
+        for name, paren, args, rhs in sides[0] + sides[1]:
+            if paren:
+                decl, names = sig.relation(name), _NAME_RE.findall(args)
+                if decl.kind != "pred" or len(names) != len(decl.arity):
+                    return None
+                for v, s in zip(names, decl.arity):
+                    solver.assign(v, s, 0, 0)
+            elif rhs:
+                solver.link(name, rhs, 0, 0)
+            else:
+                solver._root(name)
+        if any(sig.has_relation(v) for v in solver.parent):
+            return None
+        var = {v: Var(v, solver.resolve(v, 0, 0)) for v in solver.parent}
+    except (ParseError, SignatureError):
+        return None
+
+    def atom(name: str, paren: str, args: str, rhs: str) -> Atom:
+        if paren:
+            return RelAtom(sig.relation(name),
+                           tuple(var[v] for v in _NAME_RE.findall(args)))
+        return EqualAtom(var[name], var[rhs]) if rhs else DefinedAtom(var[name])
+
+    premise, conclusion = (Formula(tuple(atom(*a) for a in side))
+                           for side in sides)
+    return Sequent(premise, conclusion, location=loc)
 
 
 def parse_theory(text: str) -> Theory:
-    return _Parser(text).parse_theory()
+    """Read a theory; the module docstring gives its two paths."""
+    sorts: list[str] = []
+    rels: list[RelDecl] = []
+    rules: list = []  # raw rules, a fast match and its start, or None
+
+    def fast(m: re.Match, start) -> bool:
+        if any(side != "true" and _KEYWORD_RE.search(side)
+               for side in m.group(2, 3)):
+            return False
+        rules.append((m, start(m.start(1))))
+        return True
+
+    _read_statements(text, _RULE_RE, fast, _Parser,
+                     lambda reader: rules.append(reader.statement(sorts, rels)))
+    sig = Signature(tuple(sorts), tuple(rels))
+    sequents = []
+    for rule in filter(None, rules):
+        if isinstance(rule[0], re.Match):
+            m, (pos, line, line_start) = rule
+            # a rejected fast rule is read again, for _resolve_rule to raise
+            seq = (_flat_sequent(sig, m, (line, pos - line_start + 1))
+                   or _resolve_rule(
+                       sig, *_Parser(text, rule[1]).statement(sorts, rels)))
+        else:
+            seq = _resolve_rule(sig, *rule)
+        if not seq.conclusion.atoms:
+            line, col = seq.location
+            warnings.warn(
+                f"{line}:{col}: sequent has an empty conclusion and is vacuous",
+                VacuousSequentWarning, stacklevel=2)
+        sequents.append(seq)
+    return Theory(sig, tuple(sequents))
 
 
 # -- pretty-printing -------------------------------------------------------

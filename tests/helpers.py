@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import itertools
 import random
+import warnings
 from typing import Iterator, Optional
 
 from horneq.core import El, Morphism, RelDecl, Signature, Structure
 from horneq.engine import EvalReport, IterationStats
 from horneq.oracle import enumerate_morphisms
 from horneq.syntax import (DefinedAtom, EqualAtom, Formula, ParseError,
-                           RelAtom, Sequent, Theory, Var, _Cursor, _Token,
+                           RelAtom, Sequent, Theory, VacuousSequentWarning,
+                           Var, _Cursor, _Parser, _resolve_rule, _Token,
                            formula_vars)
 
 
@@ -497,3 +499,57 @@ def reference_parse_facts(text: str, sig: Signature
 
     names = {n: x.find(e) for n, e in names.items()}
     return x, names
+
+
+def reference_parse_theory(text: str) -> Theory:
+    """The reference for ``syntax.parse_theory``: the token reader alone,
+    without the fast path for flat rules."""
+    p = _Parser(text)
+    sorts: list[str] = []
+    rels: list[RelDecl] = []
+    raw_rules = []
+    while p.peek().kind != "eof":
+        t = p.peek()
+        if t.text == "sort":
+            p.next()
+            name = p.expect_ident().text
+            if name in sorts:
+                raise ParseError(f"duplicate sort {name!r}", t.line, t.col)
+            sorts.append(name)
+            p.expect(";")
+        elif t.text in ("pred", "func"):
+            p.next()
+            name = p.expect_ident().text
+            if any(r.name == name for r in rels):
+                raise ParseError(f"duplicate relation {name!r}", t.line, t.col)
+            p.expect(":")
+            args = p.parse_sorts(sorts, t)
+            if t.text == "func":
+                p.expect("->")
+                result = p.expect_ident().text
+                if result not in sorts:
+                    raise ParseError(f"unknown sort {result!r}", t.line, t.col)
+                rels.append(RelDecl(name, tuple(args) + (result,), "func"))
+            else:
+                rels.append(RelDecl(name, tuple(args), "pred"))
+            p.expect(";")
+        elif t.text == "rule":
+            p.next()
+            premise = p.parse_raw_formula()
+            p.expect("=>")
+            conclusion = p.parse_raw_formula()
+            p.expect(";")
+            raw_rules.append((premise, conclusion, (t.line, t.col)))
+        else:
+            raise ParseError(
+                f"expected declaration or rule, found {t.text or 'end of input'!r}",
+                t.line, t.col)
+    sig = Signature(tuple(sorts), tuple(rels))
+    sequents = []
+    for premise, conclusion, loc in raw_rules:
+        seq = _resolve_rule(sig, premise, conclusion, loc)
+        if not seq.conclusion.atoms:
+            warnings.warn(f"{loc[0]}:{loc[1]}: sequent has an empty "
+                          "conclusion and is vacuous", VacuousSequentWarning)
+        sequents.append(seq)
+    return Theory(sig, tuple(sequents))

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from helpers import reference_parse_facts
-from horneq import facts
+from horneq import facts, syntax
 from horneq.core import RelDecl, Signature
 from horneq.engine import evaluate
 from horneq.facts import (model_names, parse_facts, report_dict,
@@ -241,6 +241,24 @@ class TestDifferential:
                 errors += want[0] == "ParseError"
         assert counts["fast"] > 2000 and counts["deferred"] > 2000
         assert errors > 200
+
+    def test_deferred_statements_share_one_reader(self, monkeypatch):
+        """A run of statements that the fast path defers is read by one
+        token reader, not one reader a statement."""
+        made = []
+        init = syntax._Cursor.__init__
+
+        def counted_init(self, *args):
+            made.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(syntax._Cursor, "__init__", counted_init)
+        n = 1000
+        text = (f"sort V: {' '.join(f'a{i}' for i in range(n + 1))};\n"
+                + "".join(f"a{i} = a{i + 1};\n" for i in range(n)))
+        x, names = parse_facts(text, SIG)
+        assert len(made) == 1
+        assert x.element_count("V") == 1 and len(set(names.values())) == 1
 
     def test_relation_named_sort(self):
         """Not a fact: a statement that starts with ``sort`` is a sort

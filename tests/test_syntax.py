@@ -1,16 +1,21 @@
 import random
+import re
+import time
 import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horneq.syntax import (MAX_TERM_DEPTH, App, DefinedAtom, ParseError,
-                           VacuousSequentWarning,
-                           Var, formula_vars, is_rhl, parse_theory,
-                           pretty_print, sequent_vars)
+from horneq import syntax
+from horneq.classify import flatten_theory
+from horneq.core import RelDecl, Signature
+from horneq.syntax import (MAX_TERM_DEPTH, App, DefinedAtom, Formula,
+                           ParseError, Sequent, Theory,
+                           VacuousSequentWarning, Var, formula_vars, is_rhl,
+                           parse_theory, pretty_print, sequent_vars)
 
-from helpers import random_signature, random_theory
+from helpers import random_signature, random_theory, reference_parse_theory
 
 
 TRANSITIVITY = """
@@ -185,3 +190,212 @@ class TestHelpers:
     def test_is_rhl(self):
         assert is_rhl(parse_theory(TRANSITIVITY))
         assert not is_rhl(parse_theory(MONOID))
+
+
+# -- the fast path against the token reader ---------------------------------
+
+# What goes between two tokens; the comments hold names and symbols.
+PLAIN_GAPS = [" ", " ", "", "\t", "\n", "\r\n", " \n\t "]
+GAPS = PLAIN_GAPS + ["# x\n", " # P(x) => Q(y);\n", "#\r\n", "\t#, ) ;\n  "]
+_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|=>|->|[;:*(),=!&]")
+
+
+def _compile_style(rng: random.Random) -> str:
+    """A theory with nested function terms, a nullary function and a
+    nullary predicate, in the style of the benchmark's compile theories."""
+    funcs = {"A": [("g", ("B", "A")), ("c", ())], "B": [("f", ("A",))]}
+    preds = [("P", ("A",)), ("Q", ("A", "B")), ("Z", ())]
+    lines = ["sort A;", "sort B;", "func f : A -> B;",
+             "func g : B * A -> A;", "func c : -> A;",
+             "pred P : A;", "pred Q : A * B;", "pred Z : ;"]
+    for _ in range(rng.randint(1, 4)):
+        used = set()
+
+        def term(sort, depth, pool, app=False):
+            if depth and (app or rng.random() < 0.4):
+                name, args = rng.choice(funcs[sort])
+                inner = ", ".join(term(a, depth - 1, pool) for a in args)
+                return f"{name}({inner})"
+            v = rng.choice(pool[sort])
+            used.add(v)
+            return v
+
+        def atom(pool):
+            r = rng.random()
+            if r < 0.7:
+                name, args = rng.choice(preds)
+                return f"{name}({', '.join(term(a, 2, pool) for a in args)})"
+            sort = rng.choice("AB")
+            lhs = term(sort, 2, pool, app=True)
+            return f"{lhs} = {term(sort, 2, pool)}" if r < 0.9 else f"{lhs}!"
+
+        pool = {"A": ["a", "x"], "B": ["b", "y"]}
+        premise = [atom(pool) for _ in range(rng.randint(1, 3))]
+        concl_pool = {s: [v for v in vs if v in used] or [f"{s.lower()}9"]
+                      for s, vs in pool.items()}
+        conclusion = [atom(concl_pool) for _ in range(rng.randint(1, 2))]
+        lines.append(f"rule {' & '.join(premise)} => "
+                     f"{' & '.join(conclusion)};")
+    return "\n".join(lines) + "\n"
+
+
+def _theory_text(rng: random.Random) -> tuple[str, list[int]]:
+    """A valid theory, re-spaced with a random gap before every token, and
+    the offsets of its names.  It is a random relational theory, a
+    flattened compile-style theory or a compile-style one, sometimes with
+    a vacuous rule added.  The relational one declares a function that
+    its rules do not use."""
+    kind = rng.random()
+    if kind < 0.45:
+        t = random_theory(rng, random_signature(rng), max_sequents=5)
+        s = t.signature.sorts[0]
+        t = Theory(Signature(t.signature.sorts, t.signature.relations
+                             + (RelDecl("f", (s, s), "func"),)),
+                   t.sequents)
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", VacuousSequentWarning)
+            t = parse_theory(_compile_style(rng))
+        if kind < 0.85:
+            t = flatten_theory(t, with_functionality=rng.random() < 0.2)
+    if rng.random() < 0.2:
+        t = Theory(t.signature, t.sequents + (
+            Sequent(rng.choice(t.sequents).premise, Formula()),))
+    gaps = GAPS if rng.random() < 0.2 else PLAIN_GAPS
+    out: list[str] = []
+    spots = []
+    size = 0
+    for tok in _TOKEN.findall(pretty_print(t)):
+        gap = rng.choice(gaps)
+        if (not gap.strip() and out and out[-1][-1:].isalnum()
+                and tok[0].isalnum()):
+            gap += " "  # keep two names apart
+        size += len(gap)
+        if tok[0].isalpha() or tok[0] == "_":
+            spots.append(size)
+        out += [gap, tok]
+        size += len(tok)
+    out.append(rng.choice(gaps + ["# last comment, no newline"]))
+    return "".join(out), spots
+
+
+def _mutated(rng: random.Random, text: str, spots: list[int]) -> str:
+    """``text`` with one character deleted, inserted or replaced, or one
+    name replaced by a keyword or a relation name.  Half the edits hit a
+    name: they can make a variable a relation name or a keyword, make a
+    predicate a function, or comment out the rest of a line."""
+    op = rng.random()
+    if op < 0.5:
+        i = rng.choice(spots)
+        if op < 0.15:
+            return text[:i] + "#" + text[i:]
+        if op < 0.35:
+            return text[:i] + rng.choice("PQRSfgcxuwt_") + text[i + 1:]
+        name = rng.choice(["true", "rule", "pred", "P", "Z", "f", "R0"])
+        return text[:i] + name + text[_TOKEN.match(text, i).end():]
+    i = rng.randrange(len(text) + 1)
+    char = rng.choice("aPR01_,;:=()#@!&>- \n\t")
+    if op < 4 / 6 and i < len(text):
+        return text[:i] + text[i + 1:]
+    if op < 5 / 6 and i < len(text):
+        return text[:i] + char + text[i + 1:]
+    return text[:i] + char + text[i:]
+
+
+def _outcome(parse, text: str):
+    """The theory and its locations, or the error's type and message, and
+    the warnings in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            t = parse(text)
+        except Exception as err:  # compared by type and message
+            result = (type(err).__name__, str(err))
+        else:
+            result = (t, [s.location for s in t.sequents])
+    return result, [(w.category.__name__, str(w.message)) for w in caught]
+
+
+class TestDifferential:
+    def test_equals_token_reader(self, monkeypatch):
+        """Seeded valid theories and one-character mutations of them: the
+        fast path plus token reader against the token reader alone."""
+        counts = {"fast": 0, "reader": 0}
+        flat_sequent, statement = syntax._flat_sequent, syntax._Parser.statement
+
+        def counted_flat_sequent(*args):
+            seq = flat_sequent(*args)
+            counts["fast"] += seq is not None
+            return seq
+
+        def counted_statement(*args):
+            counts["reader"] += 1
+            return statement(*args)
+
+        monkeypatch.setattr(syntax, "_flat_sequent", counted_flat_sequent)
+        monkeypatch.setattr(syntax._Parser, "statement", counted_statement)
+        rng = random.Random(10)
+        errors = 0
+        for _ in range(800):
+            text, spots = _theory_text(rng)
+            for case in (text, _mutated(rng, text, spots),
+                         _mutated(rng, text, spots)):
+                want = _outcome(reference_parse_theory, case)
+                assert _outcome(parse_theory, case) == want, case
+                errors += want[0][0] == "ParseError"
+        assert counts["fast"] > 2000 and counts["reader"] > 2000
+        assert errors > 200
+
+    @pytest.mark.parametrize("text", [
+        # a keyword as a variable, after a rule that fails resolution: the
+        # syntax error wins
+        "sort V;\npred P : V;\nrule Q(x) => P(x);\nrule P(true) => P(x);\n",
+        # a flat rule across lines with a comment inside
+        "sort V;\npred P : V;\npred E : V * V;\n"
+        "rule E(x, y) &  # the edge\n\tP(x)\n  => P(y);\n",
+        # rules before their relations' declarations
+        "sort V;\nrule P(x) & x = y => Q(y);\npred P : V;\npred Q : V;\n",
+        "sort V;\nrule P(x) => P(Q);\npred P : V;\npred Q : V;\n",
+        # \r\n line endings, then an error located after them
+        "sort V;\r\npred P : V;\r\nrule P(x) => x = y;\r\n"
+        "\trule P(x) => true;\r\n",
+        "sort V;\r\npred P : V;\r\nrule P(x) =>\r\n  Q(x);\r\n",
+    ])
+    def test_edge_cases(self, text):
+        assert _outcome(parse_theory, text) == \
+            _outcome(reference_parse_theory, text)
+
+    def test_keyword_error_comes_first(self):
+        with pytest.raises(ParseError) as err:
+            parse_theory("sort V;\npred P : V;\nrule Q(x) => P(x);\n"
+                         "rule P(true) => P(x);\n")
+        assert str(err.value) == "4:8: expected identifier, found 'true'"
+
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_long_equality_chain(self, forward):
+        """10,000 chained equalities: the sorts flow through a union-find,
+        in either direction of the chain."""
+        n = 10_000
+        links = [f"x{i} = x{i + 1}" if forward else f"x{i + 1} = x{i}"
+                 for i in range(n)]
+        text = (f"sort V;\npred P : V;\n"
+                f"rule P(x0) & {' & '.join(links)} => P(x{n});\n")
+        began = time.perf_counter()
+        t = parse_theory(text)
+        assert time.perf_counter() - began < 1.0
+        assert {v.sort for v in sequent_vars(t.sequents[0])} == {"V"}
+        assert len(t.sequents[0].premise.atoms) == n + 1
+
+    def test_flat_rules_need_no_reader(self, monkeypatch):
+        """One token reader reads both declarations, and one the end of
+        the text; the rules between them are read without one."""
+        made = []
+        init = syntax._Cursor.__init__
+
+        def counted_init(self, *args):
+            made.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(syntax._Cursor, "__init__", counted_init)
+        parse_theory(TRANSITIVITY + "rule E(u, v) => E(v, u);\n")
+        assert len(made) == 2
