@@ -5,15 +5,15 @@ signature; classifying structures/morphisms turn formulas and sequents into
 finite structures and maps between them; ``classify_sequent`` computes the
 syntactic fragment flags; ``strengthen_theory`` appends codiagonal sequents so
 that injectivity against the result coincides with orthogonality against the
-input.
+input.  Each is read directly off [premise & conclusion]: the pushout it
+classifies only doubles the elements outside the premise's image.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (El, Morphism, RelDecl, Signature, SignatureError,
-                   Structure, pushout)
+from .core import El, Morphism, RelDecl, Signature, SignatureError, Structure
 from .syntax import (App, Atom, DefinedAtom, EqualAtom, Formula, RelAtom,
                      Sequent, Term, Theory, Var, formula_vars, is_rhl,
                      sequent_vars)
@@ -173,6 +173,7 @@ def sequent_from_morphism(f: Morphism) -> Sequent:
     for r in x.sig.relations:
         for t in x.sorted_tuples(r.name):
             premise_atoms.append(RelAtom(r, tuple(vx[e] for e in t)))
+    in_premise = set(premise_atoms)
 
     image: dict[El, list[El]] = {}
     for e in vx:
@@ -195,7 +196,7 @@ def sequent_from_morphism(f: Morphism) -> Sequent:
     for r in y.sig.relations:
         for t in y.sorted_tuples(r.name):
             atom = RelAtom(r, tuple(wy[e] for e in t))
-            if atom not in premise_atoms:
+            if atom not in in_premise:
                 rel_atoms.append(atom)
 
     eq_atoms: list[Atom] = []
@@ -317,25 +318,42 @@ def totality_sequent(f: RelDecl) -> Sequent:
 # -- strengthening ---------------------------------------------------------
 
 
-def _codiagonal(f: Morphism) -> Morphism:
-    """The fold map B +_A B -> B of the pushout of ``f`` along itself."""
-    p, j1, j2 = pushout(f, f)
-    mapping: dict[El, El] = {}
-    for b, e in j1.mapping.items():
-        mapping[p.find(e)] = b
-    for b, e in j2.mapping.items():
-        mapping[p.find(e)] = b
-    return Morphism(p, f.cod, mapping)
+def _codiagonal_sequent(s: Sequent, sig: Signature) -> Sequent:
+    """The sequent classified by the codiagonal B +_A B -> B of the
+    classifying morphism A = [premise] -> B = [premise & conclusion].
+
+    B +_A B is B with the elements outside the image of A doubled, with
+    their tuples; the fold map is onto and identifies only each double
+    with its original.  Elements are numbered as by ``core.pushout``, so
+    the result equals ``sequent_from_morphism`` of the fold map."""
+    b, interp = classifying_structure(s.premise & s.conclusion, sig)
+    image = {interp[v] for v in formula_vars(s.premise)}
+    first: dict[El, El] = {}
+    second: dict[El, El] = {}
+    names: dict[El, Var] = {}
+    for sort in sig.sorts:
+        elems = b.elements(sort)
+        for i, e in enumerate(elems):
+            first[e] = El(sort, i)
+            second[e] = first[e] if e in image else El(sort, len(elems) + i)
+        for p in sorted({copy[e] for copy in (first, second) for e in elems}):
+            names[p] = Var(f"_e_{sort}_{p.index}", sort)
+    premise: list[Atom] = [DefinedAtom(v) for v in names.values()]
+    for r in sig.relations:
+        ts = {tuple(copy[e] for e in t)
+              for t in b.rels[r.name] for copy in (first, second)}
+        premise += [RelAtom(r, tuple(names[p] for p in t)) for t in sorted(ts)]
+    return Sequent(Formula(tuple(premise)),
+                   Formula(tuple(EqualAtom(names[first[e]], names[second[e]])
+                                 for e in sorted(first) if e not in image)))
 
 
 def strengthen_theory(t: Theory) -> Theory:
     """Append, per sequent, the sequent classified by the codiagonal of its
     classifying morphism; models of the result are exactly the structures
-    orthogonal to the input's classifying morphisms."""
+    orthogonal to the input's classifying morphisms.  Each one is read
+    straight off [premise & conclusion], without building the pushout."""
     if not is_rhl(t):
         raise SignatureError("strengthen_theory expects an RHL theory")
-    extra = []
-    for s in t.sequents:
-        f = classifying_morphism(s, t.signature)
-        extra.append(sequent_from_morphism(_codiagonal(f)))
-    return Theory(t.signature, t.sequents + tuple(extra))
+    extra = tuple(_codiagonal_sequent(s, t.signature) for s in t.sequents)
+    return Theory(t.signature, t.sequents + extra)

@@ -178,8 +178,8 @@ class Structure:
 
     def elements(self, sort: str) -> list[El]:
         """Canonical elements of a sort, in index order."""
-        uf = self._uf[sort]
-        return [El(sort, i) for i in range(len(uf)) if uf.find(i) == i]
+        return [El(sort, i) for i, p in enumerate(self._uf[sort].parent)
+                if p == i]
 
     def element_count(self, sort: str) -> int:
         return len(self.elements(sort))

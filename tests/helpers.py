@@ -12,7 +12,8 @@ import random
 import warnings
 from typing import Iterator, Optional
 
-from horneq.core import El, Morphism, RelDecl, Signature, Structure
+from horneq.classify import classifying_morphism, sequent_from_morphism
+from horneq.core import El, Morphism, RelDecl, Signature, Structure, pushout
 from horneq.engine import EvalReport, IterationStats
 from horneq.oracle import enumerate_morphisms
 from horneq.syntax import (DefinedAtom, EqualAtom, Formula, ParseError,
@@ -48,7 +49,9 @@ def random_structure(rng: random.Random, sig: Signature,
 
 
 def _var_pool(sig: Signature) -> dict[str, list[Var]]:
-    names = iter("uvwxyz")
+    # u..z for the first two sorts, so their draws never change; then
+    # t0, t1, ... for any further sort.
+    names = itertools.chain("uvwxyz", (f"t{i}" for i in itertools.count()))
     pool: dict[str, list[Var]] = {s: [] for s in sig.sorts}
     for s in sig.sorts:
         for _ in range(3):
@@ -142,6 +145,50 @@ def random_theory(rng: random.Random, sig: Signature, max_sequents: int = 3,
                              for _ in range(n)))
 
 
+def compile_style_text(rng: random.Random, sorts: tuple[str, ...],
+                       funcs: list[tuple[str, tuple[str, ...], str]],
+                       preds: list[tuple[str, tuple[str, ...]]],
+                       pool: dict[str, list[str]]) -> str:
+    """The text of a theory of one to four rules with nested function
+    terms, in the style of the benchmark's compile theories.  ``funcs``
+    holds (name, argument sorts, result sort), ``preds`` (name, sorts);
+    rules draw variables from ``pool``, and a conclusion falls back on one
+    fresh variable of a sort whose pool names the premise does not use."""
+    by_result = {s: [(n, a) for n, a, r in funcs if r == s] for s in sorts}
+    lines = [f"sort {s};" for s in sorts]
+    lines += [f"func {n} : {' * '.join(a) + ' ' if a else ''}-> {r};"
+              for n, a, r in funcs]
+    lines += [f"pred {n} : {' * '.join(a)};" for n, a in preds]
+    for _ in range(rng.randint(1, 4)):
+        used = set()
+
+        def term(sort, depth, pool, app=False):
+            if depth and (app or rng.random() < 0.4):
+                name, args = rng.choice(by_result[sort])
+                inner = ", ".join(term(a, depth - 1, pool) for a in args)
+                return f"{name}({inner})"
+            v = rng.choice(pool[sort])
+            used.add(v)
+            return v
+
+        def atom(pool):
+            r = rng.random()
+            if r < 0.7:
+                name, args = rng.choice(preds)
+                return f"{name}({', '.join(term(a, 2, pool) for a in args)})"
+            sort = rng.choice(sorts)
+            lhs = term(sort, 2, pool, app=True)
+            return f"{lhs} = {term(sort, 2, pool)}" if r < 0.9 else f"{lhs}!"
+
+        premise = [atom(pool) for _ in range(rng.randint(1, 3))]
+        concl_pool = {s: [v for v in vs if v in used] or [f"{s.lower()}9"]
+                      for s, vs in pool.items()}
+        conclusion = [atom(concl_pool) for _ in range(rng.randint(1, 2))]
+        lines.append(f"rule {' & '.join(premise)} => "
+                     f"{' & '.join(conclusion)};")
+    return "\n".join(lines) + "\n"
+
+
 # -- brute-force oracles ---------------------------------------------------
 
 
@@ -232,6 +279,23 @@ def enumerate_structures(sig: Signature, max_elements: int
                 for t in sorted(ts):
                     x.add_tuple(r.name, t)
             yield x
+
+
+# -- reference strengthening -----------------------------------------------
+
+
+def reference_strengthen_theory(t: Theory) -> Theory:
+    """The reference for ``classify.strengthen_theory``: per sequent, the
+    pushout of its classifying morphism f along itself, the fold map
+    B +_A B -> B out of it, and the sequent ``sequent_from_morphism``
+    reads off that map."""
+    extra = []
+    for s in t.sequents:
+        f = classifying_morphism(s, t.signature)
+        p, j1, j2 = pushout(f, f)
+        fold = {p.find(e): b for j in (j1, j2) for b, e in j.mapping.items()}
+        extra.append(sequent_from_morphism(Morphism(p, f.cod, fold)))
+    return Theory(t.signature, t.sequents + tuple(extra))
 
 
 # -- reference merge -------------------------------------------------------

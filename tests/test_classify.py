@@ -1,4 +1,5 @@
 import random
+import time
 import warnings
 
 import pytest
@@ -15,11 +16,12 @@ from horneq.core import Morphism, RelDecl, Signature, SignatureError, Structure
 from horneq.engine import satisfies_theory
 from horneq.oracle import is_injective_to, is_orthogonal_to
 from horneq.syntax import (App, DefinedAtom, EqualAtom, Formula, RelAtom,
-                           Var, VacuousSequentWarning, formula_vars,
+                           Theory, Var, VacuousSequentWarning, formula_vars,
                            parse_theory, pretty_print)
 
-from helpers import (enumerate_structures, morphisms_isomorphic,
-                     random_signature, random_structure, random_theory)
+from helpers import (compile_style_text, enumerate_structures,
+                     morphisms_isomorphic, random_signature, random_structure,
+                     random_theory, reference_strengthen_theory)
 
 
 TRANSITIVITY = parse_theory("""
@@ -181,6 +183,35 @@ class TestSequentFromMorphism:
         s = sequent_from_morphism(Morphism.identity(x))
         assert s.conclusion.atoms == ()
 
+    @pytest.mark.parametrize("text, printed", [
+        ("sort V;\npred E : V * V;\nrule E(u, v) & E(v, w) => E(u, w);",
+         "rule _e_V_0! & _e_V_1! & _e_V_2! & E(_e_V_0, _e_V_1) & "
+         "E(_e_V_1, _e_V_2) => E(_e_V_0, _e_V_2);"),
+        ("sort V;\npred E : V * V;\nrule E(u, v) & E(v, u) => u = v;",
+         "rule _e_V_0! & _e_V_1! & E(_e_V_0, _e_V_1) & E(_e_V_1, _e_V_0) "
+         "=> E(_e_V_0, _e_V_0) & _e_V_0 = _e_V_1;"),
+        ("sort V;\nsort W;\npred E : V * W;\n"
+         "rule E(u, v) => E(u, w) & E(x, v);",
+         "rule _e_V_0! & _e_W_0! & E(_e_V_0, _e_W_0) => _n_V_1! & _n_W_1! & "
+         "E(_e_V_0, _n_W_1) & E(_n_V_1, _e_W_0);"),
+    ])
+    def test_printed_classifying_morphism(self, text, printed):
+        t = parse_theory(text)
+        f = classifying_morphism(t.sequents[0], t.signature)
+        assert pretty_print(sequent_from_morphism(f)) == printed
+
+    def test_identity_on_long_path_is_fast(self):
+        sig = TRANSITIVITY.signature
+        x = Structure(sig)
+        els = [x.add_element("V") for _ in range(2000)]
+        for a, b in zip(els, els[1:]):
+            x.add_tuple("E", (a, b))
+        start = time.perf_counter()
+        s = sequent_from_morphism(Morphism.identity(x))
+        assert time.perf_counter() - start < 1.0
+        assert len(s.premise.atoms) == 2000 + 1999
+        assert s.conclusion.atoms == ()
+
 
 class TestClassification:
     def check(self, text, **expected):
@@ -270,6 +301,77 @@ class TestStrengthening:
     def test_rejects_phl(self):
         with pytest.raises(SignatureError):
             strengthen_theory(MONOID)
+
+
+def _compile_style(rng: random.Random) -> Theory:
+    """A compile-style theory over three sorts, declared out of
+    alphabetical order."""
+    text = compile_style_text(
+        rng, ("Z", "A", "M"),
+        [("f", ("A",), "Z"), ("g", ("Z", "A"), "A"), ("c", (), "A"),
+         ("m", ("A", "Z"), "M")],
+        [("P", ("A",)), ("Q", ("A", "Z")), ("R", ("Z", "M")), ("N", ())],
+        {"Z": ["z", "y"], "A": ["a", "x"], "M": ["m0"]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", VacuousSequentWarning)
+        return parse_theory(text)
+
+
+class TestStrengtheningDifferential:
+    """``strengthen_theory`` prints the same bytes as the pushout route."""
+
+    def _theories(self, rng: random.Random):
+        for _ in range(400):
+            sig = random_signature(rng, max_sorts=3)
+            if rng.random() < 0.5:
+                sig = Signature(tuple(reversed(sig.sorts)), sig.relations)
+            yield random_theory(rng, sig, max_sequents=4,
+                                surjective=rng.random() < 0.3)
+        sig = Signature(("Z", "A"), (RelDecl("E", ("Z", "A")),
+                                     RelDecl("F", ("A", "A")),
+                                     RelDecl("G", ("Z",))))
+        for _ in range(200):
+            yield random_theory(rng, sig, max_sequents=4)
+        for _ in range(100):
+            yield flatten_theory(_compile_style(rng),
+                                 with_functionality=rng.random() < 0.5)
+
+    def test_equals_pushout_route(self):
+        counts = dict.fromkeys(("non-injective", "existential",
+                                "empty conclusion", "sequents"), 0)
+        mismatches = []
+        for t in self._theories(random.Random(2302)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", VacuousSequentWarning)
+                got = strengthen_theory(t)
+            want = reference_strengthen_theory(t)
+            if pretty_print(got) != pretty_print(want):
+                mismatches.append(pretty_print(t))
+            for s, extra in zip(t.sequents, want.sequents[len(t.sequents):]):
+                premise_vars = set(formula_vars(s.premise))
+                counts["sequents"] += 1
+                counts["non-injective"] += not classifying_morphism(
+                    s, t.signature).is_injective()
+                counts["existential"] += any(
+                    v not in premise_vars for v in formula_vars(s.conclusion))
+                counts["empty conclusion"] += not extra.conclusion.atoms
+        assert mismatches == []
+        assert counts["sequents"] > 1500
+        assert counts["non-injective"] > 250
+        assert counts["existential"] > 800
+        assert counts["empty conclusion"] > 800
+
+    def test_codiagonal_of_existential_rule(self):
+        t = parse_theory("sort Z;\nsort A;\npred E : Z * A;\n"
+                         "rule E(z, a) => E(y, a) & E(z, b);")
+        extra = strengthen_theory(t).sequents[1]
+        # The second copy of B's element i is numbered k + i, as in the
+        # pushout; the equalities run in sorted El order, A before Z.
+        assert pretty_print(extra) == (
+            "rule _e_Z_0! & _e_Z_1! & _e_Z_3! & _e_A_0! & _e_A_1! & "
+            "_e_A_3! & E(_e_Z_0, _e_A_0) & E(_e_Z_0, _e_A_1) & "
+            "E(_e_Z_0, _e_A_3) & E(_e_Z_1, _e_A_0) & E(_e_Z_3, _e_A_0) "
+            "=> _e_A_1 = _e_A_3 & _e_Z_1 = _e_Z_3;")
 
 
 class TestPhlClassifying:

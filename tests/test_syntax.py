@@ -15,7 +15,8 @@ from horneq.syntax import (MAX_TERM_DEPTH, App, DefinedAtom, Formula,
                            VacuousSequentWarning, Var, formula_vars, is_rhl,
                            parse_theory, pretty_print, sequent_vars)
 
-from helpers import random_signature, random_theory, reference_parse_theory
+from helpers import (compile_style_text, random_signature, random_theory,
+                     reference_parse_theory)
 
 
 TRANSITIVITY = """
@@ -203,40 +204,11 @@ _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|=>|->|[;:*(),=!&]")
 def _compile_style(rng: random.Random) -> str:
     """A theory with nested function terms, a nullary function and a
     nullary predicate, in the style of the benchmark's compile theories."""
-    funcs = {"A": [("g", ("B", "A")), ("c", ())], "B": [("f", ("A",))]}
-    preds = [("P", ("A",)), ("Q", ("A", "B")), ("Z", ())]
-    lines = ["sort A;", "sort B;", "func f : A -> B;",
-             "func g : B * A -> A;", "func c : -> A;",
-             "pred P : A;", "pred Q : A * B;", "pred Z : ;"]
-    for _ in range(rng.randint(1, 4)):
-        used = set()
-
-        def term(sort, depth, pool, app=False):
-            if depth and (app or rng.random() < 0.4):
-                name, args = rng.choice(funcs[sort])
-                inner = ", ".join(term(a, depth - 1, pool) for a in args)
-                return f"{name}({inner})"
-            v = rng.choice(pool[sort])
-            used.add(v)
-            return v
-
-        def atom(pool):
-            r = rng.random()
-            if r < 0.7:
-                name, args = rng.choice(preds)
-                return f"{name}({', '.join(term(a, 2, pool) for a in args)})"
-            sort = rng.choice("AB")
-            lhs = term(sort, 2, pool, app=True)
-            return f"{lhs} = {term(sort, 2, pool)}" if r < 0.9 else f"{lhs}!"
-
-        pool = {"A": ["a", "x"], "B": ["b", "y"]}
-        premise = [atom(pool) for _ in range(rng.randint(1, 3))]
-        concl_pool = {s: [v for v in vs if v in used] or [f"{s.lower()}9"]
-                      for s, vs in pool.items()}
-        conclusion = [atom(concl_pool) for _ in range(rng.randint(1, 2))]
-        lines.append(f"rule {' & '.join(premise)} => "
-                     f"{' & '.join(conclusion)};")
-    return "\n".join(lines) + "\n"
+    return compile_style_text(
+        rng, ("A", "B"),
+        [("f", ("A",), "B"), ("g", ("B", "A"), "A"), ("c", (), "A")],
+        [("P", ("A",)), ("Q", ("A", "B")), ("Z", ())],
+        {"A": ["a", "x"], "B": ["b", "y"]})
 
 
 def _theory_text(rng: random.Random) -> tuple[str, list[int]]:
