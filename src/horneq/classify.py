@@ -352,8 +352,7 @@ def strengthen_theory(t: Theory) -> Theory:
     """Append, per sequent, the sequent classified by the codiagonal of its
     classifying morphism; models of the result are exactly the structures
     orthogonal to the input's classifying morphisms.  Each one is read
-    straight off [premise & conclusion], without building the pushout."""
-    if not is_rhl(t):
-        raise SignatureError("strengthen_theory expects an RHL theory")
+    straight off [premise & conclusion], without building the pushout;
+    ``classifying_structure`` rejects a sequent outside RHL."""
     extra = tuple(_codiagonal_sequent(s, t.signature) for s in t.sequents)
     return Theory(t.signature, t.sequents + extra)

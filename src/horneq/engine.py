@@ -101,11 +101,14 @@ class Delta:
 # the delta at atom i (run first), the relation without the delta at every
 # atom before i and the full relation after it.  A match lies in exactly
 # one variant, the one of its first delta atom; there a bound ``v!`` or
-# ``u = v`` tests its element against the carrier in the atom's mode.
-# Either way the steps read sets and index buckets in no particular order,
-# and the rows are sorted once at the end.  A row's slot values are the
-# match's per-atom witnesses, in order, so sorting them gives nested-loop
-# order.
+# ``u = v`` tests its element against the carrier in the atom's mode.  So a
+# variant whose delta part at atom i is empty has no match, and it is not
+# linked.  Linking a step reads its source once, as the relation's set or
+# the carrier, the delta's part of it, or full minus delta (old); a probe
+# then builds its hash index on the bound columns.  The steps read sets
+# and index buckets in no particular order, and the rows are sorted once
+# at the end.  A row's slot values are the match's per-atom witnesses, in
+# order, so sorting them gives nested-loop order.
 #
 # A sequent compiles once into a rule: its premise plan, and a conclusion
 # plan whose first slots are the premise's variables, so a premise row is
@@ -267,46 +270,21 @@ def _holds(conclusion: _Plan, fresh, heads) -> Callable:
     return lambda x, row: all(test(x, row) for test in tests)
 
 
-class _Sources:
-    """What one ``_rows`` call reads of a structure: each relation or
-    carrier in full, without the delta (old) or only the delta, as a set or
-    as a hash index on some columns.  The delta's tuple sets are read as
-    they are; the rest is built on first use, unsorted."""
-
-    def __init__(self, x: Structure, delta: Optional[Delta]):
-        self.x, self.delta, self.memo = x, delta, {}
-
-    def members(self, rel, mode: int) -> set[tuple[El, ...]]:
-        if isinstance(rel, str):
-            full = self.x.rels[rel]
-            if mode == _FULL:
-                return full
-            delta = self.delta.tuples.get(rel, _NONE)
-        else:  # the carrier ``(sort,)``: the canonical elements as 1-tuples
-            if rel not in self.memo:
-                (sort,) = rel
-                d = self.delta.elements if self.delta else _NONE
-                self.memo[rel] = ({(e,) for e in self.x.elements(sort)},
-                                  {(e,) for e in d if e.sort == sort})
-            full, delta = self.memo[rel]
-            if mode == _FULL:
-                return full
-        if mode == _DELTA:
-            return delta
-        ts = self.memo.get(("old", rel))
-        if ts is None:
-            ts = self.memo["old", rel] = full - delta
-        return ts
-
-    def index(self, rel: str, mode: int, cols, repeats) -> dict:
-        key = ("index", rel, mode, cols, repeats)
-        idx = self.memo.get(key)
-        if idx is None:
-            idx = self.memo[key] = defaultdict(list)
-            get = itemgetter(*cols)
-            for t in _agreeing(self.members(rel, mode), repeats):
-                idx[get(t)].append(t)
-        return idx
+def _read(x: Structure, delta: Optional[Delta], name, mode: int) -> set:
+    """What a step reads of ``x``: the relation or carrier ``name`` in
+    full, only its delta part, or full minus delta (old).  A carrier
+    ``(sort,)`` is the sort's canonical elements as 1-tuples."""
+    if mode == _FULL:
+        part = _NONE
+    elif isinstance(name, str):
+        part = delta.tuples.get(name, _NONE)
+    else:
+        part = {(e,) for e in delta.elements if e.sort == name[0]}
+    if mode == _DELTA:
+        return part
+    full = (x.rels[name] if isinstance(name, str)
+            else {(e,) for e in x.elements(name[0])})
+    return full - part if part else full
 
 
 def _agreeing(ts, repeats):
@@ -316,7 +294,8 @@ def _agreeing(ts, repeats):
     return [t for t in ts if all(t[c] == t[c0] for c, c0 in repeats)]
 
 
-def _link(steps: tuple[_Step, ...], src: _Sources, out: list) -> Callable:
+def _link(steps: tuple[_Step, ...], x: Structure, delta: Optional[Delta],
+          out: list) -> Callable:
     """Chain the steps into one function of the slot list; it appends every
     complete match to ``out`` as a tuple of slot values."""
     def emit(vals):
@@ -324,12 +303,12 @@ def _link(steps: tuple[_Step, ...], src: _Sources, out: list) -> Callable:
 
     run = emit
     for st in reversed(steps):
-        run = _LINK[st.kind](st, src, run)
+        run = _LINK[st.kind](st, x, delta, run)
     return run
 
 
-def _link_scan(st: _Step, src: _Sources, nxt):
-    tuples = _agreeing(src.members(st.name, st.mode), st.repeats)
+def _link_scan(st: _Step, x, delta, nxt):
+    tuples = _agreeing(_read(x, delta, st.name, st.mode), st.repeats)
     binds = st.binds
 
     def scan(vals):
@@ -340,9 +319,12 @@ def _link_scan(st: _Step, src: _Sources, nxt):
     return scan
 
 
-def _link_probe(st: _Step, src: _Sources, nxt):
-    get = src.index(st.name, st.mode, st.cols, st.repeats).get
-    key, binds = st.key, st.binds
+def _link_probe(st: _Step, x, delta, nxt):
+    index = defaultdict(list)
+    col = itemgetter(*st.cols)
+    for t in _agreeing(_read(x, delta, st.name, st.mode), st.repeats):
+        index[col(t)].append(t)
+    get, key, binds = index.get, st.key, st.binds
 
     def probe(vals):
         for t in get(key(vals), ()):
@@ -352,8 +334,8 @@ def _link_probe(st: _Step, src: _Sources, nxt):
     return probe
 
 
-def _link_test(st: _Step, src: _Sources, nxt):
-    members, key = src.members(st.name, st.mode), st.key
+def _link_test(st: _Step, x, delta, nxt):
+    members, key = _read(x, delta, st.name, st.mode), st.key
 
     def test(vals):
         if key(vals) in members:
@@ -361,7 +343,7 @@ def _link_test(st: _Step, src: _Sources, nxt):
     return test
 
 
-def _link_same(st: _Step, src: _Sources, nxt):
+def _link_same(st: _Step, x, delta, nxt):
     a, b = st.slots
 
     def same(vals):
@@ -370,7 +352,7 @@ def _link_same(st: _Step, src: _Sources, nxt):
     return same
 
 
-def _link_copy(st: _Step, src: _Sources, nxt):
+def _link_copy(st: _Step, x, delta, nxt):
     dst, s = st.slots
 
     def copy(vals):
@@ -387,13 +369,15 @@ def _rows(plan: _Plan, x: Structure, delta: Optional[Delta] = None,
           start: tuple[El, ...] = ()) -> list[tuple[El, ...]]:
     """The plan's matches in ``x`` as slot rows, in nested-loop order; the
     first slots hold ``start``.  With ``delta``, only the matches touching
-    at least one delta-marked tuple or element."""
+    at least one delta-marked tuple or element; a variant whose
+    ``_DELTA`` step reads an empty delta part is not linked."""
     vals = list(start)
     vals += [None] * (len(plan.vars) - len(vals))
-    src = _Sources(x, delta)
     rows: list[tuple[El, ...]] = []
     for steps in (plan.steps,) if delta is None else plan.variants:
-        _link(steps, src, rows)(vals)
+        if delta is None or all(_read(x, delta, st.name, _DELTA)
+                                for st in steps if st.mode == _DELTA):
+            _link(steps, x, delta, rows)(vals)
     rows.sort()
     return rows
 

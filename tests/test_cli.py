@@ -211,6 +211,14 @@ class TestTransformAndFlatten:
             t = parse_theory(out)
         assert len(t.sequents) == 2
 
+    def test_strengthen_on_phl_exit_2(self, files, capsys):
+        theory = files("t.hq", "sort M;\nfunc f : M -> M;\n"
+                               "rule f(x)! => f(x) = x;\n")
+        code, out, err = run(capsys, "transform", "strengthen", theory)
+        assert code == 2 and out == ""
+        assert err == ("error: classifying structures are defined on RHL "
+                       "formulas\n")
+
 
 class TestSatisfies:
     def test_closed_graph_passes(self, files, capsys):

@@ -193,6 +193,30 @@ class TestEvaluate:
             for s in sig.sorts:
                 assert naive.elements(s) == semi.elements(s)
 
+    def test_variant_with_empty_delta_is_not_linked(self, monkeypatch):
+        """Reachability on a path: after the first iteration only ``P`` has
+        a delta, so the variant reading the delta at ``E(y, z)`` and old
+        ``P`` never runs, while the one probing full ``E`` runs once an
+        iteration."""
+        t = parse_theory("sort V;\npred E : V * V;\npred P : V * V;\n"
+                         "rule E(x, y) => P(x, y);\n"
+                         "rule P(x, y) & E(y, z) => P(x, z);\n")
+        n = 30
+        x = structure_from_edges(t.signature, "E", n,
+                                 {(i, i + 1) for i in range(n - 1)})
+        probes = []
+        link = engine._LINK["probe"]
+
+        def recorded(st, *args):
+            probes.append((st.name, st.mode))
+            return link(st, *args)
+        monkeypatch.setitem(engine._LINK, "probe", recorded)
+        res, _, rep = evaluate(t, x)
+        assert len(res.rels["P"]) == n * (n - 1) // 2
+        assert rep.iterations == n
+        assert ("P", _OLD) not in probes
+        assert probes.count(("E", _FULL)) == n
+
     def test_budget_exhaustion_carries_partial(self):
         t = parse_theory("sort V;\npred E : V * V;\nrule v! => E(v, w);\n")
         x = Structure(t.signature)
