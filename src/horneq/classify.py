@@ -326,7 +326,12 @@ def _codiagonal_sequent(s: Sequent, sig: Signature) -> Sequent:
     their tuples; the fold map is onto and identifies only each double
     with its original.  Elements are numbered as by ``core.pushout``, so
     the result equals ``sequent_from_morphism`` of the fold map."""
-    b, interp = classifying_structure(s.premise & s.conclusion, sig)
+    try:
+        b, interp = classifying_structure(s.premise & s.conclusion, sig)
+    except SignatureError as err:  # outside RHL: say where
+        if s.location is None:
+            raise
+        raise SignatureError("{}:{}: {}".format(*s.location, err)) from None
     image = {interp[v] for v in formula_vars(s.premise)}
     first: dict[El, El] = {}
     second: dict[El, El] = {}
@@ -353,6 +358,6 @@ def strengthen_theory(t: Theory) -> Theory:
     classifying morphism; models of the result are exactly the structures
     orthogonal to the input's classifying morphisms.  Each one is read
     straight off [premise & conclusion], without building the pushout;
-    ``classifying_structure`` rejects a sequent outside RHL."""
+    a sequent outside RHL is rejected with its location."""
     extra = tuple(_codiagonal_sequent(s, t.signature) for s in t.sequents)
     return Theory(t.signature, t.sequents + extra)

@@ -3,7 +3,7 @@
 Subcommands: check (classify sequents), eval (compute the free model of a
 facts file), flatten, transform (setoid | sparse-setoid | epic |
 strengthen), satisfies.  Exit codes: 0 ok, 1 unsatisfied, 2 input error,
-3 iteration budget exhausted.
+3 iteration budget exhausted, 4 internal error.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ EXIT_OK = 0
 EXIT_UNSATISFIED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _load_theory(path: str) -> Theory:
@@ -194,6 +195,10 @@ def main(argv: Optional[list[str]] = None) -> int:
                 OSError, ValueError) as err:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_INPUT_ERROR
+        except Exception as err:  # a fault of horneq, not of the input
+            print(f"error: internal: {type(err).__name__}: {err}",
+                  file=sys.stderr)
+            return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -5,7 +5,10 @@ then applies the pending conclusions as a batch: relation atoms insert tuples,
 equality atoms merge union-find classes, conclusion-only variables create
 fresh elements.  Matches whose conclusion already holds are skipped, which
 keeps fresh-element creation bounded for non-surjective sequents.  Evaluation
-stops at the first iteration that changes nothing.
+stops at the first iteration that changes nothing.  A relation no sequent
+mentions is empty in every classifying structure, so in the result it is the
+image of the input's under the unit: it stays out of the loop and is carried
+along the unit once at the end.
 """
 
 from __future__ import annotations
@@ -453,7 +456,9 @@ def evaluate(t: Theory, x: Structure,
     morphism from the input, and a report.
 
     The result is the free model for strong theories and one particular
-    weakly free model otherwise.
+    weakly free model otherwise.  A relation no sequent mentions is carried
+    along the unit: in the result, and in a partial one, it is the image of
+    ``x``'s under the unit.
     """
     if not is_rhl(t):
         raise SignatureError("evaluate expects an RHL theory; flatten first")
@@ -474,7 +479,15 @@ def evaluate(t: Theory, x: Structure,
     if max_iterations is None and not all_surjective:
         max_iterations = DEFAULT_MAX_ITERATIONS
 
+    # Relations no sequent mentions sit out the loop (see the module
+    # docstring): no merge rewrites their tuples, and none are logged.
+    mentioned = {a.rel.name for s in t.sequents
+                 for a in s.premise.atoms + s.conclusion.atoms
+                 if isinstance(a, RelAtom)}
+    aside = [r.name for r in t.signature.relations if r.name not in mentioned]
     result = x.copy()
+    for r in aside:
+        result.rels[r] = set()
     report = EvalReport()
     seminaive = cfg.strategy == "seminaive"
     delta: Optional[Delta] = None
@@ -526,6 +539,13 @@ def evaluate(t: Theory, x: Structure,
 
     result.log = None
     unit = _unit_morphism(x, result)
+    if aside:
+        # The carried tuples are on no use-list: a later merge rebuilds them.
+        result._uses = None
+        image = unit.mapping
+        for r in aside:
+            result.rels[r] = {tuple([image[e] for e in tp])
+                              for tp in x.rels[r]}
     if not report.fixed_point:
         raise EvaluationBudgetError(result, unit, report)
     return result, unit, report

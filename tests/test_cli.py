@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import horneq
+from horneq import engine
 from horneq.cli import main
 from horneq.engine import MAX_PLAN_STEPS
 
@@ -216,8 +217,8 @@ class TestTransformAndFlatten:
                                "rule f(x)! => f(x) = x;\n")
         code, out, err = run(capsys, "transform", "strengthen", theory)
         assert code == 2 and out == ""
-        assert err == ("error: classifying structures are defined on RHL "
-                       "formulas\n")
+        assert err == ("error: 3:1: classifying structures are defined on "
+                       "RHL formulas\n")
 
 
 class TestSatisfies:
@@ -325,6 +326,19 @@ class TestParserReuse:
             separate.append((done.returncode, done.stdout, done.stderr))
         assert in_process == separate
         assert "report:" in separate[0][1] and "report:" not in separate[1][1]
+
+
+class TestInternalError:
+    def test_unexpected_exception_exit_4(self, files, capsys, monkeypatch):
+        """A fault in horneq itself, not in its input, is one line and exit
+        4, apart from 1 (unsatisfied) and 2 (input error)."""
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("division by zero")
+        monkeypatch.setattr(engine, "evaluate", broken)
+        code, out, err = run(capsys, "eval", files("t.hq", TRANSITIVITY),
+                             files("f.hq", CHAIN))
+        assert code == 4 and out == ""
+        assert err == "error: internal: ZeroDivisionError: division by zero\n"
 
 
 class TestEvalOutputAsFacts:

@@ -6,14 +6,14 @@ import pytest
 
 from horneq import engine
 from horneq.classify import classifying_morphism, flatten_theory
-from horneq.core import El, SignatureError, Structure
+from horneq.core import El, RelDecl, Signature, SignatureError, Structure
 from horneq.engine import (_DELTA, _FULL, _OLD, MAX_PLAN_STEPS, Delta,
                            EvalConfig, EvaluationBudgetError, IterationStats,
                            _rows, _rule, counterexample, evaluate,
                            find_matches, satisfies, satisfies_theory)
 from horneq.facts import model_names, report_dict, serialize_model
 from horneq.oracle import is_injective_to, is_orthogonal_to, satisfies_phl
-from horneq.syntax import (EqualAtom, Formula, RelAtom, Var,
+from horneq.syntax import (EqualAtom, Formula, RelAtom, Sequent, Theory, Var,
                            parse_theory, sequent_vars)
 
 from helpers import (random_sequent, random_signature, random_structure,
@@ -405,6 +405,99 @@ class TestCompiledRules:
                 if got is not None:
                     assert list(got.items()) == list(want.items())
                 assert satisfies(x, s) == (want is None)
+
+
+def _relations_in(t, sides):
+    return {a.rel.name for s in t.sequents for side in sides
+            for a in getattr(s, side).atoms if isinstance(a, RelAtom)}
+
+
+class TestUnmentionedRelations:
+    """A relation no sequent mentions is left out of evaluation and carried
+    along the unit once at the end.  Adding ``R(x̄) => R(x̄)`` per such R
+    changes no model, yet forces R through the merge path: both theories
+    must serialize identically.  The sequent is added for a relation only
+    conclusions mention too, which must stay in the loop all along."""
+
+    def test_carried_like_mentioned(self):
+        rng = random.Random(61)
+        touched = collapsed = partials = 0
+        for i in range(400):
+            surjective = i % 2 == 0
+            reduct = random_signature(rng)
+            extra = tuple(
+                RelDecl(f"L{j}", tuple(rng.choice(reduct.sorts)
+                                       for _ in range(rng.randint(1, 3))))
+                for j in range(rng.randint(1, 2)))
+            sig = Signature(reduct.sorts, reduct.relations + extra)
+            t = Theory(sig, random_theory(rng, reduct, max_sequents=5,
+                                          surjective=surjective).sequents)
+            mentioned = _relations_in(t, ("premise", "conclusion"))
+            unmentioned = [r for r in sig.relations
+                           if r.name not in mentioned]
+            unread = [r for r in sig.relations
+                      if r.name not in _relations_in(t, ("premise",))]
+            identities = []
+            for r in unread:
+                atom = Formula((RelAtom(r, tuple(
+                    Var(f"a{c}", sort) for c, sort in enumerate(r.arity))),))
+                identities.append(Sequent(atom, atom))
+            padded = Theory(sig, t.sequents + tuple(identities))
+            x = random_structure(rng, sig, max_elements=4, min_elements=1)
+            for r in sig.relations:  # denser inputs take more iterations
+                for _ in range(4):
+                    x.add_tuple(r.name, tuple([rng.choice(x.elements(sort))
+                                               for sort in r.arity]))
+            if rng.random() < 0.3:
+                _merge_some(rng, x)
+            names = {f"e{e.sort}_{e.index}": e
+                     for sort in sig.sorts for e in x.elements(sort)}
+            for strategy in ("naive", "seminaive"):
+                cfg = EvalConfig(strategy=strategy,
+                                 max_iterations=None if surjective else 2)
+                texts = []
+                for theory in (t, padded):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        try:
+                            res, unit, rep = evaluate(theory, x, cfg)
+                        except EvaluationBudgetError as err:
+                            res, unit, rep = err.partial, err.unit, err.report
+                    out_names, merged = model_names(res, names, unit)
+                    texts.append(serialize_model(res, out_names, merged,
+                                                 report=report_dict(rep)))
+                assert texts[0] == texts[1]
+            partials += not rep.fixed_point
+            for r in unmentioned:
+                touched += sum(unit.apply_tuple(tp) != tp
+                               for tp in x.rels[r.name])
+                collapsed += len(x.rels[r.name]) - len(res.rels[r.name])
+        # merges rewrote and identified unmentioned tuples, budgets included
+        assert touched > 80 and collapsed > 60 and partials > 10
+
+    def test_unmentioned_tuples_are_never_stored(self, monkeypatch):
+        t = parse_theory("sort V;\npred E : V * V;\npred L : V * V;\n"
+                         "rule E(u, v) => u = v;\n")
+        x = structure_from_edges(t.signature, "E", 6, {(0, 1), (2, 3), (3, 4)})
+        for i in range(6):
+            for j in range(6):
+                x.add_tuple("L", (El("V", i), El("V", j)))
+        stored = []
+        store = Structure.store
+
+        def recorded(self, rel, ct):
+            stored.append(rel)
+            return store(self, rel, ct)
+        monkeypatch.setattr(Structure, "store", recorded)
+        res, unit, rep = evaluate(t, x)
+        assert sum(st.merges for st in rep.per_iteration) == 3
+        assert "E" in stored and "L" not in stored
+        # three classes, {0, 1}, {2, 3, 4} and {5}: 3 × 3 pairs
+        assert res.rels["L"] == {unit.apply_tuple(tp) for tp in x.rels["L"]}
+        assert len(res.rels["L"]) == 9
+        # a later merge rewrites the carried tuples too
+        res.merge(El("V", 0), El("V", 5))
+        assert res.is_canonical() and len(res.rels["L"]) == 4
 
 
 class TestDirectCheck:
