@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from typing import Collection, Iterable, NamedTuple, Optional
 
 
 class SignatureError(ValueError):
@@ -270,10 +270,12 @@ class Structure:
 
     # -- misc --------------------------------------------------------------
 
-    def copy(self) -> "Structure":
+    def copy(self, empty: Collection[str] = ()) -> "Structure":
+        """A copy, with the relations named in ``empty`` left empty."""
         new = Structure(self.sig)
         new._uf = {s: uf.copy() for s, uf in self._uf.items()}
-        new.rels = {r: set(ts) for r, ts in self.rels.items()}
+        new.rels = {r: set() if r in empty else set(ts)
+                    for r, ts in self.rels.items()}
         return new
 
     def is_canonical(self) -> bool:

@@ -485,9 +485,7 @@ def evaluate(t: Theory, x: Structure,
                  for a in s.premise.atoms + s.conclusion.atoms
                  if isinstance(a, RelAtom)}
     aside = [r.name for r in t.signature.relations if r.name not in mentioned]
-    result = x.copy()
-    for r in aside:
-        result.rels[r] = set()
+    result = x.copy(empty=aside)
     report = EvalReport()
     seminaive = cfg.strategy == "seminaive"
     delta: Optional[Delta] = None

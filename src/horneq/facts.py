@@ -26,10 +26,15 @@ import re
 from typing import Optional
 
 from .core import El, Morphism, Signature, SignatureError, Structure
-from .syntax import (ParseError, _Cursor, _GAP, _NAME, _read_statements,
-                     _Token)
+from .syntax import _Cursor
 
 
+# What the fast path allows between two tokens: what the token reader
+# skips, except that a comment must end in a newline.  So a gap splits one
+# way only, a failed match backtracks in linear time, and a comment that
+# ends the text is left to the token reader.
+_GAP = r"(?:\s|\#[^\n]*\n)*"
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 # The fast path reads a whole ground fact ``R(a1, ..., an);`` with one
 # match.  Group 1 is ``R``, group 2 the arguments.
 _FACT_RE = re.compile(
@@ -47,13 +52,23 @@ def parse_facts(text: str, sig: Signature) -> tuple[Structure, dict[str, El]]:
 
     Each ground fact that matches ``_FACT_RE`` and that ``_ground_fact``
     can add is added straight away.  Anything else, and every error, goes
-    to the token reader, which reads that one statement and raises the same
-    error, at the same place, as if it had read the whole text."""
+    to the token reader, ``_Reader``, on the cursor that ``parse_theory``
+    reads with.  It reads that one statement and raises the same error, at
+    the same place, as if it had read the whole text; a run of such
+    statements shares one reader."""
     x = Structure(sig)
     names: dict[str, El] = {}
-    _read_statements(text, _FACT_RE,
-                     lambda m, _: _ground_fact(m, x, names), _Reader,
-                     lambda reader: reader.statement(x, names))
+    pos, reader = 0, None  # a reader's next token starts at ``pos``
+    while True:
+        m = _FACT_RE.match(text, pos)
+        if m and _ground_fact(m, x, names):
+            pos, reader = m.end(), None
+            continue
+        reader = reader or _Reader(text, pos)
+        if reader.tok[0] == "eof":
+            break
+        reader.statement(x, names)
+        pos = reader.tok[2]
     names = {n: x.find(e) for n, e in names.items()}
     return x, names
 
@@ -82,95 +97,88 @@ class _Reader(_Cursor):
     """The token reader: one statement at a time, every error located."""
 
     def at_sym(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "sym" and tok.text == text
+        kind, tok, _ = self.tok
+        return kind == "sym" and tok == text
 
-    def take_ident(self) -> _Token:
-        tok = self.next()
-        if tok.kind != "ident":
-            raise ParseError(f"expected a name, found {tok.text!r}",
-                             tok.line, tok.col)
-        return tok
+    def take_ident(self) -> tuple[str, int]:
+        kind, tok, at = self.next()
+        if kind != "ident":
+            raise self.error(f"expected a name, found {tok!r}", at)
+        return tok, at
 
-    def take_sym(self, text: str) -> _Token:
-        tok = self.next()
-        if tok.kind != "sym" or tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}",
-                             tok.line, tok.col)
-        return tok
+    def take_sym(self, text: str) -> None:
+        kind, tok, at = self.next()
+        if kind != "sym" or tok != text:
+            raise self.error(f"expected {text!r}, found {tok!r}", at)
 
     def statement(self, x: Structure, names: dict[str, El]) -> None:
         """Read one statement into ``x`` and ``names``; a ``merged:``
         section runs to the end of the text."""
         sig = x.sig
 
-        def element(tok: _Token) -> El:
-            if tok.text not in names:
-                raise ParseError(f"unknown element {tok.text!r}",
-                                 tok.line, tok.col)
-            return x.find(names[tok.text])
+        def element(name: str, at: int) -> El:
+            if name not in names:
+                raise self.error(f"unknown element {name!r}", at)
+            return x.find(names[name])
 
-        def declare(tok: _Token, e: El) -> None:
-            if tok.text in names:
-                raise ParseError(
-                    f"element name {tok.text!r} already declared",
-                    tok.line, tok.col)
-            names[tok.text] = e
+        def declare(name: str, at: int, e: El) -> None:
+            if name in names:
+                raise self.error(f"element name {name!r} already declared",
+                                 at)
+            names[name] = e
 
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
-        head = self.next()
-        if head.text == "sort":
-            sort_tok = self.take_ident()
-            if sort_tok.text not in sig.sorts:
-                raise ParseError(f"unknown sort {sort_tok.text!r}",
-                                 sort_tok.line, sort_tok.col)
+        kind, head, at = self.tok
+        if kind != "ident":
+            raise self.error(f"unexpected {head!r}", at)
+        self.next()
+        if head == "sort":
+            sort, sort_at = self.take_ident()
+            if sort not in sig.sorts:
+                raise self.error(f"unknown sort {sort!r}", sort_at)
             self.take_sym(":")
-            while self.peek().kind == "ident":
-                declare(self.next(), x.add_element(sort_tok.text))
+            while self.tok[0] == "ident":
+                _, name, name_at = self.next()
+                declare(name, name_at, x.add_element(sort))
             self.take_sym(";")
         elif self.at_sym("="):
             self.next()
             rhs = self.take_ident()
             self.take_sym(";")
-            a, b = element(head), element(rhs)
+            a, b = element(head, at), element(*rhs)
             if a.sort != b.sort:
-                raise ParseError("cannot identify elements of different "
-                                 f"sorts {a.sort!r} and {b.sort!r}",
-                                 head.line, head.col)
+                raise self.error("cannot identify elements of different "
+                                 f"sorts {a.sort!r} and {b.sort!r}", at)
             if a != b:
                 x.merge(a, b)
-        elif head.text == "merged" and self.at_sym(":"):
+        elif head == "merged" and self.at_sym(":"):
             # ``old -> new`` lines up to the end: old names new's element.
             self.next()
-            while self.peek().kind != "eof":
+            while self.tok[0] != "eof":
                 old = self.take_ident()
                 self.take_sym("->")
-                declare(old, element(self.take_ident()))
+                declare(*old, element(*self.take_ident()))
         else:
-            if not sig.has_relation(head.text):
-                raise ParseError(f"unknown relation {head.text!r}",
-                                 head.line, head.col)
-            decl = sig.relation(head.text)
+            if not sig.has_relation(head):
+                raise self.error(f"unknown relation {head!r}", at)
+            decl = sig.relation(head)
             self.take_sym("(")
             args = []
             if not self.at_sym(")"):
-                args.append(element(self.take_ident()))
+                args.append(element(*self.take_ident()))
                 while self.at_sym(","):
                     self.next()
-                    args.append(element(self.take_ident()))
+                    args.append(element(*self.take_ident()))
             self.take_sym(")")
             self.take_sym(";")
             if len(args) != len(decl.arity):
-                raise ParseError(
+                raise self.error(
                     f"relation {decl.name!r} expects {len(decl.arity)} "
-                    f"arguments, got {len(args)}", head.line, head.col)
+                    f"arguments, got {len(args)}", at)
             for e, s in zip(args, decl.arity):
                 if e.sort != s:
-                    raise ParseError(
+                    raise self.error(
                         f"argument of sort {e.sort!r} where {s!r} expected",
-                        head.line, head.col)
+                        at)
             x.add_tuple(decl.name, tuple(args))
 
 

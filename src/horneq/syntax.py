@@ -16,13 +16,11 @@ Grammar (``#`` starts a line comment)::
     atom      := IDENT "(" terms? ")" | term "!" | term "=" term
     term      := IDENT | IDENT "(" terms? ")"
 
-``parse_theory`` reads a statement at a time.  A rule over flat atoms
-(``R(x, y)``, ``u = v``, ``v!``, no comment inside) is read with one match
-of ``_RULE_RE`` and resolved straight from the declarations.  The token
-reader, ``_Parser``, reads everything else, and reads again each fast rule
-that fails to resolve, so every error comes from it or ``_resolve_rule``.
-Rules are resolved after the last statement, so a syntax error comes
-before any resolution error.
+``parse_theory`` reads every statement with one token reader, ``_Parser``,
+and then resolves each rule against the declarations, so a rule may come
+before the declarations it uses, and a syntax error comes before any
+resolution error.  Tokens carry their offsets; a line and column are
+counted only for an error and for each rule's ``Sequent.location``.
 """
 
 from __future__ import annotations
@@ -30,9 +28,9 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, Optional, Union
 
-from .core import RelDecl, Signature, SignatureError
+from .core import RelDecl, Signature
 
 
 class ParseError(ValueError):
@@ -175,7 +173,7 @@ def is_rhl(x) -> bool:
     raise TypeError(f"is_rhl: unsupported {type(x).__name__}")
 
 
-# -- lexer -----------------------------------------------------------------
+# -- reading -------------------------------------------------------------
 
 # One match per token: skip blanks and comments, then read one token.  It
 # always matches, since ``bad`` takes any other character and ``eof`` the
@@ -198,478 +196,318 @@ _KEYWORDS = {"sort", "pred", "func", "rule", "true"}
 MAX_TERM_DEPTH = 200
 
 
-class _Token(NamedTuple):
-    kind: str  # "ident" | "sym" | "eof"
-    text: str
-    line: int
-    col: int
+def _line_col(text: str, at: int) -> tuple[int, int]:
+    """The line and column of offset ``at``, both counted from 1; a tab
+    counts as one column."""
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
 
 
 class _Cursor:
-    """The tokens of a text, read one ahead of the parser: ``peek`` shows
-    the next token and ``next`` consumes it.  Lines and columns count from
-    1, a tab counting as one column.
+    """The tokens of ``text`` from offset ``pos``, read one ahead: ``tok``
+    is the next token, as its kind ("ident", "sym" or "eof"), its text
+    ("" at the end) and its offset, and ``next`` consumes it.  A character
+    that starts no token is an error as soon as it is read."""
 
-    ``start`` is the offset to read from, its line, and the offset of that
-    line's first character; ``where`` gives the same triple for the next
-    token, so a reader can hand the rest of the text to another cursor
-    without counting lines from the top again."""
+    def __init__(self, text: str, pos: int = 0):
+        self.text = text
+        self._matches = _TOKEN_RE.finditer(text, pos)
+        self.tok = ("", "", pos)  # before the first token
+        self.next()
 
-    def __init__(self, text: str, start: tuple[int, int, int] = (0, 1, 0)):
-        self._text = text
-        # _line_start: offset of the current line's first character
-        self._pos, self._line, self._line_start = start
-        self._tok = self._read()
-
-    def where(self) -> tuple[int, int, int]:
-        """Where the next token starts, as a ``start`` for a new cursor.
-        Tokens hold no newline, so its line is still the current one."""
-        return (self._line_start + self._tok.col - 1, self._line,
-                self._line_start)
-
-    def _read(self) -> _Token:
-        text, pos = self._text, self._pos
-        m = _TOKEN_RE.match(text, pos)
-        kind = m.lastgroup
-        start = m.start(kind)
-        if start != pos:
-            newlines = text.count("\n", pos, start)
-            if newlines:
-                self._line += newlines
-                self._line_start = text.rindex("\n", pos, start) + 1
-        self._pos = m.end()
-        tok = _Token(kind, m.group(kind), self._line,
-                     start - self._line_start + 1)
-        if kind == "bad":
-            raise ParseError(f"unexpected character {tok.text!r}",
-                             tok.line, tok.col)
+    def next(self) -> tuple[str, str, int]:
+        tok = self.tok
+        if tok[0] != "eof":
+            m = next(self._matches)
+            kind = m.lastgroup
+            if kind == "bad":
+                raise self.error(f"unexpected character {m[kind]!r}",
+                                 m.start(kind))
+            self.tok = kind, m[kind], m.start(kind)
         return tok
 
-    def peek(self) -> _Token:
-        return self._tok
-
-    def next(self) -> _Token:
-        tok = self._tok
-        if tok.kind != "eof":
-            self._tok = self._read()
-        return tok
-
-
-# -- statements ------------------------------------------------------------
-
-# What a fast path allows between two tokens: what the token reader skips,
-# except that a comment must end in a newline.  So a gap splits one way
-# only, a failed match backtracks in linear time, and a comment that ends
-# the text is left to the token reader.
-_GAP = r"(?:\s|\#[^\n]*\n)*"
-_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_NAME_RE = re.compile(_NAME)
-
-# A rule over flat atoms, read with one match, with no comment inside the
-# rule.  Group 1 is ``rule``, groups 2 and 3 the sides.  A keyword among
-# the names, which ``_KEYWORD_RE`` finds, sends the rule to the token
-# reader; the pattern does not exclude them, as that makes it compile
-# three times slower.
-_FLAT_ATOM = (rf"{_NAME}\s*(?:\(\s*(?:{_NAME}(?:\s*,\s*{_NAME})*\s*)?\)"
-              rf"|=\s*{_NAME}|!)")
-_FLAT_SIDE = rf"true|{_FLAT_ATOM}(?:\s*&\s*{_FLAT_ATOM})*"
-_RULE_RE = re.compile(
-    rf"{_GAP}(rule)\s+({_FLAT_SIDE})\s*=>\s*({_FLAT_SIDE})\s*;")
-_KEYWORD_RE = re.compile(
-    rf"(?<![A-Za-z0-9_])(?:{'|'.join(sorted(_KEYWORDS))})(?![A-Za-z0-9_])")
-# The atoms of a side that ``_RULE_RE`` matched: the name, then ``(`` and
-# the arguments, the right-hand side of ``=``, or neither for ``!``.
-_ATOM_RE = re.compile(rf"({_NAME})\s*(?:(\()([^)]*)\)|=\s*({_NAME})|!)")
-
-
-def _read_statements(text: str, pattern: re.Pattern, fast, reader,
-                     statement) -> None:
-    """Read ``text`` a statement at a time.  A statement is one match of
-    ``pattern`` that ``fast(m, start)`` takes; else ``statement(reader)``
-    reads it from a token reader ``reader(text, start)``, which is kept
-    for the next statement while the pattern fails.  ``start(offset)``, for
-    an offset in the match, gives the start of a ``_Cursor`` there."""
-    pos = counted = line_start = 0  # the line state is that at ``counted``
-    line = 1
-    cur = None  # a reader whose next token starts at ``pos``
-
-    def start(offset: int) -> tuple[int, int, int]:
-        nonlocal counted, line, line_start
-        newlines = text.count("\n", counted, offset)
-        if newlines:
-            line += newlines
-            line_start = text.rindex("\n", counted, offset) + 1
-        counted = offset
-        return offset, line, line_start
-
-    while True:
-        m = pattern.match(text, pos)
-        if m and fast(m, start):
-            pos, cur = m.end(), None
-            continue
-        cur = cur or reader(text, start(pos))
-        if cur.peek().kind == "eof":
-            return
-        statement(cur)
-        pos, line, line_start = cur.where()
-        counted = pos
-
-
-# -- raw (unresolved) syntax trees ----------------------------------------
-
-
-@dataclass(frozen=True)
-class _RawTerm:
-    name: str
-    args: Optional[tuple["_RawTerm", ...]]  # None: plain identifier
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class _RawAtom:
-    kind: str  # "rel" | "defined" | "equal"
-    payload: tuple
-    line: int
-    col: int
+    def error(self, message: str, at: int) -> ParseError:
+        """A ``ParseError`` located at offset ``at``."""
+        return ParseError(message, *_line_col(self.text, at))
 
 
 class _Parser(_Cursor):
-    def expect(self, text: str) -> _Token:
-        t = self.next()
-        if t.text != text:
-            raise ParseError(f"expected {text!r}, found {t.text or 'end of input'!r}",
-                             t.line, t.col)
-        return t
+    """Reads the statements of a theory, then resolves its rules.
 
-    def expect_ident(self) -> _Token:
-        t = self.next()
-        if t.kind != "ident" or t.text in _KEYWORDS:
-            raise ParseError(f"expected identifier, found {t.text or 'end of input'!r}",
-                             t.line, t.col)
-        return t
+    Declarations go into ``sorts`` and ``rels``.  A rule goes into
+    ``rules`` as raw trees and the offset of its ``rule``: a raw term is
+    its name, its offset and its arguments (None for a bare name), and a
+    raw atom is its kind ("rel", "defined" or "equal") and its one or two
+    raw terms."""
 
-    # -- declarations ------------------------------------------------------
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.sorts: list[str] = []
+        self.rels: dict[str, RelDecl] = {}
+        self.rules: list[tuple] = []
+        # Each (name, sort) is one Var, whichever rules it occurs in.
+        self.vars: dict[tuple[str, str], Var] = {}
+        # The rule being resolved: each variable's first offset and Var,
+        # and a union-find over variable names, with the sort of each
+        # root whose sort is known.
+        self.first: dict[str, int] = {}
+        self.var: dict[str, Var] = {}
+        self.parent: dict[str, str] = {}
+        self.sort: dict[str, str] = {}
 
-    def statement(self, sorts: list[str],
-                  rels: list[RelDecl]) -> Optional[tuple]:
-        """Read one statement.  A declaration goes into ``sorts`` or
-        ``rels``; a rule is returned unresolved, with its location."""
-        t = self.peek()
-        if t.text == "sort":
+    def expect(self, text: str) -> None:
+        _, tok, at = self.next()
+        if tok != text:
+            raise self.error(
+                f"expected {text!r}, found {tok or 'end of input'!r}", at)
+
+    def ident(self) -> tuple[str, int]:
+        kind, tok, at = self.next()
+        if kind != "ident" or tok in _KEYWORDS:
+            raise self.error(
+                f"expected identifier, found {tok or 'end of input'!r}", at)
+        return tok, at
+
+    def statement(self) -> None:
+        """Read one declaration or rule."""
+        sorts, rels = self.sorts, self.rels
+        _, word, at = self.tok
+        if word == "sort":
             self.next()
-            name = self.expect_ident().text
+            name = self.ident()[0]
             if name in sorts:
-                raise ParseError(f"duplicate sort {name!r}", t.line, t.col)
+                raise self.error(f"duplicate sort {name!r}", at)
             sorts.append(name)
-            self.expect(";")
-        elif t.text in ("pred", "func"):
+        elif word in ("pred", "func"):
             self.next()
-            name = self.expect_ident().text
-            if any(r.name == name for r in rels):
-                raise ParseError(f"duplicate relation {name!r}", t.line, t.col)
+            name = self.ident()[0]
+            if name in rels:
+                raise self.error(f"duplicate relation {name!r}", at)
             self.expect(":")
-            args = self.parse_sorts(sorts, t)
-            if t.text == "func":
+            arity = self.sort_list()
+            if word == "func":
                 self.expect("->")
-                result = self.expect_ident().text
+                result = self.ident()[0]
                 if result not in sorts:
-                    raise ParseError(f"unknown sort {result!r}", t.line, t.col)
-                rels.append(RelDecl(name, tuple(args) + (result,), "func"))
-            else:
-                rels.append(RelDecl(name, tuple(args), "pred"))
-            self.expect(";")
-        elif t.text == "rule":
+                    raise self.error(f"unknown sort {result!r}", at)
+                arity.append(result)
+            rels[name] = RelDecl(name, tuple(arity), word)
+        elif word == "rule":
             self.next()
-            premise = self.parse_raw_formula()
+            premise = self.formula()
             self.expect("=>")
-            conclusion = self.parse_raw_formula()
-            self.expect(";")
-            return premise, conclusion, (t.line, t.col)
+            self.rules.append((premise, self.formula(), at))
         else:
-            raise ParseError(
-                f"expected declaration or rule, found {t.text or 'end of input'!r}",
-                t.line, t.col)
-        return None
+            raise self.error("expected declaration or rule, found "
+                             f"{word or 'end of input'!r}", at)
+        self.expect(";")
 
-    def parse_sorts(self, sorts: list[str], at: _Token) -> list[str]:
+    def sort_list(self) -> list[str]:
+        sorts = self.sorts
         out: list[str] = []
-        if self.peek().text in (";", "->"):
+        if self.tok[1] in (";", "->"):
             return out
         while True:
-            tok = self.expect_ident()
-            if tok.text not in sorts:
-                raise ParseError(f"unknown sort {tok.text!r}", tok.line, tok.col)
-            out.append(tok.text)
-            if self.peek().text == "*":
-                self.next()
-            else:
+            name, at = self.ident()
+            if name not in sorts:
+                raise self.error(f"unknown sort {name!r}", at)
+            out.append(name)
+            if self.tok[1] != "*":
                 return out
+            self.next()
 
-    # -- rules -------------------------------------------------------------
-
-    def parse_raw_formula(self) -> list[_RawAtom]:
-        if self.peek().text == "true":
+    def formula(self) -> list[tuple]:
+        if self.tok[1] == "true":
             self.next()
             return []
-        atoms = [self.parse_raw_atom()]
-        while self.peek().text == "&":
+        atoms = [self.atom()]
+        while self.tok[1] == "&":
             self.next()
-            atoms.append(self.parse_raw_atom())
+            atoms.append(self.atom())
         return atoms
 
-    def parse_raw_atom(self) -> _RawAtom:
-        t = self.peek()
-        term = self.parse_raw_term()
-        nxt = self.peek()
-        if nxt.text == "!":
+    def atom(self) -> tuple:
+        term = self.term()
+        _, tok, at = self.tok
+        if tok == "!":
             self.next()
-            return _RawAtom("defined", (term,), t.line, t.col)
-        if nxt.text == "=":
+            return "defined", term, None
+        if tok == "=":
             self.next()
-            rhs = self.parse_raw_term()
-            return _RawAtom("equal", (term, rhs), t.line, t.col)
-        if term.args is None:
-            raise ParseError("expected '!', '=' or '(' after identifier",
-                             nxt.line, nxt.col)
-        return _RawAtom("rel", (term,), t.line, t.col)
+            return "equal", term, self.term()
+        if term[2] is None:
+            raise self.error("expected '!', '=' or '(' after identifier", at)
+        return "rel", term, None
 
-    def parse_raw_term(self, depth: int = 0) -> _RawTerm:
-        tok = self.expect_ident()
-        if self.peek().text == "(":
-            if depth == MAX_TERM_DEPTH:
-                raise ParseError(
-                    f"term nested deeper than {MAX_TERM_DEPTH} applications",
-                    tok.line, tok.col)
-            self.next()
-            args: list[_RawTerm] = []
-            if self.peek().text != ")":
-                args.append(self.parse_raw_term(depth + 1))
-                while self.peek().text == ",":
-                    self.next()
-                    args.append(self.parse_raw_term(depth + 1))
-            self.expect(")")
-            return _RawTerm(tok.text, tuple(args), tok.line, tok.col)
-        return _RawTerm(tok.text, None, tok.line, tok.col)
+    def term(self, depth: int = 0) -> tuple:
+        # ``ident``, inlined: most names in a rule are read here, and the
+        # call costs flattened theories about 7 % of their parse.
+        kind, name, at = self.next()
+        if kind != "ident" or name in _KEYWORDS:
+            raise self.error(
+                f"expected identifier, found {name or 'end of input'!r}", at)
+        if self.tok[1] != "(":
+            return name, at, None
+        if depth == MAX_TERM_DEPTH:
+            raise self.error(
+                f"term nested deeper than {MAX_TERM_DEPTH} applications", at)
+        self.next()
+        args = []
+        if self.tok[1] != ")":
+            args.append(self.term(depth + 1))
+            while self.tok[1] == ",":
+                self.next()
+                args.append(self.term(depth + 1))
+        self.expect(")")
+        return name, at, tuple(args)
 
+    # -- resolution --------------------------------------------------------
+    #
+    # A rule is resolved in two passes.  The first checks every atom and
+    # term against the declarations, and collects the sorts of the
+    # variables in the union-find, so a sort can flow from a later atom to
+    # a variable met earlier.  Each variable's ``Var`` is then made, and
+    # the second pass builds the atoms.
 
-# -- sort inference and resolution ----------------------------------------
+    def sequent(self, premise: list[tuple], conclusion: list[tuple],
+                location: tuple[int, int]) -> Sequent:
+        self.first, self.var, self.parent, self.sort = {}, {}, {}, {}
+        for atoms in (premise, conclusion):
+            for atom in atoms:
+                self.check(*atom)
+        # In the order the second pass meets them, so the first variable
+        # without a sort is reported where the second pass would meet it.
+        for name, at in self.first.items():
+            s = self.sort.get(self.root(name))
+            if s is None:
+                raise self.error(
+                    f"cannot infer a sort for variable {name!r}", at)
+            v = self.vars.get((name, s))
+            if v is None:
+                v = self.vars[name, s] = Var(name, s)
+            self.var[name] = v
+        return Sequent(self.build_formula(premise),
+                       self.build_formula(conclusion), location=location)
 
+    def check(self, kind: str, lhs: tuple, rhs: Optional[tuple]) -> None:
+        """Check a raw atom and collect the sorts of its variables."""
+        walk = self.walk
+        if kind == "rel":
+            name, at, args = lhs
+            decl = self.rels.get(name)
+            if decl is None:
+                raise self.error(f"unknown relation {name!r}", at)
+            if decl.kind == "func":
+                raise self.error(
+                    f"function symbol {name!r} used as a relation atom", at)
+            if len(args) != len(decl.arity):
+                raise self.error(f"{name}: expected {len(decl.arity)} "
+                                 f"arguments, got {len(args)}", at)
+            for a, s in zip(args, decl.arity):
+                walk(a, s)
+        elif kind == "defined":
+            walk(lhs, None)
+        else:
+            # A side of unknown sort is a variable: an application has its
+            # result sort.
+            ls, rs = walk(lhs, None), walk(rhs, None)
+            if ls is None and rs is None:
+                u, v = self.root(lhs[0]), self.root(rhs[0])
+                su, sv = self.sort.get(u), self.sort.get(v)
+                if su is not None and sv is not None and su != sv:
+                    raise self.error(
+                        f"variables {lhs[0]!r} and {rhs[0]!r} equated at "
+                        f"sorts {su!r} and {sv!r}", lhs[1])
+                if u != v:
+                    self.parent[v] = u
+                    if su is None and sv is not None:
+                        self.sort[u] = sv
+            elif ls is None:
+                walk(lhs, rs)
+            elif rs is None:
+                walk(rhs, ls)
+            elif ls != rs:
+                raise self.error(
+                    f"equality between sorts {ls!r} and {rs!r}", lhs[1])
 
-class _SortSolver:
-    """Union-find over variable names with at most one sort per class."""
-
-    def __init__(self):
-        self.parent: dict[str, str] = {}
-        self.sort: dict[str, Optional[str]] = {}
-
-    def _root(self, v: str) -> str:
-        self.parent.setdefault(v, v)
-        self.sort.setdefault(v, None)
-        while self.parent[v] != v:
-            self.parent[v] = self.parent[self.parent[v]]
-            v = self.parent[v]
+    def root(self, v: str) -> str:
+        parent = self.parent
+        while (p := parent.get(v)) is not None:
+            # halve the path: v's parent becomes its grandparent
+            parent[v] = v = parent.get(p, p)
         return v
 
-    def assign(self, v: str, sort: str, line: int, col: int) -> None:
-        r = self._root(v)
-        if self.sort[r] is None:
-            self.sort[r] = sort
-        elif self.sort[r] != sort:
-            raise ParseError(
-                f"variable {v!r} used at sorts {self.sort[r]!r} and {sort!r}",
-                line, col)
-
-    def link(self, u: str, v: str, line: int, col: int) -> None:
-        ru, rv = self._root(u), self._root(v)
-        if ru == rv:
-            return
-        su, sv = self.sort[ru], self.sort[rv]
-        if su is not None and sv is not None and su != sv:
-            raise ParseError(
-                f"variables {u!r} and {v!r} equated at sorts {su!r} and {sv!r}",
-                line, col)
-        self.parent[rv] = ru
-        self.sort[ru] = su if su is not None else sv
-
-    def resolve(self, v: str, line: int, col: int) -> str:
-        s = self.sort[self._root(v)]
-        if s is None:
-            raise ParseError(f"cannot infer a sort for variable {v!r}", line, col)
-        return s
-
-
-def _walk_term(sig: Signature, t: _RawTerm, expected: Optional[str],
-               solver: _SortSolver) -> Optional[str]:
-    """Record sort constraints; return the term's sort if known."""
-    if t.args is None:
-        if sig.has_relation(t.name):
-            raise ParseError(
-                f"{t.name!r} is a relation symbol, not a variable", t.line, t.col)
-        if expected is not None:
-            solver.assign(t.name, expected, t.line, t.col)
-        else:
-            solver._root(t.name)
-        return expected
-    decl = sig.relation(t.name) if sig.has_relation(t.name) else None
-    if decl is None:
-        raise ParseError(f"unknown symbol {t.name!r}", t.line, t.col)
-    if decl.kind != "func":
-        raise ParseError(
-            f"predicate {t.name!r} used as a function term", t.line, t.col)
-    if len(t.args) != len(decl.arg_sorts):
-        raise ParseError(
-            f"{t.name}: expected {len(decl.arg_sorts)} arguments, got {len(t.args)}",
-            t.line, t.col)
-    for a, s in zip(t.args, decl.arg_sorts):
-        _walk_term(sig, a, s, solver)
-    if expected is not None and decl.result_sort != expected:
-        raise ParseError(
-            f"{t.name} has sort {decl.result_sort!r}, expected {expected!r}",
-            t.line, t.col)
-    return decl.result_sort
-
-
-def _walk_atom(sig: Signature, a: _RawAtom, solver: _SortSolver) -> None:
-    if a.kind == "rel":
-        (t,) = a.payload
-        decl = sig.relation(t.name) if sig.has_relation(t.name) else None
+    def walk(self, t: tuple, expected: Optional[str]) -> Optional[str]:
+        """Check a term, of sort ``expected`` if not None; its sort if
+        known."""
+        name, at, args = t
+        if args is None:
+            if name in self.rels:
+                raise self.error(
+                    f"{name!r} is a relation symbol, not a variable", at)
+            self.first.setdefault(name, at)
+            if expected is not None:
+                have = self.sort.setdefault(self.root(name), expected)
+                if have != expected:
+                    raise self.error(f"variable {name!r} used at sorts "
+                                     f"{have!r} and {expected!r}", at)
+            return expected
+        decl = self.rels.get(name)
         if decl is None:
-            raise ParseError(f"unknown relation {t.name!r}", t.line, t.col)
-        if decl.kind == "func":
-            raise ParseError(
-                f"function symbol {t.name!r} used as a relation atom",
-                t.line, t.col)
-        if len(t.args) != len(decl.arity):
-            raise ParseError(
-                f"{t.name}: expected {len(decl.arity)} arguments, got {len(t.args)}",
-                t.line, t.col)
-        for arg, s in zip(t.args, decl.arity):
-            _walk_term(sig, arg, s, solver)
-    elif a.kind == "defined":
-        (t,) = a.payload
-        _walk_term(sig, t, None, solver)
-    else:
-        lhs, rhs = a.payload
-        ls = _walk_term(sig, lhs, None, solver)
-        rs = _walk_term(sig, rhs, None, solver)
-        if ls is not None and rs is None and rhs.args is None:
-            solver.assign(rhs.name, ls, rhs.line, rhs.col)
-        elif rs is not None and ls is None and lhs.args is None:
-            solver.assign(lhs.name, rs, lhs.line, lhs.col)
-        elif ls is None and rs is None and lhs.args is None and rhs.args is None:
-            solver.link(lhs.name, rhs.name, a.line, a.col)
-        elif ls is not None and rs is not None and ls != rs:
-            raise ParseError(f"equality between sorts {ls!r} and {rs!r}",
-                             a.line, a.col)
+            raise self.error(f"unknown symbol {name!r}", at)
+        if decl.kind != "func":
+            raise self.error(f"predicate {name!r} used as a function term",
+                             at)
+        *arg_sorts, result = decl.arity
+        if len(args) != len(arg_sorts):
+            raise self.error(f"{name}: expected {len(arg_sorts)} arguments, "
+                             f"got {len(args)}", at)
+        for a, s in zip(args, arg_sorts):
+            self.walk(a, s)
+        if expected is not None and result != expected:
+            raise self.error(f"{name} has sort {result!r}, expected "
+                             f"{expected!r}", at)
+        return result
 
+    def build(self, t: tuple) -> Term:
+        name, _, args = t
+        if args is None:
+            return self.var[name]
+        return App(self.rels[name], tuple([self.build(a) for a in args]))
 
-def _build_term(sig: Signature, t: _RawTerm, solver: _SortSolver) -> Term:
-    if t.args is None:
-        return Var(t.name, solver.resolve(t.name, t.line, t.col))
-    decl = sig.relation(t.name)
-    return App(decl, tuple(_build_term(sig, a, solver) for a in t.args))
-
-
-def _build_atom(sig: Signature, a: _RawAtom, solver: _SortSolver) -> Atom:
-    if a.kind == "rel":
-        (t,) = a.payload
-        decl = sig.relation(t.name)
-        return RelAtom(decl, tuple(_build_term(sig, x, solver) for x in t.args))
-    if a.kind == "defined":
-        (t,) = a.payload
-        return DefinedAtom(_build_term(sig, t, solver))
-    lhs, rhs = a.payload
-    blhs = _build_term(sig, lhs, solver)
-    brhs = _build_term(sig, rhs, solver)
-    if blhs.sort != brhs.sort:
-        raise ParseError(f"equality between sorts {blhs.sort!r} and {brhs.sort!r}",
-                         a.line, a.col)
-    return EqualAtom(blhs, brhs)
-
-
-def _resolve_rule(sig: Signature, premise: list[_RawAtom],
-                  conclusion: list[_RawAtom],
-                  loc: tuple[int, int]) -> Sequent:
-    # Constraint collection is order-independent: the solver's union-find
-    # lets sorts flow from later atoms to variables bound earlier.
-    solver = _SortSolver()
-    for a in premise + conclusion:
-        _walk_atom(sig, a, solver)
-    return Sequent(
-        Formula(tuple(_build_atom(sig, a, solver) for a in premise)),
-        Formula(tuple(_build_atom(sig, a, solver) for a in conclusion)),
-        location=loc,
-    )
-
-
-def _flat_sequent(sig: Signature, m: re.Match,
-                  loc: tuple[int, int]) -> Optional[Sequent]:
-    """The sequent of a rule that ``_RULE_RE`` matched, resolved straight
-    from the declarations.  None exactly where ``_resolve_rule`` raises:
-    its checks pass or fail whatever their order."""
-    solver = _SortSolver()
-    sides = [_ATOM_RE.findall(side) for side in m.group(2, 3)]
-    try:
-        for name, paren, args, rhs in sides[0] + sides[1]:
-            if paren:
-                decl, names = sig.relation(name), _NAME_RE.findall(args)
-                if decl.kind != "pred" or len(names) != len(decl.arity):
-                    return None
-                for v, s in zip(names, decl.arity):
-                    solver.assign(v, s, 0, 0)
-            elif rhs:
-                solver.link(name, rhs, 0, 0)
+    def build_formula(self, atoms: list[tuple]) -> Formula:
+        rels, var, build = self.rels, self.var, self.build
+        out: list[Atom] = []
+        for kind, lhs, rhs in atoms:
+            if kind == "rel":
+                out.append(RelAtom(rels[lhs[0]], tuple([
+                    var[a[0]] if a[2] is None else build(a)
+                    for a in lhs[2]])))
+            elif kind == "defined":
+                out.append(DefinedAtom(build(lhs)))
             else:
-                solver._root(name)
-        if any(sig.has_relation(v) for v in solver.parent):
-            return None
-        var = {v: Var(v, solver.resolve(v, 0, 0)) for v in solver.parent}
-    except (ParseError, SignatureError):
-        return None
-
-    def atom(name: str, paren: str, args: str, rhs: str) -> Atom:
-        if paren:
-            return RelAtom(sig.relation(name),
-                           tuple(var[v] for v in _NAME_RE.findall(args)))
-        return EqualAtom(var[name], var[rhs]) if rhs else DefinedAtom(var[name])
-
-    premise, conclusion = (Formula(tuple(atom(*a) for a in side))
-                           for side in sides)
-    return Sequent(premise, conclusion, location=loc)
+                out.append(EqualAtom(build(lhs), build(rhs)))
+        return Formula(tuple(out))
 
 
 def parse_theory(text: str) -> Theory:
-    """Read a theory; the module docstring gives its two paths."""
-    sorts: list[str] = []
-    rels: list[RelDecl] = []
-    rules: list = []  # raw rules, a fast match and its start, or None
-
-    def fast(m: re.Match, start) -> bool:
-        if any(side != "true" and _KEYWORD_RE.search(side)
-               for side in m.group(2, 3)):
-            return False
-        rules.append((m, start(m.start(1))))
-        return True
-
-    _read_statements(text, _RULE_RE, fast, _Parser,
-                     lambda reader: rules.append(reader.statement(sorts, rels)))
-    sig = Signature(tuple(sorts), tuple(rels))
+    """Read a theory; the module docstring says how."""
+    p = _Parser(text)
+    while p.tok[0] != "eof":
+        p.statement()
+    sig = Signature(tuple(p.sorts), tuple(p.rels.values()))
     sequents = []
-    for rule in filter(None, rules):
-        if isinstance(rule[0], re.Match):
-            m, (pos, line, line_start) = rule
-            # a rejected fast rule is read again, for _resolve_rule to raise
-            seq = (_flat_sequent(sig, m, (line, pos - line_start + 1))
-                   or _resolve_rule(
-                       sig, *_Parser(text, rule[1]).statement(sorts, rels)))
-        else:
-            seq = _resolve_rule(sig, *rule)
+    line, counted, line_start = 1, 0, 0  # the line state at ``counted``
+    for premise, conclusion, at in p.rules:
+        newlines = text.count("\n", counted, at)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", counted, at) + 1
+        counted = at
+        seq = p.sequent(premise, conclusion, (line, at - line_start + 1))
         if not seq.conclusion.atoms:
-            line, col = seq.location
-            warnings.warn(
-                f"{line}:{col}: sequent has an empty conclusion and is vacuous",
-                VacuousSequentWarning, stacklevel=2)
+            warnings.warn("{}:{}: sequent has an empty conclusion and is "
+                          "vacuous".format(*seq.location),
+                          VacuousSequentWarning, stacklevel=2)
         sequents.append(seq)
     return Theory(sig, tuple(sequents))
 

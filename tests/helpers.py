@@ -9,17 +9,18 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import warnings
-from typing import Iterator, Optional
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple, Optional
 
 from horneq.classify import classifying_morphism, sequent_from_morphism
 from horneq.core import El, Morphism, RelDecl, Signature, Structure, pushout
 from horneq.engine import EvalReport, IterationStats
 from horneq.oracle import enumerate_morphisms
-from horneq.syntax import (DefinedAtom, EqualAtom, Formula, ParseError,
-                           RelAtom, Sequent, Theory, VacuousSequentWarning,
-                           Var, _Cursor, _Parser, _resolve_rule, _Token,
-                           formula_vars)
+from horneq.syntax import (MAX_TERM_DEPTH, App, Atom, DefinedAtom, EqualAtom,
+                           Formula, ParseError, RelAtom, Sequent, Term, Theory,
+                           VacuousSequentWarning, Var, formula_vars)
 
 
 def random_signature(rng: random.Random, max_sorts: int = 2,
@@ -468,6 +469,374 @@ def reference_evaluate(t: Theory, x: Structure,
     unit = Morphism(x, result, {e: result.find(e) for sort in x.sig.sorts
                                 for e in x.elements(sort)})
     return result, unit, report
+
+
+# -- reference token readers ---------------------------------------------
+#
+# The token readers that ``parse_theory`` and ``parse_facts`` replaced,
+# kept as they were: the references below read with them alone, so the
+# differential tests compare the package's readers with this behaviour.
+
+# One match per token: skip blanks and comments, then read one token.  It
+# always matches, since ``bad`` takes any other character and ``eof`` the
+# end of the text.
+_TOKEN_RE = re.compile(
+    r"""(?:\s+|\#[^\n]*)*
+      (?: (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+        | (?P<sym>=>|->|[;:*(),=!&])
+        | (?P<eof>\Z)
+        | (?P<bad>.) )
+    """,
+    re.VERBOSE,
+)
+
+_KEYWORDS = {"sort", "pred", "func", "rule", "true"}
+
+
+class _Token(NamedTuple):
+    kind: str  # "ident" | "sym" | "eof"
+    text: str
+    line: int
+    col: int
+
+
+class _Cursor:
+    """The tokens of a text, read one ahead of the parser: ``peek`` shows
+    the next token and ``next`` consumes it.  Lines and columns count from
+    1, a tab counting as one column.
+
+    ``start`` is the offset to read from, its line, and the offset of that
+    line's first character; ``where`` gives the same triple for the next
+    token, so a reader can hand the rest of the text to another cursor
+    without counting lines from the top again."""
+
+    def __init__(self, text: str, start: tuple[int, int, int] = (0, 1, 0)):
+        self._text = text
+        # _line_start: offset of the current line's first character
+        self._pos, self._line, self._line_start = start
+        self._tok = self._read()
+
+    def where(self) -> tuple[int, int, int]:
+        """Where the next token starts, as a ``start`` for a new cursor.
+        Tokens hold no newline, so its line is still the current one."""
+        return (self._line_start + self._tok.col - 1, self._line,
+                self._line_start)
+
+    def _read(self) -> _Token:
+        text, pos = self._text, self._pos
+        m = _TOKEN_RE.match(text, pos)
+        kind = m.lastgroup
+        start = m.start(kind)
+        if start != pos:
+            newlines = text.count("\n", pos, start)
+            if newlines:
+                self._line += newlines
+                self._line_start = text.rindex("\n", pos, start) + 1
+        self._pos = m.end()
+        tok = _Token(kind, m.group(kind), self._line,
+                     start - self._line_start + 1)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {tok.text!r}",
+                             tok.line, tok.col)
+        return tok
+
+    def peek(self) -> _Token:
+        return self._tok
+
+    def next(self) -> _Token:
+        tok = self._tok
+        if tok.kind != "eof":
+            self._tok = self._read()
+        return tok
+
+
+
+# -- raw (unresolved) syntax trees ----------------------------------------
+
+
+@dataclass(frozen=True)
+class _RawTerm:
+    name: str
+    args: Optional[tuple["_RawTerm", ...]]  # None: plain identifier
+    line: int
+    col: int
+
+
+@dataclass(frozen=True)
+class _RawAtom:
+    kind: str  # "rel" | "defined" | "equal"
+    payload: tuple
+    line: int
+    col: int
+
+
+class _Parser(_Cursor):
+    def expect(self, text: str) -> _Token:
+        t = self.next()
+        if t.text != text:
+            raise ParseError(f"expected {text!r}, found {t.text or 'end of input'!r}",
+                             t.line, t.col)
+        return t
+
+    def expect_ident(self) -> _Token:
+        t = self.next()
+        if t.kind != "ident" or t.text in _KEYWORDS:
+            raise ParseError(f"expected identifier, found {t.text or 'end of input'!r}",
+                             t.line, t.col)
+        return t
+
+    # -- declarations ------------------------------------------------------
+
+    def statement(self, sorts: list[str],
+                  rels: list[RelDecl]) -> Optional[tuple]:
+        """Read one statement.  A declaration goes into ``sorts`` or
+        ``rels``; a rule is returned unresolved, with its location."""
+        t = self.peek()
+        if t.text == "sort":
+            self.next()
+            name = self.expect_ident().text
+            if name in sorts:
+                raise ParseError(f"duplicate sort {name!r}", t.line, t.col)
+            sorts.append(name)
+            self.expect(";")
+        elif t.text in ("pred", "func"):
+            self.next()
+            name = self.expect_ident().text
+            if any(r.name == name for r in rels):
+                raise ParseError(f"duplicate relation {name!r}", t.line, t.col)
+            self.expect(":")
+            args = self.parse_sorts(sorts, t)
+            if t.text == "func":
+                self.expect("->")
+                result = self.expect_ident().text
+                if result not in sorts:
+                    raise ParseError(f"unknown sort {result!r}", t.line, t.col)
+                rels.append(RelDecl(name, tuple(args) + (result,), "func"))
+            else:
+                rels.append(RelDecl(name, tuple(args), "pred"))
+            self.expect(";")
+        elif t.text == "rule":
+            self.next()
+            premise = self.parse_raw_formula()
+            self.expect("=>")
+            conclusion = self.parse_raw_formula()
+            self.expect(";")
+            return premise, conclusion, (t.line, t.col)
+        else:
+            raise ParseError(
+                f"expected declaration or rule, found {t.text or 'end of input'!r}",
+                t.line, t.col)
+        return None
+
+    def parse_sorts(self, sorts: list[str], at: _Token) -> list[str]:
+        out: list[str] = []
+        if self.peek().text in (";", "->"):
+            return out
+        while True:
+            tok = self.expect_ident()
+            if tok.text not in sorts:
+                raise ParseError(f"unknown sort {tok.text!r}", tok.line, tok.col)
+            out.append(tok.text)
+            if self.peek().text == "*":
+                self.next()
+            else:
+                return out
+
+    # -- rules -------------------------------------------------------------
+
+    def parse_raw_formula(self) -> list[_RawAtom]:
+        if self.peek().text == "true":
+            self.next()
+            return []
+        atoms = [self.parse_raw_atom()]
+        while self.peek().text == "&":
+            self.next()
+            atoms.append(self.parse_raw_atom())
+        return atoms
+
+    def parse_raw_atom(self) -> _RawAtom:
+        t = self.peek()
+        term = self.parse_raw_term()
+        nxt = self.peek()
+        if nxt.text == "!":
+            self.next()
+            return _RawAtom("defined", (term,), t.line, t.col)
+        if nxt.text == "=":
+            self.next()
+            rhs = self.parse_raw_term()
+            return _RawAtom("equal", (term, rhs), t.line, t.col)
+        if term.args is None:
+            raise ParseError("expected '!', '=' or '(' after identifier",
+                             nxt.line, nxt.col)
+        return _RawAtom("rel", (term,), t.line, t.col)
+
+    def parse_raw_term(self, depth: int = 0) -> _RawTerm:
+        tok = self.expect_ident()
+        if self.peek().text == "(":
+            if depth == MAX_TERM_DEPTH:
+                raise ParseError(
+                    f"term nested deeper than {MAX_TERM_DEPTH} applications",
+                    tok.line, tok.col)
+            self.next()
+            args: list[_RawTerm] = []
+            if self.peek().text != ")":
+                args.append(self.parse_raw_term(depth + 1))
+                while self.peek().text == ",":
+                    self.next()
+                    args.append(self.parse_raw_term(depth + 1))
+            self.expect(")")
+            return _RawTerm(tok.text, tuple(args), tok.line, tok.col)
+        return _RawTerm(tok.text, None, tok.line, tok.col)
+
+
+# -- sort inference and resolution ----------------------------------------
+
+
+class _SortSolver:
+    """Union-find over variable names with at most one sort per class."""
+
+    def __init__(self):
+        self.parent: dict[str, str] = {}
+        self.sort: dict[str, Optional[str]] = {}
+
+    def _root(self, v: str) -> str:
+        self.parent.setdefault(v, v)
+        self.sort.setdefault(v, None)
+        while self.parent[v] != v:
+            self.parent[v] = self.parent[self.parent[v]]
+            v = self.parent[v]
+        return v
+
+    def assign(self, v: str, sort: str, line: int, col: int) -> None:
+        r = self._root(v)
+        if self.sort[r] is None:
+            self.sort[r] = sort
+        elif self.sort[r] != sort:
+            raise ParseError(
+                f"variable {v!r} used at sorts {self.sort[r]!r} and {sort!r}",
+                line, col)
+
+    def link(self, u: str, v: str, line: int, col: int) -> None:
+        ru, rv = self._root(u), self._root(v)
+        if ru == rv:
+            return
+        su, sv = self.sort[ru], self.sort[rv]
+        if su is not None and sv is not None and su != sv:
+            raise ParseError(
+                f"variables {u!r} and {v!r} equated at sorts {su!r} and {sv!r}",
+                line, col)
+        self.parent[rv] = ru
+        self.sort[ru] = su if su is not None else sv
+
+    def resolve(self, v: str, line: int, col: int) -> str:
+        s = self.sort[self._root(v)]
+        if s is None:
+            raise ParseError(f"cannot infer a sort for variable {v!r}", line, col)
+        return s
+
+
+def _walk_term(sig: Signature, t: _RawTerm, expected: Optional[str],
+               solver: _SortSolver) -> Optional[str]:
+    """Record sort constraints; return the term's sort if known."""
+    if t.args is None:
+        if sig.has_relation(t.name):
+            raise ParseError(
+                f"{t.name!r} is a relation symbol, not a variable", t.line, t.col)
+        if expected is not None:
+            solver.assign(t.name, expected, t.line, t.col)
+        else:
+            solver._root(t.name)
+        return expected
+    decl = sig.relation(t.name) if sig.has_relation(t.name) else None
+    if decl is None:
+        raise ParseError(f"unknown symbol {t.name!r}", t.line, t.col)
+    if decl.kind != "func":
+        raise ParseError(
+            f"predicate {t.name!r} used as a function term", t.line, t.col)
+    if len(t.args) != len(decl.arg_sorts):
+        raise ParseError(
+            f"{t.name}: expected {len(decl.arg_sorts)} arguments, got {len(t.args)}",
+            t.line, t.col)
+    for a, s in zip(t.args, decl.arg_sorts):
+        _walk_term(sig, a, s, solver)
+    if expected is not None and decl.result_sort != expected:
+        raise ParseError(
+            f"{t.name} has sort {decl.result_sort!r}, expected {expected!r}",
+            t.line, t.col)
+    return decl.result_sort
+
+
+def _walk_atom(sig: Signature, a: _RawAtom, solver: _SortSolver) -> None:
+    if a.kind == "rel":
+        (t,) = a.payload
+        decl = sig.relation(t.name) if sig.has_relation(t.name) else None
+        if decl is None:
+            raise ParseError(f"unknown relation {t.name!r}", t.line, t.col)
+        if decl.kind == "func":
+            raise ParseError(
+                f"function symbol {t.name!r} used as a relation atom",
+                t.line, t.col)
+        if len(t.args) != len(decl.arity):
+            raise ParseError(
+                f"{t.name}: expected {len(decl.arity)} arguments, got {len(t.args)}",
+                t.line, t.col)
+        for arg, s in zip(t.args, decl.arity):
+            _walk_term(sig, arg, s, solver)
+    elif a.kind == "defined":
+        (t,) = a.payload
+        _walk_term(sig, t, None, solver)
+    else:
+        lhs, rhs = a.payload
+        ls = _walk_term(sig, lhs, None, solver)
+        rs = _walk_term(sig, rhs, None, solver)
+        if ls is not None and rs is None and rhs.args is None:
+            solver.assign(rhs.name, ls, rhs.line, rhs.col)
+        elif rs is not None and ls is None and lhs.args is None:
+            solver.assign(lhs.name, rs, lhs.line, lhs.col)
+        elif ls is None and rs is None and lhs.args is None and rhs.args is None:
+            solver.link(lhs.name, rhs.name, a.line, a.col)
+        elif ls is not None and rs is not None and ls != rs:
+            raise ParseError(f"equality between sorts {ls!r} and {rs!r}",
+                             a.line, a.col)
+
+
+def _build_term(sig: Signature, t: _RawTerm, solver: _SortSolver) -> Term:
+    if t.args is None:
+        return Var(t.name, solver.resolve(t.name, t.line, t.col))
+    decl = sig.relation(t.name)
+    return App(decl, tuple(_build_term(sig, a, solver) for a in t.args))
+
+
+def _build_atom(sig: Signature, a: _RawAtom, solver: _SortSolver) -> Atom:
+    if a.kind == "rel":
+        (t,) = a.payload
+        decl = sig.relation(t.name)
+        return RelAtom(decl, tuple(_build_term(sig, x, solver) for x in t.args))
+    if a.kind == "defined":
+        (t,) = a.payload
+        return DefinedAtom(_build_term(sig, t, solver))
+    lhs, rhs = a.payload
+    blhs = _build_term(sig, lhs, solver)
+    brhs = _build_term(sig, rhs, solver)
+    if blhs.sort != brhs.sort:
+        raise ParseError(f"equality between sorts {blhs.sort!r} and {brhs.sort!r}",
+                         a.line, a.col)
+    return EqualAtom(blhs, brhs)
+
+
+def _resolve_rule(sig: Signature, premise: list[_RawAtom],
+                  conclusion: list[_RawAtom],
+                  loc: tuple[int, int]) -> Sequent:
+    # Constraint collection is order-independent: the solver's union-find
+    # lets sorts flow from later atoms to variables bound earlier.
+    solver = _SortSolver()
+    for a in premise + conclusion:
+        _walk_atom(sig, a, solver)
+    return Sequent(
+        Formula(tuple(_build_atom(sig, a, solver) for a in premise)),
+        Formula(tuple(_build_atom(sig, a, solver) for a in conclusion)),
+        location=loc,
+    )
 
 
 # -- reference facts reader ------------------------------------------------

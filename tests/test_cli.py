@@ -1,8 +1,10 @@
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -10,6 +12,8 @@ import horneq
 from horneq import engine
 from horneq.cli import main
 from horneq.engine import MAX_PLAN_STEPS
+from horneq.facts import parse_facts
+from horneq.syntax import parse_theory
 
 
 TRANSITIVITY = """sort V;
@@ -23,6 +27,15 @@ rule Le(u, v) & Le(v, u) => u = v;
 """
 
 CHAIN = "sort V: a b c;\nE(a, b);\nE(b, c);\n"
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_block(heading: str) -> str:
+    """The first ``text`` block under a second-level README heading."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index("```text\n", text.index(f"\n## {heading}\n")) + 8
+    return text[start:text.index("```", start)]
 
 
 @pytest.fixture
@@ -385,3 +398,74 @@ class TestEvalOutputAsFacts:
                         "--report")
         code, _, err = run(capsys, "satisfies", theory, files("g.hq", out))
         assert code == 2 and "expected '->', found ':'" in err
+
+
+class TestReadmeExamples:
+    def test_eval_and_satisfies(self, files, capsys):
+        """The README's theory and facts examples run as it says, and the
+        ``eval`` output reads back as a facts file."""
+        text = readme_block("Theory syntax")
+        theory = files("t.hl", text)
+        facts = files("f.hl", readme_block("Fact files"))
+        code, out, err = run(capsys, "eval", theory, facts)
+        assert code == 0 and err == ""
+        _, names = parse_facts(out, parse_theory(text).signature)
+        assert set(names) == {"a", "b", "c", "d"}
+        assert names["a"] == names["c"] == names["d"] != names["b"]
+        code, out, err = run(capsys, "satisfies", theory, facts)
+        assert code == 0 and out.endswith("all satisfied\n") and err == ""
+
+
+class TestMutatedInputs:
+    """Seeded one- to three-character mutations of the README theory, a
+    PHL theory and facts files for each, through every command."""
+
+    PHL = ("sort M;\nfunc op : M * M -> M;\nfunc e : -> M;\npred P : M;\n"
+           "rule op(x, e())! => op(x, e()) = x;\n"
+           "rule P(x) & op(x, x)! => P(op(x, x));\n"
+           "rule P(x) => P(op(x, x));\n")
+    PHL_FACTS = "sort M: a b;\nop(a, b, a);\ne(b);\nP(a);\nmerged:\n  c -> b\n"
+    CHARS = "aPR01_,;:=()#@!&>-* \n\tLeopxuv"
+
+    def mutated(self, rng: random.Random, text: str) -> str:
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text) + 1)
+            op, char = rng.random(), rng.choice(self.CHARS)
+            if op < 1 / 3 and i < len(text):
+                text = text[:i] + text[i + 1:]
+            elif op < 2 / 3 and i < len(text):
+                text = text[:i] + char + text[i + 1:]
+            else:
+                text = text[:i] + char + text[i:]
+        return text
+
+    def test_exit_codes_and_error_lines(self, files, capsys):
+        """Each run exits 0, 1, 2 or 3 with at most one ``error:`` line,
+        never with an internal error; the seed reaches all four codes."""
+        readme = readme_block("Theory syntax")
+        inputs = [(readme, readme_block("Fact files")),
+                  (readme, "sort V: a b c;\nLe(a, b);\nLe(b, c);\n"),
+                  (self.PHL, self.PHL_FACTS)]
+        rng = random.Random(14)
+        codes = Counter()
+        for _ in range(400):
+            theory, facts = rng.choice(inputs)
+            edit = rng.random()
+            if edit < 0.55:
+                theory = self.mutated(rng, theory)
+            if edit >= 0.45:
+                facts = self.mutated(rng, facts)
+            t, f = files("t.hl", theory), files("f.hl", facts)
+            for argv in (["eval", "--max-iterations", "5", t, f],
+                         ["satisfies", t, f], ["check", t], ["flatten", t],
+                         *(["transform", kind, t] for kind in
+                           ("setoid", "sparse-setoid", "epic",
+                            "strengthen"))):
+                code, _, err = run(capsys, *argv)
+                codes[code] += 1
+                errors = [ln for ln in err.splitlines()
+                          if ln.startswith("error:")]
+                assert code in (0, 1, 2, 3) and len(errors) <= 1, \
+                    (argv[0], theory, facts, err)
+                assert "error: internal:" not in err
+        assert all(codes[code] for code in (0, 1, 2, 3)), codes

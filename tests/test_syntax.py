@@ -112,6 +112,13 @@ class TestParsing:
             parse_theory("sort A;\nsort B;\npred P : A;\npred Q : B;\n"
                          "rule P(x) & Q(y) => x = y;\n")
 
+    def test_equality_between_applications_must_sort_check(self):
+        with pytest.raises(ParseError) as err:
+            parse_theory("sort A;\nsort B;\nfunc f : A -> B;\n"
+                         "func g : B -> A;\n"
+                         "rule f(x)! & g(y)! => f(x) = g(y);\n")
+        assert str(err.value) == "5:23: equality between sorts 'B' and 'A'"
+
     def test_term_depth_limit(self):
         def theory(depth):
             term = "f(" * depth + "x" + ")" * depth
@@ -193,7 +200,7 @@ class TestHelpers:
         assert not is_rhl(parse_theory(MONOID))
 
 
-# -- the fast path against the token reader ---------------------------------
+# -- parse_theory against the reference token reader ------------------------
 
 # What goes between two tokens; the comments hold names and symbols.
 PLAIN_GAPS = [" ", " ", "", "\t", "\n", "\r\n", " \n\t "]
@@ -289,23 +296,9 @@ def _outcome(parse, text: str):
 
 
 class TestDifferential:
-    def test_equals_token_reader(self, monkeypatch):
-        """Seeded valid theories and one-character mutations of them: the
-        fast path plus token reader against the token reader alone."""
-        counts = {"fast": 0, "reader": 0}
-        flat_sequent, statement = syntax._flat_sequent, syntax._Parser.statement
-
-        def counted_flat_sequent(*args):
-            seq = flat_sequent(*args)
-            counts["fast"] += seq is not None
-            return seq
-
-        def counted_statement(*args):
-            counts["reader"] += 1
-            return statement(*args)
-
-        monkeypatch.setattr(syntax, "_flat_sequent", counted_flat_sequent)
-        monkeypatch.setattr(syntax._Parser, "statement", counted_statement)
+    def test_equals_token_reader(self):
+        """Seeded valid theories and one-character mutations of them:
+        ``parse_theory`` against the reference token reader."""
         rng = random.Random(10)
         errors = 0
         for _ in range(800):
@@ -315,7 +308,6 @@ class TestDifferential:
                 want = _outcome(reference_parse_theory, case)
                 assert _outcome(parse_theory, case) == want, case
                 errors += want[0][0] == "ParseError"
-        assert counts["fast"] > 2000 and counts["reader"] > 2000
         assert errors > 200
 
     @pytest.mark.parametrize("text", [
@@ -358,9 +350,9 @@ class TestDifferential:
         assert {v.sort for v in sequent_vars(t.sequents[0])} == {"V"}
         assert len(t.sequents[0].premise.atoms) == n + 1
 
-    def test_flat_rules_need_no_reader(self, monkeypatch):
-        """One token reader reads both declarations, and one the end of
-        the text; the rules between them are read without one."""
+    def test_one_cursor_reads_a_theory(self, monkeypatch):
+        """One token cursor reads every statement of a theory, flat rules
+        and declarations alike."""
         made = []
         init = syntax._Cursor.__init__
 
@@ -370,4 +362,4 @@ class TestDifferential:
 
         monkeypatch.setattr(syntax._Cursor, "__init__", counted_init)
         parse_theory(TRANSITIVITY + "rule E(u, v) => E(v, u);\n")
-        assert len(made) == 2
+        assert len(made) == 1
