@@ -14,7 +14,8 @@ only the merged-away element's entries, and rewrites each live one.
 builds them.  While ``log`` is a list, each (relation, tuple) newly stored
 is appended to it; a later merge may rewrite a logged tuple away.  Both
 are kept by ``store``, the one routine that adds to ``rels``, which
-``add_tuple`` and ``merge`` call with a canonical, sort-checked tuple.
+``add_tuple`` and ``merge`` call with a canonical, sort-checked tuple, and
+by ``store_all``, which stores many such tuples of one relation at once.
 ``add_tuple`` and ``has_tuple`` get theirs from ``_check_tuple``, which
 checks a tuple and returns its canonical form in the same pass.
 """
@@ -225,6 +226,14 @@ class Structure:
         if log is not None:
             log.append(entry)
         return True
+
+    def store_all(self, rel: str, cts: Iterable[tuple[El, ...]]) -> None:
+        """``store`` each of ``cts``: one set update without uses or log."""
+        if self._uses is None and self.log is None:
+            self.rels[rel].update(cts)
+        else:
+            for ct in cts:
+                self.store(rel, ct)
 
     def add_tuple(self, rel: str, t: tuple[El, ...]) -> bool:
         return self.store(rel, self._check_tuple(rel, t))

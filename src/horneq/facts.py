@@ -17,32 +17,38 @@ during evaluation are named ``_<sort>_<index>``, with ``_`` appended
 while that name is taken by an input name.  So text output is a valid
 facts file, and reading it back keeps every survivor; output with a
 ``report:`` section, and JSON output, are not.
+
+Reading has two layers.  The loader reads a run of plain facts a chunk at
+a time: it resolves each relation's columns through per-sort name tables,
+which also check the sorts, and adds each relation's tuples with one
+``Structure.store_all``.  The token reader reads every other statement
+and each fact that the loader rejects, and raises every error.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import Optional
+from collections import defaultdict
+from itertools import repeat
+from typing import Callable, Optional
 
-from .core import El, Morphism, Signature, SignatureError, Structure
+from .core import El, Morphism, Signature, Structure
 from .syntax import _Cursor
 
 
-# What the fast path allows between two tokens: what the token reader
-# skips, except that a comment must end in a newline.  So a gap splits one
-# way only, a failed match backtracks in linear time, and a comment that
-# ends the text is left to the token reader.
-_GAP = r"(?:\s|\#[^\n]*\n)*"
-_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-# The fast path reads a whole ground fact ``R(a1, ..., an);`` with one
-# match.  Group 1 is ``R``, group 2 the arguments.
+# A gap: what the token reader skips, except that a comment must end in a
+# newline.  So a gap splits one way only, and a comment that ends the text
+# is left to the token reader.
+_GAP = r"\s*(?:\#[^\n]*\n\s*)*"
+# A plain fact ``R(a1, ..., an);``: group 1 is ``R``, group 3 the argument
+# list.  The list holds no comment but every blank inside the parentheses,
+# so the gaps there are comments alone; a lookahead reads those after
+# ``(`` whole (group 2), so a failed match backtracks in linear time.
 _FACT_RE = re.compile(
-    rf"{_GAP}({_NAME}){_GAP}\({_GAP}"
-    rf"(?:({_NAME}(?:{_GAP},{_GAP}{_NAME})*){_GAP})?\){_GAP};")
-# The names of an argument list.  A comment reads as an empty name, which
-# no lookup finds, so such a fact goes to the token reader.
-_ARG_RE = re.compile(rf"\#[^\n]*|({_NAME})")
+    rf"{_GAP}([A-Za-z_][A-Za-z0-9_]*){_GAP}\((?=((?:\s*\#[^\n]*\n)*))\2"
+    rf"([^()#;]*)(?:\#[^\n]*\n\s*)*\){_GAP};")
+_CHUNK = 64  # the most facts ``_load`` holds at once
 
 
 def parse_facts(text: str, sig: Signature) -> tuple[Structure, dict[str, El]]:
@@ -50,47 +56,77 @@ def parse_facts(text: str, sig: Signature) -> tuple[Structure, dict[str, El]]:
     load, so returned name bindings are canonical.  Declared names come
     first, in declaration order, then the ``merged:`` aliases.
 
-    Each ground fact that matches ``_FACT_RE`` and that ``_ground_fact``
-    can add is added straight away.  Anything else, and every error, goes
-    to the token reader, ``_Reader``, on the cursor that ``parse_theory``
-    reads with.  It reads that one statement and raises the same error, at
-    the same place, as if it had read the whole text; a run of such
-    statements shares one reader."""
+    A run of consecutive facts that match ``_FACT_RE`` is loaded by
+    ``_load``, up to ``_CHUNK`` facts at a time, and after the first merge
+    each loaded column goes through ``find``.  Any other statement, and
+    any fact that ``_load`` rejects once the facts before it are loaded,
+    goes to the token reader, ``_Reader``, on the cursor that
+    ``parse_theory`` reads with.  It reads that one statement and raises
+    the same error, at the same place, as if it had read the whole text; a
+    run of such statements shares one reader."""
     x = Structure(sig)
     names: dict[str, El] = {}
-    pos, reader = 0, None  # a reader's next token starts at ``pos``
+    tables: dict[str, dict[str, El]] = {s: {} for s in sig.sorts}
+    pos, reader, find = 0, None, None  # a reader's next token is at ``pos``
     while True:
-        m = _FACT_RE.match(text, pos)
-        if m and _ground_fact(m, x, names):
-            pos, reader = m.end(), None
+        if (end := _load(text, pos, x, tables, find)) != pos:
+            pos, reader = end, None
             continue
         reader = reader or _Reader(text, pos)
         if reader.tok[0] == "eof":
             break
-        reader.statement(x, names)
+        if reader.statement(x, names, tables):
+            find = x.find
         pos = reader.tok[2]
     names = {n: x.find(e) for n, e in names.items()}
     return x, names
 
 
-def _ground_fact(m: re.Match, x: Structure, names: dict[str, El]
-                 ) -> Optional[tuple[str, tuple[El, ...]]]:
-    """Add the fact of a fast-path match to ``x``; the relation and tuple
-    added, or None, with ``x`` unchanged, when the relation is named
-    ``sort`` (that statement is a sort line), an argument name is unknown,
-    or ``add_tuple`` rejects the tuple."""
-    rel, body = m.groups()
-    if rel == "sort":
+def _load(text: str, pos: int, x: Structure, tables: dict,
+          find: Optional[Callable], size: int = _CHUNK) -> int:
+    """Add the plain facts from ``pos`` on, at most ``size`` of them, up to
+    the first that ``_tuples`` rejects; the offset after the last one
+    added.  When one is rejected, the first half of them is tried alone."""
+    groups: defaultdict[str, list[str]] = defaultdict(list)
+    end = pos
+    for _ in range(size):
+        if not (m := _FACT_RE.match(text, end)):
+            break
+        groups[m[1]].append(m[3])
+        end = m.end()
+    loads = {rel: _tuples(x.sig, rel, bodies, tables, find)
+             for rel, bodies in groups.items()}
+    if None in loads.values():
+        half = size // 2
+        return _load(text, pos, x, tables, find, half) if half else pos
+    for rel, tuples in loads.items():
+        x.store_all(rel, tuples)
+    return end
+
+
+def _tuples(sig: Signature, rel: str, bodies: list[str], tables: dict,
+            find: Optional[Callable]) -> Optional[list[tuple[El, ...]]]:
+    """The tuples of ``rel`` that the argument lists ``bodies`` name, read
+    through the table of each column's sort and then ``find``, if given;
+    None if ``rel`` is ``sort`` or unknown, or a list has the wrong length
+    or a name not in its table."""
+    if rel == "sort" or not sig.has_relation(rel):
         return None
-    args = _ARG_RE.findall(body) if body else ()
-    t = tuple([names.get(a) for a in args])
-    if None in t:
+    arity = sig.relation(rel).arity
+    n = len(arity)
+    if not n:
+        return None if any(b.strip() for b in bodies) else [()] * len(bodies)
+    if set(map(str.count, bodies, repeat(","))) != {n - 1}:
         return None
+    args = ",".join(bodies).split(",")
     try:
-        x.add_tuple(rel, t)
-    except SignatureError:
+        cols = [list(map(tables[s].__getitem__, map(str.strip, args[i::n])))
+                for i, s in enumerate(arity)]
+    except KeyError:
         return None
-    return rel, t
+    if find:
+        cols = [list(map(find, col)) for col in cols]
+    return list(zip(*cols))
 
 
 class _Reader(_Cursor):
@@ -111,9 +147,11 @@ class _Reader(_Cursor):
         if kind != "sym" or tok != text:
             raise self.error(f"expected {text!r}, found {tok!r}", at)
 
-    def statement(self, x: Structure, names: dict[str, El]) -> None:
-        """Read one statement into ``x`` and ``names``; a ``merged:``
-        section runs to the end of the text."""
+    def statement(self, x: Structure, names: dict[str, El],
+                  tables: dict[str, dict[str, El]]) -> bool:
+        """Read one statement into ``x``, ``names`` and the per-sort name
+        ``tables``; whether it merged two elements.  A ``merged:`` section
+        runs to the end of the text."""
         sig = x.sig
 
         def element(name: str, at: int) -> El:
@@ -125,7 +163,7 @@ class _Reader(_Cursor):
             if name in names:
                 raise self.error(f"element name {name!r} already declared",
                                  at)
-            names[name] = e
+            names[name] = tables[e.sort][name] = e
 
         kind, head, at = self.tok
         if kind != "ident":
@@ -150,6 +188,7 @@ class _Reader(_Cursor):
                                  f"sorts {a.sort!r} and {b.sort!r}", at)
             if a != b:
                 x.merge(a, b)
+                return True
         elif head == "merged" and self.at_sym(":"):
             # ``old -> new`` lines up to the end: old names new's element.
             self.next()
@@ -180,6 +219,7 @@ class _Reader(_Cursor):
                         f"argument of sort {e.sort!r} where {s!r} expected",
                         at)
             x.add_tuple(decl.name, tuple(args))
+        return False
 
 
 def model_names(result: Structure, input_names: dict[str, El],
@@ -233,13 +273,12 @@ def serialize_model(x: Structure, names: dict[El, str],
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
-    lines = []
-    for s in sorted(x.sig.sorts):
-        lines.append(f"sort {s}: " + " ".join(names[e] for e in x.elements(s))
-                     + ";")
+    name = names.__getitem__
+    lines = [f"sort {s}: {' '.join(map(name, x.elements(s)))};"
+             for s in sorted(x.sig.sorts)]
     for r in sorted(x.rels):
-        for t in x.sorted_tuples(r):
-            lines.append(f"{r}(" + ", ".join(names[e] for e in t) + ");")
+        lines += [f"{r}({', '.join(map(name, t))});"
+                  for t in x.sorted_tuples(r)]
     if merged:
         lines.append("merged:")
         lines.extend(f"  {old} -> {new}" for old, new in merged)

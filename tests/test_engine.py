@@ -217,6 +217,45 @@ class TestEvaluate:
         assert ("P", _OLD) not in probes
         assert probes.count(("E", _FULL)) == n
 
+    def test_probes_share_one_index_per_key(self, monkeypatch):
+        """A 3-atom ``R`` chain: within one ``_rows`` call, the probes on
+        one relation with the same mode and columns share one index, and
+        every probe step is still linked.  Without a delta both probes read
+        full ``R`` on column 0; with one, the second variant adds a probe
+        of old ``R`` on column 1."""
+        t = parse_theory("sort V;\npred R : V * V;\n"
+                         "rule R(x, y) & R(y, z) & R(z, w) => R(x, w);\n")
+        s = t.sequents[0]
+        x = structure_from_edges(t.signature, "R", 8,
+                                 {(i, (3 * i + 1) % 8) for i in range(8)})
+        probes, built = [], []
+        link, index = engine._LINK["probe"], engine._index
+
+        def recorded(st, *args):
+            probes.append((st.name, st.mode, st.cols))
+            return link(st, *args)
+
+        def counted(ts, cols):
+            built.append(cols)
+            return index(ts, cols)
+        monkeypatch.setitem(engine._LINK, "probe", recorded)
+        monkeypatch.setattr(engine, "_index", counted)
+        assert list(find_matches(s.premise, x)) == \
+            list(reference_matches(s.premise, x))
+        assert probes == [("R", _FULL, (0,))] * 2 and len(built) == 1
+        probes.clear()
+        built.clear()
+        delta = Delta({"R": set(sorted(x.rels["R"])[:3])}, frozenset())
+        got = list(find_matches(s.premise, x, delta))
+        assert got and got == list(reference_matches(s.premise, x, delta))
+        assert len(probes) == 4
+        assert sorted(set(probes)) == [("R", _FULL, (0,)), ("R", _OLD, (1,))]
+        assert len(built) == 2
+        # Transitivity's probes have no twin, so none keeps its index.
+        rule = engine._rule(TRANSITIVITY.sequents[0])
+        assert not any(st.shared for steps in rule.premise.variants
+                       + (rule.premise.steps,) for st in steps)
+
     def test_budget_exhaustion_carries_partial(self):
         t = parse_theory("sort V;\npred E : V * V;\nrule v! => E(v, w);\n")
         x = Structure(t.signature)

@@ -1,10 +1,11 @@
 import random
+import time
 
 import pytest
 
 from helpers import reference_parse_facts
 from horneq import facts, syntax
-from horneq.core import RelDecl, Signature
+from horneq.core import RelDecl, Signature, Structure
 from horneq.engine import evaluate
 from horneq.facts import (model_names, parse_facts, report_dict,
                           serialize_model)
@@ -204,31 +205,31 @@ def _mutated(rng: random.Random, text: str, spots: list[int]) -> str:
     return text[:i] + char + text[i:]
 
 
-def _outcome(parse, text: str):
+def _outcome(parse, text: str, sig: Signature = DIFF_SIG):
     try:
-        x, names = parse(text, DIFF_SIG)
+        x, names = parse(text, sig)
     except Exception as err:  # compared by type and message
         return type(err).__name__, str(err)
-    return (x.rels, {s: x.raw_count(s) for s in DIFF_SIG.sorts}, names)
+    return (x.rels, {s: x.raw_count(s) for s in sig.sorts}, names)
 
 
 class TestDifferential:
     def test_equals_token_reader(self, monkeypatch):
         """Seeded valid texts and one-character mutations of them: the
-        fast path plus token reader against the token reader alone."""
+        loader plus token reader against the token reader alone.  Each
+        tuple that the loader stores counts as a fast fact."""
         counts = {"fast": 0, "deferred": 0}
-        ground_fact, statement = facts._ground_fact, facts._Reader.statement
+        store_all, statement = Structure.store_all, facts._Reader.statement
 
-        def counted_ground_fact(*args):
-            fact = ground_fact(*args)
-            counts["fast"] += fact is not None
-            return fact
+        def counted_store_all(x, rel, cts):
+            counts["fast"] += len(cts)
+            return store_all(x, rel, cts)
 
         def counted_statement(*args):
             counts["deferred"] += 1
             return statement(*args)
 
-        monkeypatch.setattr(facts, "_ground_fact", counted_ground_fact)
+        monkeypatch.setattr(Structure, "store_all", counted_store_all)
         monkeypatch.setattr(facts._Reader, "statement", counted_statement)
         rng = random.Random(5)
         errors = 0
@@ -270,6 +271,102 @@ class TestDifferential:
             with pytest.raises(ParseError) as err:
                 parse(text, sig)
             assert str(err.value) == want
+
+
+# ``DIFF_SIG`` and a relation named ``sort``, which no fact can name: a
+# statement that starts with ``sort`` is a sort line.
+RUN_SIG = Signature(DIFF_SIG.sorts,
+                    DIFF_SIG.relations + (RelDecl("sort", ("A",)),))
+
+# Facts that the loader rejects; the token reader raises on each.
+BAD_FACTS = ["sort(a0);", "E(a0,);", "E(a0, b0);", "E(a0);", "Q(a0);",
+             "E(a0, zz);", "Z(a0);", "E(a0 a1, a2);", "P(a0, @);",
+             "P();", "T(a0, a1 , , a2);"]
+
+
+def _runs_text(rng: random.Random) -> str:
+    """Runs of plain facts over ``RUN_SIG``, some longer than the loader's
+    chunk, with an equation or a sort line between two runs, nullary
+    ``Z( );`` among the facts, and, in most texts, one fact of
+    ``BAD_FACTS`` at a random position.  The text ends in a fact, with or
+    without a newline."""
+    declared = {"A": [f"a{i}" for i in range(5)], "B": ["b0", "b1"]}
+    lines = [f"sort {s}: {' '.join(ns)};" for s, ns in declared.items()]
+    for run in range(rng.randint(1, 4)):
+        if run:
+            if rng.random() < 0.7:
+                lines.append("{} = {};".format(*rng.sample(declared["A"], 2)))
+            else:
+                declared["A"].append(f"a{len(declared['A'])}")
+                lines.append(f"sort A: {declared['A'][-1]};")
+        for _ in range(rng.randint(1, 2 * facts._CHUNK + 10)):
+            rel = rng.choice(DIFF_SIG.relations)
+            args = ", ".join(rng.choice(declared[s]) for s in rel.arity)
+            lines.append(f"{rel.name}({args or rng.choice(['', ' '])});")
+    if rng.random() < 0.7:
+        lines.insert(rng.randrange(2, len(lines) + 1), rng.choice(BAD_FACTS))
+    lines.append("P(a0);")
+    return "\n".join(lines) + rng.choice(["", "\n"])
+
+
+class TestLoader:
+    def test_runs_equal_token_reader(self):
+        """Seeded runs of facts: the loader plus token reader against the
+        token reader alone, with each error's text and place."""
+        rng = random.Random(15)
+        outcomes = {"ok": 0, "ParseError": 0}
+        for _ in range(80):
+            text = _runs_text(rng)
+            want = _outcome(reference_parse_facts, text, RUN_SIG)
+            assert _outcome(parse_facts, text, RUN_SIG) == want, text
+            outcomes[want[0] if want[0] == "ParseError" else "ok"] += 1
+        assert min(outcomes.values()) > 15
+
+    def test_reader_reads_only_the_rejected_fact(self, monkeypatch):
+        """A run of 100 facts whose 71st names an unknown element: the
+        loader adds the 70 before it, and the token reader reads the sort
+        line and then that fact, at its own offset."""
+        lines = ["sort V: a b;"] + ["E(a, b);"] * 100
+        lines[71] = "E(a, c);"
+        text = "\n".join(lines) + "\n"
+        read, statement = [], facts._Reader.statement
+
+        def recorded(reader, x, *args):
+            read.append(reader.tok[2])
+            if len(read) == 2:
+                assert len(x.rels["E"]) == 1  # the 70 facts are one tuple
+            return statement(reader, x, *args)
+        monkeypatch.setattr(facts._Reader, "statement", recorded)
+        with pytest.raises(ParseError) as err:
+            parse_facts(text, SIG)
+        assert str(err.value) == "72:6: unknown element 'c'"
+        assert read == [0, text.index("E(a, c)")]
+
+    def test_plain_facts_skip_the_tuple_check(self, monkeypatch):
+        """Loading 2000 plain facts calls neither ``add_tuple`` nor
+        ``_check_tuple``: the loader's name tables check every sort."""
+        rng = random.Random(2)
+        text = ("sort V: " + " ".join(f"v{i}" for i in range(100)) + ";\n"
+                + "".join(f"E(v{rng.randrange(100)}, v{rng.randrange(100)});\n"
+                          for _ in range(2000)))
+        want = reference_parse_facts(text, SIG)
+
+        def refused(*args):
+            raise AssertionError("a plain fact was checked one by one")
+        monkeypatch.setattr(Structure, "add_tuple", refused)
+        monkeypatch.setattr(Structure, "_check_tuple", refused)
+        x, names = parse_facts(text, SIG)
+        assert (x.rels, names) == (want[0].rels, want[1])
+
+    def test_failed_match_is_linear(self):
+        """Comments after ``(`` in a fact that never closes: a match that
+        backtracked quadratically through them would take seconds."""
+        text = "sort V: a;\nE(" + "# c\n" * 20000 + " a, a x"
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_facts(text, SIG)
+        assert time.perf_counter() - start < 1
+        assert str(err.value) == "20002:7: expected ')', found 'x'"
 
 
 class TestSerialization:
