@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import functools
 import warnings
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .core import El, Morphism, SignatureError, Structure
@@ -108,12 +108,10 @@ class Delta:
 # variant whose delta part at atom i is empty has no match, and it is not
 # linked.  Linking a step reads its source once, as the relation's set or
 # the carrier, the delta's part of it, or full minus delta (old); a probe
-# then builds its hash index on the bound columns.  Probes with the same
-# relation, mode, columns and repeats are marked ``shared`` when the plan
-# compiles, and a ``_rows`` call builds their index once.  The steps read
-# sets and index buckets in no particular order, and the rows are sorted
-# once at the end.  A row's slot values are the match's per-atom
-# witnesses, in order, so sorting them gives nested-loop order.
+# then builds its hash index on the bound columns.  The steps read sets
+# and index buckets in no particular order, and the rows are sorted once
+# at the end.  A row's slot values are the match's per-atom witnesses,
+# in order, so sorting them gives nested-loop order.
 #
 # A sequent compiles once into a rule: its premise plan, and a conclusion
 # plan whose first slots are the premise's variables, so a premise row is
@@ -138,7 +136,6 @@ class _Step(NamedTuple):
     cols: tuple[int, ...] = ()  # probe: the bound columns
     binds: tuple[tuple[int, int], ...] = ()  # (column, slot) of new variables
     repeats: tuple[tuple[int, int], ...] = ()  # (column, earlier column)
-    shared: Optional[tuple] = None  # probe: its index's key, if shared
 
 
 class _Plan(NamedTuple):
@@ -242,17 +239,7 @@ def _plan(f: Formula, pre: tuple[Var, ...] = (), where: str = "") -> _Plan:
         modes[i] = _DELTA
         rest = [j for j in range(len(atoms)) if j != i]
         variants.append(_steps(atoms, [i] + rest, modes, slot, set(pre), where))
-    return _Plan(order, _shared([steps])[0], _shared(variants))
-
-
-def _shared(plans: list) -> tuple:
-    """``plans`` with ``shared`` set on each probe whose index another
-    probe among them reads: same relation, mode, columns and repeats."""
-    key = attrgetter("kind", "name", "mode", "cols", "repeats")
-    uses = Counter(key(st) for steps in plans for st in steps)
-    return tuple(tuple(st._replace(shared=key(st)) if st.kind == "probe"
-                       and uses[key(st)] > 1 else st for st in steps)
-                 for steps in plans)
+    return _Plan(order, steps, tuple(variants))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -311,20 +298,19 @@ def _agreeing(ts, repeats):
 
 
 def _link(steps: tuple[_Step, ...], x: Structure, delta: Optional[Delta],
-          out: list, indexes: dict) -> Callable:
+          out: list) -> Callable:
     """Chain the steps into one function of the slot list; it appends every
-    complete match to ``out`` as a tuple of slot values.  ``indexes`` keeps
-    the index of each ``shared`` probe key for the ``_rows`` call."""
+    complete match to ``out`` as a tuple of slot values."""
     def emit(vals):
         out.append(tuple(vals))
 
     run = emit
     for st in reversed(steps):
-        run = _LINK[st.kind](st, x, delta, run, indexes)
+        run = _LINK[st.kind](st, x, delta, run)
     return run
 
 
-def _link_scan(st: _Step, x, delta, nxt, indexes):
+def _link_scan(st: _Step, x, delta, nxt):
     tuples = _agreeing(_read(x, delta, st.name, st.mode), st.repeats)
     binds = st.binds
 
@@ -344,13 +330,9 @@ def _index(ts, cols: tuple[int, ...]) -> dict:
     return index
 
 
-def _link_probe(st: _Step, x, delta, nxt, indexes):
-    index = indexes.get(st.shared)
-    if index is None:
-        index = _index(
-            _agreeing(_read(x, delta, st.name, st.mode), st.repeats), st.cols)
-        if st.shared:
-            indexes[st.shared] = index
+def _link_probe(st: _Step, x, delta, nxt):
+    index = _index(
+        _agreeing(_read(x, delta, st.name, st.mode), st.repeats), st.cols)
     get, key, binds = index.get, st.key, st.binds
 
     def probe(vals):
@@ -361,7 +343,7 @@ def _link_probe(st: _Step, x, delta, nxt, indexes):
     return probe
 
 
-def _link_test(st: _Step, x, delta, nxt, indexes):
+def _link_test(st: _Step, x, delta, nxt):
     members, key = _read(x, delta, st.name, st.mode), st.key
 
     def test(vals):
@@ -370,7 +352,7 @@ def _link_test(st: _Step, x, delta, nxt, indexes):
     return test
 
 
-def _link_same(st: _Step, x, delta, nxt, indexes):
+def _link_same(st: _Step, x, delta, nxt):
     a, b = st.slots
 
     def same(vals):
@@ -379,7 +361,7 @@ def _link_same(st: _Step, x, delta, nxt, indexes):
     return same
 
 
-def _link_copy(st: _Step, x, delta, nxt, indexes):
+def _link_copy(st: _Step, x, delta, nxt):
     dst, s = st.slots
 
     def copy(vals):
@@ -401,11 +383,10 @@ def _rows(plan: _Plan, x: Structure, delta: Optional[Delta] = None,
     vals = list(start)
     vals += [None] * (len(plan.vars) - len(vals))
     rows: list[tuple[El, ...]] = []
-    indexes: dict = {}
     for steps in (plan.steps,) if delta is None else plan.variants:
         if delta is None or all(_read(x, delta, st.name, _DELTA)
                                 for st in steps if st.mode == _DELTA):
-            _link(steps, x, delta, rows, indexes)(vals)
+            _link(steps, x, delta, rows)(vals)
     rows.sort()
     return rows
 

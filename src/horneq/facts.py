@@ -27,6 +27,7 @@ and each fact that the loader rejects, and raises every error.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from collections import defaultdict
@@ -218,7 +219,7 @@ class _Reader(_Cursor):
                     raise self.error(
                         f"argument of sort {e.sort!r} where {s!r} expected",
                         at)
-            x.add_tuple(decl.name, tuple(args))
+            x.store(decl.name, tuple(args))
         return False
 
 
@@ -296,12 +297,4 @@ def serialize_model(x: Structure, names: dict[El, str],
 
 
 def report_dict(report) -> dict:
-    return {
-        "iterations": report.iterations,
-        "fixed_point": report.fixed_point,
-        "per_iteration": [
-            {"matches": s.matches, "tuples_added": s.tuples_added,
-             "merges": s.merges, "elements_created": s.elements_created}
-            for s in report.per_iteration
-        ],
-    }
+    return dataclasses.asdict(report)

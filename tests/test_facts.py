@@ -358,6 +358,20 @@ class TestLoader:
         x, names = parse_facts(text, SIG)
         assert (x.rels, names) == (want[0].rels, want[1])
 
+    def test_read_facts_skip_the_tuple_check(self, monkeypatch):
+        """A fact the loader rejects goes to the token reader, which checks
+        its arity and sorts itself and stores it without ``_check_tuple``,
+        also after a merge."""
+        text = "sort V: a b c;\nE(a, # c\n b);\nb = c;\nE(c, # c\n a);\n"
+        want = reference_parse_facts(text, SIG)
+
+        def refused(*args):
+            raise AssertionError("a read fact was checked twice")
+        monkeypatch.setattr(Structure, "_check_tuple", refused)
+        x, names = parse_facts(text, SIG)
+        assert (x.rels, names) == (want[0].rels, want[1])
+        assert len(x.rels["E"]) == 2
+
     def test_failed_match_is_linear(self):
         """Comments after ``(`` in a fact that never closes: a match that
         backtracked quadratically through them would take seconds."""
