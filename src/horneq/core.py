@@ -2,8 +2,14 @@
 
 Structures are mutable and single-writer; every public operation leaves all
 stored tuples canonical (each component equal to its union-find
-representative).  Element indices are dense per sort and never reused:
-merged-away indices stay allocated but non-canonical.
+representative).
+
+Equality is a union-find over element indices, kept per sort as a parent
+list: ``_parent[sort][i]`` is the parent of index ``i``, and a root is its
+own parent.  Of two merged classes the root with the smaller index is
+kept, and ``find`` compresses the path it walks.  Indices are allocated
+densely and never reused: merged-away indices stay allocated but
+non-canonical, so the canonical indices of a merged structure have gaps.
 
 A structure's first merge builds its use-lists: for each canonical
 element, the (relation, tuple) entries that hold it.  From then on every
@@ -92,50 +98,12 @@ class Signature:
     def functions(self) -> tuple[RelDecl, ...]:
         return tuple(r for r in self.relations if r.kind == "func")
 
-    def predicates(self) -> tuple[RelDecl, ...]:
-        return tuple(r for r in self.relations if r.kind == "pred")
-
 
 class El(NamedTuple):
     """An element of a structure: sort name plus dense per-sort index."""
 
     sort: str
     index: int
-
-
-class UnionFind:
-    """Union-find over dense indices; the smaller index is always the root."""
-
-    def __init__(self):
-        self.parent: list[int] = []
-
-    def add(self) -> int:
-        self.parent.append(len(self.parent))
-        return len(self.parent) - 1
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:  # path compression
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        keep, lose = (ra, rb) if ra < rb else (rb, ra)
-        self.parent[lose] = keep
-        return keep
-
-    def copy(self) -> "UnionFind":
-        uf = UnionFind()
-        uf.parent = list(self.parent)
-        return uf
-
-    def __len__(self) -> int:
-        return len(self.parent)
 
 
 class Structure:
@@ -146,7 +114,8 @@ class Structure:
 
     def __init__(self, sig: Signature):
         self.sig = sig
-        self._uf: dict[str, UnionFind] = {s: UnionFind() for s in sig.sorts}
+        # Per sort, each index's union-find parent; see the module docstring.
+        self._parent: dict[str, list[int]] = {s: [] for s in sig.sorts}
         self.rels: dict[str, set[tuple[El, ...]]] = {
             r.name: set() for r in sig.relations
         }
@@ -159,27 +128,35 @@ class Structure:
     # -- elements ----------------------------------------------------------
 
     def add_element(self, sort: str) -> El:
-        if sort not in self._uf:
+        parent = self._parent.get(sort)
+        if parent is None:
             raise SignatureError(f"unknown sort {sort!r}")
-        return El(sort, self._uf[sort].add())
+        parent.append(len(parent))
+        return El(sort, len(parent) - 1)
 
     def find(self, e: El) -> El:
         """The canonical representative of ``e``; ``e`` itself if it is
         canonical."""
-        uf = self._uf.get(e.sort)
-        if uf is None:
+        parent = self._parent.get(e.sort)
+        if parent is None:
             raise SignatureError(f"unknown sort {e.sort!r}")
-        if uf.parent[e.index] == e.index:
+        i = e.index
+        if parent[i] == i:
             return e
-        return El(e.sort, uf.find(e.index))
+        root = i
+        while parent[root] != root:
+            root = parent[root]
+        while parent[i] != root:  # path compression
+            parent[i], i = root, parent[i]
+        return El(e.sort, root)
 
     def raw_count(self, sort: str) -> int:
         """Number of allocated indices, including merged-away ones."""
-        return len(self._uf[sort])
+        return len(self._parent[sort])
 
     def elements(self, sort: str) -> list[El]:
         """Canonical elements of a sort, in index order."""
-        return [El(sort, i) for i, p in enumerate(self._uf[sort].parent)
+        return [El(sort, i) for i, p in enumerate(self._parent[sort])
                 if p == i]
 
     def element_count(self, sort: str) -> int:
@@ -203,11 +180,10 @@ class Structure:
                 raise SignatureError(
                     f"{rel}: component of sort {e.sort!r}, expected {s!r}"
                 )
-            uf = self._uf[s]
-            if e.index >= len(uf.parent):
+            parent = self._parent[s]
+            if e.index >= len(parent):
                 raise SignatureError(f"{rel}: element {e} not in structure")
-            out.append(e if uf.parent[e.index] == e.index
-                       else El(s, uf.find(e.index)))
+            out.append(e if parent[e.index] == e.index else self.find(e))
         return tuple(out)
 
     def canonical(self, t: tuple[El, ...]) -> tuple[El, ...]:
@@ -266,8 +242,8 @@ class Structure:
                     entry = (rel, t)
                     for e in t:
                         uses[e].append(entry)
-        keep = El(a.sort, self._uf[a.sort].union(ra.index, rb.index))
-        lose = rb if keep == ra else ra
+        keep, lose = (ra, rb) if ra.index < rb.index else (rb, ra)
+        self._parent[a.sort][lose.index] = keep.index
         for rel, t in uses.pop(lose, ()):
             tuples = self.rels[rel]
             if t not in tuples:
@@ -282,7 +258,7 @@ class Structure:
     def copy(self, empty: Collection[str] = ()) -> "Structure":
         """A copy, with the relations named in ``empty`` left empty."""
         new = Structure(self.sig)
-        new._uf = {s: uf.copy() for s, uf in self._uf.items()}
+        new._parent = {s: list(p) for s, p in self._parent.items()}
         new.rels = {r: set() if r in empty else set(ts)
                     for r, ts in self.rels.items()}
         return new

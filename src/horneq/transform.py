@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .core import El, SignatureError, Structure, UnionFind
+from .core import El, SignatureError, Structure
 from .syntax import (App, DefinedAtom, EqualAtom, Formula, RelAtom, RelDecl,
                      Sequent, Signature, Theory, Var, formula_vars, is_rhl)
 
@@ -140,49 +140,34 @@ def _base_signature(sig: Signature) -> Signature:
 
 
 def quotient_model(y: Structure) -> Structure:
-    """Collapse each ``Eq_<sort>`` class to a point and drop the Eq
-    relations; requires each Eq to be an equivalence relation."""
+    """Merge each ``Eq_<sort>`` class to one element and drop the Eq
+    relations; requires each Eq to be an equivalence relation.  The
+    quotient's elements come in the order of each class's smallest
+    element in ``y``."""
     sig = y.sig
-    base = _base_signature(sig)
-    uf: dict[str, dict[El, El]] = {}
+    q = Structure(_base_signature(sig))
+    image = {e: q.add_element(s) for s in sig.sorts for e in y.elements(s)}
     for s in sig.sorts:
         name = _eq_name(s)
         if not sig.has_relation(name):
             raise PreconditionError(f"missing relation {name!r}")
-        elems = y.elements(s)
-        pairs = y.sorted_tuples(name)
-        rel = set(pairs)
-        for e in elems:
-            if (e, e) not in rel:
-                raise PreconditionError(f"{name} is not reflexive")
-        for a, b in pairs:
-            if (b, a) not in rel:
-                raise PreconditionError(f"{name} is not symmetric")
-        u = UnionFind()
-        for _ in elems:
-            u.add()
-        index = {e: i for i, e in enumerate(elems)}
-        for a, b in pairs:
-            u.union(index[a], index[b])
-        uf[s] = {e: elems[u.find(index[e])] for e in elems}
+        elems, rel = y.elements(s), y.rels[name]
+        if any((e, e) not in rel for e in elems):
+            raise PreconditionError(f"{name} is not reflexive")
+        if any((b, a) not in rel for a, b in rel):
+            raise PreconditionError(f"{name} is not symmetric")
+        for a, b in rel:
+            q.merge(image[a], image[b])
         # A reflexive, symmetric relation lies within its connected
         # classes; it is transitive exactly when it holds every pair of
         # each class.
-        sizes = Counter(uf[s].values())
+        sizes = Counter(q.find(image[e]) for e in elems)
         if len(rel) != sum(n * n for n in sizes.values()):
             raise PreconditionError(f"{name} is not transitive")
-
-    q = Structure(base)
-    cls: dict[El, El] = {}
-    for s in sig.sorts:
-        for e in y.elements(s):
-            rep = uf[s][e]
-            if rep not in cls:
-                cls[rep] = q.add_element(s)
-            cls[e] = cls[rep]
-    for name in sorted(r.name for r in base.relations):
-        for t in y.sorted_tuples(name):
-            q.add_tuple(name, tuple(cls[e] for e in t))
+    # Stored after every merge, so no merge rewrites them.
+    for name in q.rels:
+        for t in y.rels[name]:
+            q.add_tuple(name, tuple([image[e] for e in t]))
     return q
 
 

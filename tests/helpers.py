@@ -312,8 +312,8 @@ def full_scan_merge(x: Structure, a: El, b: El
     ra, rb = x.find(a), x.find(b)
     if ra == rb:
         return ra, set()
-    keep = El(a.sort, x._uf[a.sort].union(ra.index, rb.index))
-    lose = rb if keep == ra else ra
+    keep, lose = (ra, rb) if ra.index < rb.index else (rb, ra)
+    x._parent[a.sort][lose.index] = keep.index
     rewritten = set()
     for rel, tuples in x.rels.items():
         touched = [t for t in tuples if lose in t]

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from horneq.classify import classify_sequent
-from horneq.core import SignatureError, Structure
+from horneq.core import SignatureError, Structure, quotient_by_relation
 from horneq.engine import EvalConfig, evaluate
 from horneq.oracle import find_isomorphism
 from horneq.syntax import parse_theory, pretty_print
@@ -127,6 +127,36 @@ class TestQuotientDiagonal:
         q = quotient_model(y)
         assert q.element_count("V") == 1
         assert q.sorted_tuples("E") == [(q.elements("V")[0],) * 2]
+
+    def test_quotient_agrees_with_quotient_by_relation(self):
+        """Seeded structures over two sorts, each Eq closed from a few
+        random pairs; ``diagonal_embed`` keeps element order, so each pair
+        of ``x`` has the same positions in ``y``."""
+        rng = random.Random(71)
+        collapsed = 0
+        for _ in range(120):
+            sig = random_signature(rng)
+            while len(sig.sorts) < 2:
+                sig = random_signature(rng)
+            x = random_structure(rng, sig, max_elements=4, min_elements=1)
+            y = diagonal_embed(x)
+            pairs = []
+            for s in sig.sorts:
+                xs, ys = x.elements(s), y.elements(s)
+                block = list(range(len(xs)))  # the class of each position
+                for _ in range(rng.randint(1, 2)):
+                    i, j = rng.randrange(len(xs)), rng.randrange(len(xs))
+                    pairs.append((xs[i], xs[j]))
+                    old = block[i]
+                    block = [block[j] if b == old else b for b in block]
+                for i, b in enumerate(block):
+                    for j, c in enumerate(block):
+                        if b == c:
+                            y.add_tuple(f"Eq_{s}", (ys[i], ys[j]))
+            q, _ = quotient_by_relation(x, pairs)
+            assert find_isomorphism(quotient_model(y), q) is not None
+            collapsed += q.total_element_count() < x.total_element_count()
+        assert collapsed > 60
 
     def test_empty_structure(self):
         y = diagonal_embed(Structure(TRANSITIVITY.signature))
