@@ -181,7 +181,7 @@ class Structure:
                     f"{rel}: component of sort {e.sort!r}, expected {s!r}"
                 )
             parent = self._parent[s]
-            if e.index >= len(parent):
+            if not 0 <= e.index < len(parent):
                 raise SignatureError(f"{rel}: element {e} not in structure")
             out.append(e if parent[e.index] == e.index else self.find(e))
         return tuple(out)

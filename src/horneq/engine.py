@@ -8,7 +8,7 @@ keeps fresh-element creation bounded for non-surjective sequents.  Evaluation
 stops at the first iteration that changes nothing.  A relation no sequent
 mentions is empty in every classifying structure, so in the result it is the
 image of the input's under the unit: it stays out of the loop and is carried
-along the unit once at the end.
+along the unit once at the end, column by column.
 """
 
 from __future__ import annotations
@@ -546,10 +546,14 @@ def evaluate(t: Theory, x: Structure,
     if aside:
         # The carried tuples are on no use-list: a later merge rebuilds them.
         result._uses = None
-        image = unit.mapping
+        # Column by column, each mapped lazily: columns built whole would
+        # raise the peak allocation.  A nullary relation has no column to
+        # zip, so it is copied.
+        image = unit.mapping.__getitem__
         for r in aside:
-            result.rels[r] = {tuple([image[e] for e in tp])
-                              for tp in x.rels[r]}
+            ts, n = x.rels[r], len(x.sig.relation(r).arity)
+            result.rels[r] = set(zip(*[map(image, map(itemgetter(i), ts))
+                                       for i in range(n)])) if n else set(ts)
     if not report.fixed_point:
         raise EvaluationBudgetError(result, unit, report)
     return result, unit, report

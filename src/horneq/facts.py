@@ -22,7 +22,9 @@ Reading has two layers.  The loader reads a run of plain facts a chunk at
 a time: it resolves each relation's columns through per-sort name tables,
 which also check the sorts, and adds each relation's tuples with one
 ``Structure.store_all``.  The token reader reads every other statement
-and each fact that the loader rejects, and raises every error.
+and each fact that the loader rejects, and raises every error.  It
+declares a sort line of fresh, distinct names without comments in one
+batch, and reads any other sort line a token at a time.
 """
 
 from __future__ import annotations
@@ -42,13 +44,18 @@ from .syntax import _Cursor
 # newline.  So a gap splits one way only, and a comment that ends the text
 # is left to the token reader.
 _GAP = r"\s*(?:\#[^\n]*\n\s*)*"
-# A plain fact ``R(a1, ..., an);``: group 1 is ``R``, group 3 the argument
-# list.  The list holds no comment but every blank inside the parentheses,
-# so the gaps there are comments alone; a lookahead reads those after
-# ``(`` whole (group 2), so a failed match backtracks in linear time.
+# A plain fact ``R(a1, ..., an);``.  The first alternative reads one
+# without comments: group 1 is ``R``, group 2 the argument list.  The
+# second reads any: group 3 is ``R``, group 5 the argument list.  The list
+# holds no comment but every blank inside the parentheses, so the gaps
+# there are comments alone; a lookahead reads those after ``(`` whole
+# (group 4), so a failed match backtracks in linear time.
 _FACT_RE = re.compile(
-    rf"{_GAP}([A-Za-z_][A-Za-z0-9_]*){_GAP}\((?=((?:\s*\#[^\n]*\n)*))\2"
+    r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*\(([^()#;]*)\)\s*;"
+    rf"|{_GAP}([A-Za-z_][A-Za-z0-9_]*){_GAP}\((?=((?:\s*\#[^\n]*\n)*))\4"
     rf"([^()#;]*)(?:\#[^\n]*\n\s*)*\){_GAP};")
+# The names of a sort line from the first on, without comments, and ``;``.
+_NAMES_RE = re.compile(r"((?:[A-Za-z_][A-Za-z0-9_]*(?:\s+|(?=;)))*);")
 _CHUNK = 64  # the most facts ``_load`` holds at once
 
 
@@ -93,7 +100,8 @@ def _load(text: str, pos: int, x: Structure, tables: dict,
     for _ in range(size):
         if not (m := _FACT_RE.match(text, end)):
             break
-        groups[m[1]].append(m[3])
+        rel, body = m.group(1, 2) if m[1] else m.group(3, 5)
+        groups[rel].append(body)
         end = m.end()
     loads = {rel: _tuples(x.sig, rel, bodies, tables, find)
              for rel, bodies in groups.items()}
@@ -175,6 +183,16 @@ class _Reader(_Cursor):
             if sort not in sig.sorts:
                 raise self.error(f"unknown sort {sort!r}", sort_at)
             self.take_sym(":")
+            m = _NAMES_RE.match(self.text, self.tok[2])
+            run = m[1].split() if m else []
+            fresh = set(run)
+            if m and len(fresh) == len(run) and names.keys().isdisjoint(fresh):
+                # Fresh, distinct names: declared in one batch.
+                batch = {name: x.add_element(sort) for name in run}
+                names.update(batch)
+                tables[sort].update(batch)
+                self.seek(m.end())
+                return False
             while self.tok[0] == "ident":
                 _, name, name_at = self.next()
                 declare(name, name_at, x.add_element(sort))

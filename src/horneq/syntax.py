@@ -210,7 +210,11 @@ class _Cursor:
 
     def __init__(self, text: str, pos: int = 0):
         self.text = text
-        self._matches = _TOKEN_RE.finditer(text, pos)
+        self.seek(pos)
+
+    def seek(self, pos: int) -> None:
+        """Read on from offset ``pos``: ``tok`` becomes the token there."""
+        self._matches = _TOKEN_RE.finditer(self.text, pos)
         self.tok = ("", "", pos)  # before the first token
         self.next()
 

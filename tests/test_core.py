@@ -125,6 +125,18 @@ class TestTupleChecks:
             getattr(x, method)(rel, tuple(els[i] for i in args))
         assert x.total_tuple_count() == 0
 
+    @pytest.mark.parametrize("index", [-1, -2])
+    @pytest.mark.parametrize("method", ["add_tuple", "has_tuple"])
+    def test_negative_index_rejected(self, method, index):
+        """A negative index names no element, though a list would read it
+        from the end."""
+        x, els = chain(2)
+        bad = El("V", index)
+        message = f"E: element {bad} not in structure"
+        with pytest.raises(SignatureError, match=f"^{re.escape(message)}$"):
+            getattr(x, method)("E", (bad, els[0]))
+        assert x.rels["E"] == {(els[0], els[1])}
+
     def test_merged_away_element_is_stored_canonical(self):
         x, els = chain(3)
         x.merge(els[0], els[2])

@@ -533,6 +533,33 @@ class TestUnmentionedRelations:
         res.merge(El("V", 0), El("V", 5))
         assert res.is_canonical() and len(res.rels["L"]) == 4
 
+    def test_nullary_unary_and_ternary_carried(self):
+        """Beside a merging ``E``: a nullary ``Z``, held in one run and not
+        in the other, a unary ``P`` and a ternary ``T`` whose tuples
+        repeat elements, each carried along the unit."""
+        merging = parse_theory("sort V;\npred E : V * V;\n"
+                               "rule E(u, v) => u = v;\n")
+        sig = Signature(("V",), merging.signature.relations + (
+            RelDecl("Z", ()), RelDecl("P", ("V",)),
+            RelDecl("T", ("V", "V", "V"))))
+        t = Theory(sig, merging.sequents)
+        for holds_z in (True, False):
+            x = structure_from_edges(t.signature, "E", 5, {(0, 1), (1, 2)})
+            v = x.elements("V")
+            if holds_z:
+                x.add_tuple("Z", ())
+            for e in (v[0], v[2], v[3]):
+                x.add_tuple("P", (e,))
+            for tp in [(0, 0, 0), (0, 1, 2), (2, 1, 0), (3, 3, 4), (4, 2, 4)]:
+                x.add_tuple("T", tuple(v[i] for i in tp))
+            res, unit, rep = evaluate(t, x)
+            assert res.element_count("V") == 3
+            for r in ("Z", "P", "T"):
+                assert res.rels[r] == {unit.apply_tuple(tp)
+                                       for tp in x.rels[r]}
+            assert res.rels["Z"] == ({()} if holds_z else set())
+            assert len(res.rels["P"]) == 2 and len(res.rels["T"]) == 3
+
 
 class TestDirectCheck:
     """The extension check of a rule without conclusion-only variables

@@ -383,6 +383,98 @@ class TestLoader:
         assert str(err.value) == "20002:7: expected ')', found 'x'"
 
 
+def _sort_lines_text(rng: random.Random) -> str:
+    """Sort lines over ``DIFF_SIG`` of 0-150 names each, split across
+    lines, then facts that name some of them.  A line may hold a comment
+    between two names, names spelled ``sort`` or ``merged``, a name twice,
+    a name of an earlier line, an unknown sort, no ``;``, or a bad
+    character right after its ``;``."""
+    lines, earlier, fresh = [], [], iter(range(10 ** 6))
+    for _ in range(rng.randint(1, 4)):
+        sort = rng.choice(["A", "B"])
+        run = [f"{sort.lower()}{next(fresh)}"
+               for _ in range(rng.randint(0, 150))]
+        defect = rng.random()
+        if defect < 0.1:
+            at = rng.randint(0, len(run))
+            run.insert(at, rng.choice(["sort", "merged"]))
+        elif defect < 0.18 and run:
+            run.insert(rng.randint(0, len(run)), rng.choice(run))
+        elif defect < 0.26 and earlier:
+            run.insert(rng.randint(0, len(run)), rng.choice(earlier))
+        elif defect < 0.3:
+            sort = "C"
+        earlier += run
+        gaps = [rng.choice([" ", " ", "\n", "\t", " \n  "]) for _ in run]
+        if defect > 0.9 and run:
+            gaps[rng.randrange(len(gaps))] = " # a0;\n"
+        end = rng.choice(["", " ", "\n"]) + ";"
+        if 0.3 <= defect < 0.35:
+            end = ""
+        elif 0.35 <= defect < 0.4:
+            end += rng.choice("@!$")
+        lines.append(f"sort {sort}:" + "".join(
+            gap + name for gap, name in zip(gaps, run)) + end)
+    for _ in range(rng.randint(0, 3)):
+        rel = rng.choice(DIFF_SIG.relations)
+        pools = [[n for n in earlier if n[0] == s.lower()] or [s.lower()]
+                 for s in rel.arity]
+        lines.append(f"{rel.name}({', '.join(map(rng.choice, pools))});")
+    return "\n".join(lines) + rng.choice(["", "\n"])
+
+
+class TestSortLines:
+    def test_equals_token_reader(self, monkeypatch):
+        """Seeded sort lines: a line the token reader declares in one batch
+        and a line it reads a token at a time give the reference's outcome,
+        error text and place, with indices in text order.  A seek inside a
+        sort statement marks the batch."""
+        seeks, paths = [], {"batch": 0, "tokens": 0}
+        seek, statement = syntax._Cursor.seek, facts._Reader.statement
+
+        def counted_seek(cursor, pos):
+            seeks.append(pos)
+            return seek(cursor, pos)
+
+        def counted_statement(reader, *args):
+            if reader.tok[1] != "sort":
+                return statement(reader, *args)
+            before = len(seeks)
+            try:
+                return statement(reader, *args)
+            finally:
+                paths["batch" if len(seeks) > before else "tokens"] += 1
+
+        monkeypatch.setattr(syntax._Cursor, "seek", counted_seek)
+        monkeypatch.setattr(facts._Reader, "statement", counted_statement)
+        rng = random.Random(23)
+        errors = 0
+        for _ in range(300):
+            text = _sort_lines_text(rng)
+            want = _outcome(reference_parse_facts, text)
+            got = _outcome(parse_facts, text)
+            assert got == want, text
+            if want[0] == "ParseError":
+                errors += 1
+                continue
+            names = list(got[2].values())
+            assert list(got[2]) == list(want[2])
+            for s in DIFF_SIG.sorts:
+                assert [e.index for e in names if e.sort == s] \
+                    == list(range(want[1][s]))
+        assert min(paths.values()) >= 100 and errors > 50
+
+    def test_failed_match_is_linear(self):
+        """A sort line of 20000 names that never reaches its ``;``: a match
+        of the run that backtracked quadratically would take seconds."""
+        text = "sort V:" + "".join(f" v{i}\n" for i in range(20000)) + "E(;"
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_facts(text, SIG)
+        assert time.perf_counter() - start < 1
+        assert str(err.value) == "20001:2: expected ';', found '('"
+
+
 class TestSerialization:
     def eval_chain(self):
         x, names = parse_facts("sort V: a b c;\nE(a, b);\nE(b, c);\n", SIG)
