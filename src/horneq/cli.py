@@ -57,36 +57,28 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _eval_config(args, epic_origin: bool) -> engine.EvalConfig:
-    return engine.EvalConfig(
-        max_iterations=args.max_iterations,
-        strategy=args.strategy,
-        strictness="error" if args.strict else "warn",
-        epic_origin=epic_origin,
-    )
-
-
 def cmd_eval(args) -> int:
     t = _load_theory(args.theory)
     rt, epic_origin = _prepare(t)
     x, input_names = _load_facts(args.facts, rt.signature)
-    cfg = _eval_config(args, epic_origin)
+    cfg = engine.EvalConfig(max_iterations=args.max_iterations,
+                            strategy=args.strategy,
+                            strictness="error" if args.strict else "warn",
+                            epic_origin=epic_origin)
+    code = EXIT_OK
     try:
         result, unit, report = engine.evaluate(rt, x, cfg)
     except engine.EvaluationBudgetError as err:
         print(f"error: {err}", file=sys.stderr)
-        if args.emit_partial:
-            names, merged = facts.model_names(err.partial, input_names,
-                                              err.unit)
-            rep = facts.report_dict(err.report) if args.report else None
-            sys.stdout.write(facts.serialize_model(err.partial, names, merged,
-                                                   args.format, rep))
-        return EXIT_BUDGET
+        if not args.emit_partial:
+            return EXIT_BUDGET
+        result, unit, report = err.partial, err.unit, err.report
+        code = EXIT_BUDGET
     names, merged = facts.model_names(result, input_names, unit)
     rep = facts.report_dict(report) if args.report else None
     sys.stdout.write(facts.serialize_model(result, names, merged,
                                            args.format, rep))
-    return EXIT_OK
+    return code
 
 
 def cmd_flatten(args) -> int:

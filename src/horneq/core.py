@@ -17,8 +17,9 @@ stored tuple is on the use-list of each of its elements; an entry whose
 tuple is no longer stored is stale and skipped.  A merge therefore visits
 only the merged-away element's entries, and rewrites each live one.
 ``copy`` does not carry them, so a structure that is never merged never
-builds them.  While ``log`` is a list, each (relation, tuple) newly stored
-is appended to it; a later merge may rewrite a logged tuple away.  Both
+builds them.  While ``log`` is a dict from relation names to sets, each
+tuple newly stored in one of those relations joins its set, and no other
+relation is logged; a later merge may rewrite a logged tuple away.  Both
 are kept by ``store``, the one routine that adds to ``rels``, which
 ``add_tuple`` and ``merge`` call with a canonical, sort-checked tuple, and
 by ``store_all``, which stores many such tuples of one relation at once.
@@ -122,8 +123,8 @@ class Structure:
         # Built by the first merge; see the module docstring.
         self._uses: Optional[
             defaultdict[El, list[tuple[str, tuple[El, ...]]]]] = None
-        # When a list, each (relation, tuple) newly stored is appended.
-        self.log: Optional[list[tuple[str, tuple[El, ...]]]] = None
+        # When a dict, each new tuple of a relation it keys joins its set.
+        self.log: Optional[dict[str, set[tuple[El, ...]]]] = None
 
     # -- elements ----------------------------------------------------------
 
@@ -143,6 +144,8 @@ class Structure:
         i = e.index
         if parent[i] == i:
             return e
+        if i < 0:  # after the fast return: no parent is negative
+            raise SignatureError(f"element {e} not in structure")
         root = i
         while parent[root] != root:
             root = parent[root]
@@ -199,8 +202,8 @@ class Structure:
         if uses is not None:
             for e in ct:
                 uses[e].append(entry)
-        if log is not None:
-            log.append(entry)
+        if log is not None and rel in log:
+            log[rel].add(ct)
         return True
 
     def store_all(self, rel: str, cts: Iterable[tuple[El, ...]]) -> None:

@@ -5,10 +5,13 @@ then applies the pending conclusions as a batch: relation atoms insert tuples,
 equality atoms merge union-find classes, conclusion-only variables create
 fresh elements.  Matches whose conclusion already holds are skipped, which
 keeps fresh-element creation bounded for non-surjective sequents.  Evaluation
-stops at the first iteration that changes nothing.  A relation no sequent
-mentions is empty in every classifying structure, so in the result it is the
-image of the input's under the unit: it stays out of the loop and is carried
-along the unit once at the end, column by column.
+stops at the first iteration that changes nothing.  Semi-naive evaluation
+then matches only along the last batch's delta: for each relation a premise
+reads, the tuples ``Structure.log`` took in that are still stored, and for
+each sort, its new canonical elements as 1-tuples under ``(sort,)``.  A
+relation no sequent mentions is empty in every classifying structure, so in
+the result it is the image of the input's under the unit: it stays out of
+the loop and is carried along the unit once at the end, column by column.
 """
 
 from __future__ import annotations
@@ -73,15 +76,6 @@ class EvalReport:
     fixed_point: bool = False
 
 
-@dataclass(frozen=True)
-class Delta:
-    """Tuples and elements new since the previous iteration: the tuples by
-    relation, every one of them stored, and the canonical elements."""
-
-    tuples: dict[str, set[tuple[El, ...]]]
-    elements: frozenset[El]
-
-
 # -- matching ---------------------------------------------------------------
 #
 # A formula, together with an ordered tuple of pre-bound variables,
@@ -104,13 +98,14 @@ class Delta:
 # the delta at atom i (run first), the relation without the delta at every
 # atom before i and the full relation after it.  A match lies in exactly
 # one variant, the one of its first delta atom; there a bound ``v!`` or
-# ``u = v`` tests its element against the carrier in the atom's mode.  So a
-# variant whose delta part at atom i is empty has no match, and it is not
+# ``u = v`` tests its element against the carrier in the atom's mode.  The
+# delta maps a relation name or carrier key to a nonempty set of tuples, so
+# a variant whose key at atom i is not in it has no match, and it is not
 # linked.  Linking a step reads its source once, as the relation's set or
-# the carrier, the delta's part of it, or full minus delta (old); a probe
-# then builds its hash index on the bound columns.  The steps read sets
-# and index buckets in no particular order, and the rows are sorted once
-# at the end.  A row's slot values are the match's per-atom witnesses,
+# the carrier, the delta's set under its key, or full minus delta (old); a
+# probe then builds its hash index on the bound columns.  The steps read
+# sets and index buckets in no particular order, and the rows are sorted
+# once at the end.  A row's slot values are the match's per-atom witnesses,
 # in order, so sorting them gives nested-loop order.
 #
 # A sequent compiles once into a rule: its premise plan, and a conclusion
@@ -273,16 +268,11 @@ def _holds(conclusion: _Plan, fresh, heads) -> Callable:
     return lambda x, row: all(test(x, row) for test in tests)
 
 
-def _read(x: Structure, delta: Optional[Delta], name, mode: int) -> set:
+def _read(x: Structure, delta: Optional[dict], name, mode: int) -> set:
     """What a step reads of ``x``: the relation or carrier ``name`` in
-    full, only its delta part, or full minus delta (old).  A carrier
-    ``(sort,)`` is the sort's canonical elements as 1-tuples."""
-    if mode == _FULL:
-        part = _NONE
-    elif isinstance(name, str):
-        part = delta.tuples.get(name, _NONE)
-    else:
-        part = {(e,) for e in delta.elements if e.sort == name[0]}
+    full, the delta's set under ``name``, or full minus that set (old).  A
+    carrier ``(sort,)`` holds its sort's canonical elements as 1-tuples."""
+    part = _NONE if mode == _FULL else delta.get(name, _NONE)
     if mode == _DELTA:
         return part
     full = (x.rels[name] if isinstance(name, str)
@@ -297,7 +287,7 @@ def _agreeing(ts, repeats):
     return [t for t in ts if all(t[c] == t[c0] for c, c0 in repeats)]
 
 
-def _link(steps: tuple[_Step, ...], x: Structure, delta: Optional[Delta],
+def _link(steps: tuple[_Step, ...], x: Structure, delta: Optional[dict],
           out: list) -> Callable:
     """Chain the steps into one function of the slot list; it appends every
     complete match to ``out`` as a tuple of slot values."""
@@ -374,30 +364,31 @@ _LINK = {"scan": _link_scan, "probe": _link_probe, "test": _link_test,
          "same": _link_same, "copy": _link_copy}
 
 
-def _rows(plan: _Plan, x: Structure, delta: Optional[Delta] = None,
+def _rows(plan: _Plan, x: Structure, delta: Optional[dict] = None,
           start: tuple[El, ...] = ()) -> list[tuple[El, ...]]:
     """The plan's matches in ``x`` as slot rows, in nested-loop order; the
     first slots hold ``start``.  With ``delta``, only the matches touching
-    at least one delta-marked tuple or element; a variant whose
-    ``_DELTA`` step reads an empty delta part is not linked."""
+    at least one of its tuples; a variant whose ``_DELTA`` step reads a
+    key the delta lacks is not linked."""
     vals = list(start)
     vals += [None] * (len(plan.vars) - len(vals))
     rows: list[tuple[El, ...]] = []
     for steps in (plan.steps,) if delta is None else plan.variants:
-        if delta is None or all(_read(x, delta, st.name, _DELTA)
+        if delta is None or all(st.name in delta
                                 for st in steps if st.mode == _DELTA):
             _link(steps, x, delta, rows)(vals)
     rows.sort()
     return rows
 
 
-def find_matches(f: Formula, x: Structure, delta: Optional[Delta] = None,
+def find_matches(f: Formula, x: Structure, delta: Optional[dict] = None,
                  binding: Optional[dict[Var, El]] = None) -> Iterator[dict[Var, El]]:
     """All interpretations of an RHL formula in ``x``, in deterministic
-    (nested-loop) order.  With ``delta``, only interpretations touching at
-    least one of its tuples or elements are yielded; its tuples must be
-    stored in ``x``, as ``evaluate``'s are.  ``binding`` pre-binds
-    variables, ``f``'s or not; they lead every yielded dict."""
+    (nested-loop) order.  With ``delta``, a dict from relation names and
+    carrier keys ``(sort,)`` to nonempty sets of tuples in ``x``, as
+    ``evaluate`` makes it, only interpretations touching one of those
+    tuples are yielded.  ``binding`` pre-binds variables, ``f``'s or not;
+    they lead every yielded dict."""
     start = {v: x.find(e) for v, e in binding.items()} if binding else {}
     plan = _plan(f, tuple(start))
     for row in _rows(plan, x, delta, tuple(start.values())):
@@ -436,7 +427,7 @@ def apply_match(x: Structure, rule: _Rule, row: tuple[El, ...],
     The conclusion-only slots get fresh elements, in slot order.  The row
     is kept canonical across each merge, so its tuples go to ``x.store``
     unchecked.  The tuples, merges and elements it makes are counted into
-    ``stats``; what it stores is also on ``x.log`` when that is a list."""
+    ``stats``; what it stores is also logged when ``x.log`` logs it."""
     full = list(row) + [x.add_element(sort) for sort in rule.fresh]
     stats.elements_created += len(rule.fresh)
     for name, slots in rule.heads:
@@ -494,12 +485,11 @@ def evaluate(t: Theory, x: Structure,
     result = x.copy(empty=aside)
     report = EvalReport()
     seminaive = cfg.strategy == "seminaive"
-    delta: Optional[Delta] = None
+    delta: Optional[dict] = None
     if seminaive:
-        # The delta holds only tuples of relations some premise reads.
-        read = {a.rel.name for s in t.sequents for a in s.premise.atoms
-                if isinstance(a, RelAtom)}
-        result.log = []
+        # Only the relations some premise reads are logged.
+        result.log = {a.rel.name: set() for s in t.sequents
+                      for a in s.premise.atoms if isinstance(a, RelAtom)}
 
     sorts = t.signature.sorts
     while True:
@@ -528,16 +518,17 @@ def evaluate(t: Theory, x: Structure,
             break
         if seminaive:
             # The log holds every tuple stored in this batch; those a later
-            # merge rewrote away are no longer stored and drop out.
-            rels, tuples = result.rels, defaultdict(set)
-            for rel, tp in result.log:
-                if rel in read and tp in rels[rel]:
-                    tuples[rel].add(tp)
-            result.log.clear()
-            find = result.find
-            delta = Delta(tuples, frozenset([
-                find(El(s, i)) for s, n in zip(sorts, counts)
-                for i in range(n, result.raw_count(s))]))
+            # merge rewrote away drop out in place, so no second set is
+            # kept.  The new elements join under their carrier keys.
+            rels, find = result.rels, result.find
+            for r, new in result.log.items():
+                new &= rels[r]
+            delta = {r: new for r, new in result.log.items() if new}
+            for s, n in zip(sorts, counts):
+                if n < result.raw_count(s):
+                    delta[(s,)] = {(find(El(s, i)),)
+                                   for i in range(n, result.raw_count(s))}
+            result.log = {r: set() for r in result.log}
         if max_iterations is not None and report.iterations >= max_iterations:
             break
 

@@ -360,19 +360,21 @@ def _match_atoms(atoms, x: Structure, assignment: dict[Var, El],
             new = dict(assignment)
             new.update(local)
             hit = used_delta or (delta is not None
-                                 and t in delta.tuples.get(name, ()))
+                                 and t in delta.get(name, ()))
             yield from _match_atoms(rest, x, new, hit, delta, tuple_cache)
     elif isinstance(atom, DefinedAtom):
         v = atom.term
         bound = assignment.get(v)
         if bound is not None:
-            hit = used_delta or (delta is not None and bound in delta.elements)
+            hit = used_delta or (delta is not None
+                                 and (bound,) in delta.get((v.sort,), ()))
             yield from _match_atoms(rest, x, assignment, hit, delta, tuple_cache)
         else:
             for e in x.elements(v.sort):
                 new = dict(assignment)
                 new[v] = e
-                hit = used_delta or (delta is not None and e in delta.elements)
+                hit = used_delta or (delta is not None
+                                     and (e,) in delta.get((v.sort,), ()))
                 yield from _match_atoms(rest, x, new, hit, delta, tuple_cache)
     else:  # EqualAtom
         u, v = atom.lhs, atom.rhs
@@ -394,7 +396,8 @@ def _match_atoms(atoms, x: Structure, assignment: dict[Var, El],
                 new = dict(assignment)
                 new[u] = e
                 new[v] = e
-                hit = used_delta or (delta is not None and e in delta.elements)
+                hit = used_delta or (delta is not None
+                                     and (e,) in delta.get((u.sort,), ()))
                 yield from _match_atoms(rest, x, new, hit, delta, tuple_cache)
 
 

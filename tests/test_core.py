@@ -83,6 +83,17 @@ class TestStructure:
         assert x.find(els[1]) == els[1]
         assert y.find(els[1]) == els[0]
 
+    def test_find_and_merge_reject_negative_index(self):
+        """``find``, and ``merge`` through it, reject a negative index
+        instead of reading the parent list from its end."""
+        x = Structure(SIG)
+        a, b, c = (x.add_element("V") for _ in range(3))
+        with pytest.raises(SignatureError):
+            x.find(El("V", -1))
+        with pytest.raises(SignatureError):
+            x.merge(El("V", -3), b)
+        assert x.elements("V") == [a, b, c]
+
     def test_elements_are_canonical_and_ordered(self):
         x = Structure(SIG)
         els = [x.add_element("V") for _ in range(4)]
@@ -156,18 +167,25 @@ class TestMergeDifferential:
         scan.  Tuples may name merged-away elements, and merges hit copies
         of merged structures (which start without use-lists) as well as
         merged structures after a copy was taken.  Each structure logs
-        from its creation on: its logged tuples still stored are exactly
-        the tuples stored since, and a merge logs what it rewrote."""
+        every relation from its creation on: its logged tuples still
+        stored are exactly the tuples stored since, and what a merge newly
+        logs lies within what it rewrote, all of which is logged."""
         merges_on_copies = merges_after_copy = 0
 
         def stored(x):
             return {(r, t) for r, ts in x.rels.items() for t in ts}
 
+        def logged(x):
+            return {(r, t) for r, ts in x.log.items() for t in ts}
+
+        def log_all(x):
+            x.log = {r.name: set() for r in x.sig.relations}
+
         for seed in range(300):
             rng = random.Random(seed)
             sig = random_signature(rng, max_sorts=2, max_rels=3)
             pairs = [(Structure(sig), Structure(sig))]
-            pairs[0][0].log = []
+            log_all(pairs[0][0])
             at_start = {id(pairs[0][0]): set()}
             merged, copies_of_merged, copied = set(), set(), set()
             for _ in range(50):
@@ -192,23 +210,23 @@ class TestMergeDifferential:
                             merges_on_copies += id(x) in copies_of_merged
                             merges_after_copy += id(x) in copied
                             merged.add(id(x))
-                        n = len(x.log)
+                        before = logged(x)
                         keep = x.merge(a, b)
                         want_keep, want = full_scan_merge(ref, a, b)
                         assert keep == want_keep
-                        assert len(x.log) - n == len(want)
-                        assert set(x.log[n:]) == want
+                        assert logged(x) - before <= want <= logged(x)
                 else:
                     y = x.copy()
                     assert y.log is None
-                    y.log, at_start[id(y)] = [], stored(y)
+                    log_all(y)
+                    at_start[id(y)] = stored(y)
                     if id(x) in merged:
                         copies_of_merged.add(id(y))
                         copied.add(id(x))
                     pairs.append((y, ref.copy()))
                 assert x.rels == ref.rels
                 assert x.is_canonical()
-                assert ({(r, t) for r, t in x.log if t in x.rels[r]}
+                assert ({(r, t) for r, t in logged(x) if t in x.rels[r]}
                         == stored(x) - at_start[id(x)])
         assert merges_on_copies > 100 and merges_after_copy > 100
 

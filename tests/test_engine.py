@@ -1,16 +1,22 @@
+import os
+import pathlib
 import random
+import re
+import subprocess
+import sys
 import warnings
 from collections import defaultdict
 
 import pytest
 
+import horneq
 from horneq import engine
 from horneq.classify import classifying_morphism, flatten_theory
 from horneq.core import El, RelDecl, Signature, SignatureError, Structure
-from horneq.engine import (_DELTA, _FULL, _OLD, MAX_PLAN_STEPS, Delta,
-                           EvalConfig, EvaluationBudgetError, IterationStats,
-                           _rows, _rule, counterexample, evaluate,
-                           find_matches, satisfies, satisfies_theory)
+from horneq.engine import (_DELTA, _FULL, _OLD, MAX_PLAN_STEPS, EvalConfig,
+                           EvaluationBudgetError, IterationStats, _rows,
+                           _rule, counterexample, evaluate, find_matches,
+                           satisfies, satisfies_theory)
 from horneq.facts import model_names, report_dict, serialize_model
 from horneq.oracle import is_injective_to, is_orthogonal_to, satisfies_phl
 from horneq.syntax import (EqualAtom, Formula, RelAtom, Sequent, Theory, Var,
@@ -244,7 +250,7 @@ class TestEvaluate:
         assert probes == [("R", _FULL, (0,))] * 2 and len(built) == 2
         probes.clear()
         built.clear()
-        delta = Delta({"R": set(sorted(x.rels["R"])[:3])}, frozenset())
+        delta = {"R": set(sorted(x.rels["R"])[:3])}
         got = list(find_matches(s.premise, x, delta))
         assert got and got == list(reference_matches(s.premise, x, delta))
         assert len(probes) == 4
@@ -274,6 +280,26 @@ class TestEvaluate:
         with pytest.raises(EvaluationBudgetError) as err:
             evaluate(t, x, EvalConfig(max_iterations=2, epic_origin=True))
         assert err.value.partial.log is None
+
+    def test_only_premise_relations_are_logged(self, monkeypatch):
+        """Reachability into ``P``, which no premise reads: at every
+        matching call of semi-naive evaluation the log keys ``E`` alone,
+        so no tuple of ``P`` is ever logged."""
+        t = parse_theory("sort V;\npred E : V * V;\npred P : V * V;\n"
+                         "rule E(x, y) => P(x, y);\n"
+                         "rule E(x, y) & E(y, z) => E(x, z);\n")
+        x = structure_from_edges(t.signature, "E", 6,
+                                 {(i, i + 1) for i in range(5)})
+        keys = []
+        rows = engine._rows
+
+        def recorded(plan, y, *args):
+            keys.append(set(y.log))
+            return rows(plan, y, *args)
+        monkeypatch.setattr(engine, "_rows", recorded)
+        res, _, rep = evaluate(t, x)
+        assert len(res.rels["P"]) == 15 and rep.iterations > 2
+        assert keys and all(k == {"E"} for k in keys)
 
     def test_nonsurjective_warns_and_strict_raises(self):
         t = parse_theory("sort V;\npred E : V * V;\nrule v! => E(v, w);\n")
@@ -324,9 +350,10 @@ class TestDifferential:
                     for r, tp in tuples:
                         if rng.random() < 0.4:
                             picked[r].add(tp)
-                    delta = Delta(
-                        dict(picked),
-                        frozenset(e for e in elements if rng.random() < 0.3))
+                    for e in elements:
+                        if rng.random() < 0.3:
+                            picked[(e.sort,)].add((e,))
+                    delta = dict(picked)
                     # raw indices, some non-canonical, and variables of
                     # the sequent that ``f`` may not mention
                     binding = {v: El(v.sort, rng.randrange(n))
@@ -368,6 +395,42 @@ class TestDifferential:
                 texts.append(serialize_model(res, out_names, merged,
                                              report=report_dict(rep)))
             assert texts[0] == texts[1]
+
+    def test_eval_output_independent_of_hash_seed(self, tmp_path):
+        """The output depends only on the input: ``eval`` under three
+        ``PYTHONHASHSEED`` values and both strategies writes the same
+        bytes, on a run that makes fresh elements and merges."""
+        theory = ("sort V;\npred E : V * V;\npred R : V * V;\n"
+                  "rule E(x, y) => R(y, z);\n"
+                  "rule R(x, z) & R(x, w) => z = w;\n"
+                  "rule R(x, z) & E(x, y) => E(z, y);\n"
+                  "rule E(x, y) & E(y, x) => x = y;\n")
+        rng = random.Random(3)
+        names = " ".join(f"v{i}" for i in range(12))
+        facts = f"sort V: {names};\n" + "".join(
+            f"E(v{rng.randrange(12)}, v{rng.randrange(12)});\n"
+            for _ in range(20))
+        (tmp_path / "t.hq").write_text(theory)
+        (tmp_path / "f.hq").write_text(facts)
+        argv = ["eval", str(tmp_path / "t.hq"), str(tmp_path / "f.hq"),
+                "--report", "--max-iterations", "4", "--emit-partial"]
+        src = str(pathlib.Path(horneq.__file__).parents[1])
+        outputs = set()
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            for strategy in ("naive", "seminaive"):
+                done = subprocess.run(
+                    [sys.executable, "-c",
+                     "import sys; from horneq.cli import main; "
+                     "sys.exit(main())", *argv, "--strategy", strategy],
+                    capture_output=True, text=True, env=env)
+                outputs.add((done.returncode, done.stdout, done.stderr))
+        assert len(outputs) == 1
+        (code, out, _), = outputs
+        assert code == 0 and "fixed_point: True" in out
+        stats = re.findall(r"merges=(\d+) elements_created=(\d+)", out)
+        assert sum(int(m) for m, _ in stats) > 0
+        assert sum(int(e) for _, e in stats) > 0
 
 
 def _merge_some(rng, x):
