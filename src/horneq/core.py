@@ -142,8 +142,11 @@ class Structure:
         if parent is None:
             raise SignatureError(f"unknown sort {e.sort!r}")
         i = e.index
-        if parent[i] == i:
-            return e
+        try:
+            if parent[i] == i:
+                return e
+        except IndexError:  # past either end of the parent list
+            raise SignatureError(f"element {e} not in structure") from None
         if i < 0:  # after the fast return: no parent is negative
             raise SignatureError(f"element {e} not in structure")
         root = i

@@ -4,13 +4,14 @@ Each iteration matches every sequent's premise against the current result,
 then applies the pending conclusions as a batch: relation atoms insert tuples,
 equality atoms merge union-find classes, conclusion-only variables create
 fresh elements.  Matches whose conclusion already holds are skipped, which
-keeps fresh-element creation bounded for non-surjective sequents.  Evaluation
-stops at the first iteration that changes nothing.  Semi-naive evaluation
-then matches only along the last batch's delta: for each relation a premise
-reads, the tuples ``Structure.log`` took in that are still stored, and for
-each sort, its new canonical elements as 1-tuples under ``(sort,)``.  A
-relation no sequent mentions is empty in every classifying structure, so in
-the result it is the image of the input's under the unit: it stays out of
+keeps fresh-element creation bounded for non-surjective sequents; without
+conclusion-only variables they are dropped before the batch is sorted.
+Evaluation stops at the first iteration that changes nothing.  Semi-naive
+evaluation then matches only along the last batch's delta: for each relation
+a premise reads, the tuples ``Structure.log`` took in that are still stored,
+and for each sort, its new canonical elements as 1-tuples under ``(sort,)``.
+A relation no sequent mentions is empty in every classifying structure, so
+in the result it is the image of the input's under the unit: it stays out of
 the loop and is carried along the unit once at the end, column by column.
 """
 
@@ -104,9 +105,9 @@ class EvalReport:
 # linked.  Linking a step reads its source once, as the relation's set or
 # the carrier, the delta's set under its key, or full minus delta (old); a
 # probe then builds its hash index on the bound columns.  The steps read
-# sets and index buckets in no particular order, and the rows are sorted
-# once at the end.  A row's slot values are the match's per-atom witnesses,
-# in order, so sorting them gives nested-loop order.
+# sets and index buckets in no particular order, and so are the rows; each
+# caller sorts what it needs.  A row's slot values are the match's
+# per-atom witnesses, in order, so sorting them gives nested-loop order.
 #
 # A sequent compiles once into a rule: its premise plan, and a conclusion
 # plan whose first slots are the premise's variables, so a premise row is
@@ -366,7 +367,7 @@ _LINK = {"scan": _link_scan, "probe": _link_probe, "test": _link_test,
 
 def _rows(plan: _Plan, x: Structure, delta: Optional[dict] = None,
           start: tuple[El, ...] = ()) -> list[tuple[El, ...]]:
-    """The plan's matches in ``x`` as slot rows, in nested-loop order; the
+    """The plan's matches in ``x`` as slot rows, in no particular order; the
     first slots hold ``start``.  With ``delta``, only the matches touching
     at least one of its tuples; a variant whose ``_DELTA`` step reads a
     key the delta lacks is not linked."""
@@ -377,13 +378,12 @@ def _rows(plan: _Plan, x: Structure, delta: Optional[dict] = None,
         if delta is None or all(st.name in delta
                                 for st in steps if st.mode == _DELTA):
             _link(steps, x, delta, rows)(vals)
-    rows.sort()
     return rows
 
 
 def find_matches(f: Formula, x: Structure, delta: Optional[dict] = None,
                  binding: Optional[dict[Var, El]] = None) -> Iterator[dict[Var, El]]:
-    """All interpretations of an RHL formula in ``x``, in deterministic
+    """All interpretations of an RHL formula in ``x``, sorted into
     (nested-loop) order.  With ``delta``, a dict from relation names and
     carrier keys ``(sort,)`` to nonempty sets of tuples in ``x``, as
     ``evaluate`` makes it, only interpretations touching one of those
@@ -391,20 +391,22 @@ def find_matches(f: Formula, x: Structure, delta: Optional[dict] = None,
     they lead every yielded dict."""
     start = {v: x.find(e) for v, e in binding.items()} if binding else {}
     plan = _plan(f, tuple(start))
-    for row in _rows(plan, x, delta, tuple(start.values())):
+    for row in sorted(_rows(plan, x, delta, tuple(start.values()))):
         yield dict(zip(plan.vars, row))
 
 
 def counterexample(x: Structure, s: Sequent) -> Optional[dict[Var, El]]:
     """The first premise interpretation, in ``find_matches`` order, that
-    does not extend over the conclusion; ``None`` if there is none.  Each
-    premise row is checked by ``holds``, which runs the conclusion plan
-    only when the conclusion has variables of its own."""
+    does not extend over the conclusion; ``None`` if there is none.  A
+    direct ``holds`` costs less than a sort: the least failing row is kept.
+    A conclusion plan costs more: the sorted rows are checked to a failure."""
     rule = _rule(s)
-    for row in _rows(rule.premise, x):
-        if not rule.holds(x, row):
-            return dict(zip(rule.premise.vars, row))
-    return None
+    rows, holds = _rows(rule.premise, x), rule.holds
+    if rule.fresh:
+        row = next((row for row in sorted(rows) if not holds(x, row)), None)
+    else:
+        row = min((row for row in rows if not holds(x, row)), default=None)
+    return None if row is None else dict(zip(rule.premise.vars, row))
 
 
 def satisfies(x: Structure, s: Sequent) -> bool:
@@ -495,10 +497,15 @@ def evaluate(t: Theory, x: Structure,
     while True:
         stats = IterationStats()
         counts = [result.raw_count(s) for s in sorts]
-        # Every premise is matched before any conclusion is applied, so the
-        # matches read ``result`` itself.
-        pending = [(rule, _rows(rule.premise, result, delta))
-                   for rule in rules]
+        # Every premise is matched, and each direct test run, before any
+        # conclusion is applied, so both read ``result`` itself.  A row that
+        # holds now still holds at its turn: it is dropped before the sort.
+        pending = []
+        for rule in rules:
+            rows = _rows(rule.premise, result, delta)
+            if not rule.fresh:
+                rows = [row for row in rows if not rule.holds(result, row)]
+            pending.append((rule, sorted(rows)))
         for rule, rows in pending:
             holds = rule.holds
             for row in rows:

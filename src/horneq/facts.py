@@ -19,12 +19,13 @@ facts file, and reading it back keeps every survivor; output with a
 ``report:`` section, and JSON output, are not.
 
 Reading has two layers.  The loader reads a run of plain facts a chunk at
-a time: it resolves each relation's columns through per-sort name tables,
-which also check the sorts, and adds each relation's tuples with one
-``Structure.store_all``.  The token reader reads every other statement
-and each fact that the loader rejects, and raises every error.  It
-declares a sort line of fresh, distinct names without comments in one
-batch, and reads any other sort line a token at a time.
+a time, a chunk without comments with one match and one ``findall``: it
+resolves each relation's columns through per-sort name tables, which also
+check the sorts, and adds each relation's tuples with one
+``Structure.store_all``.  The token reader reads every other statement and
+each fact that the loader rejects, and raises every error.  It declares a
+sort line of fresh, distinct names without comments in one batch, and
+reads any other sort line a token at a time.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ import dataclasses
 import json
 import re
 from collections import defaultdict
-from itertools import repeat
+from itertools import groupby, repeat
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .core import El, Morphism, Signature, Structure
@@ -44,19 +46,24 @@ from .syntax import _Cursor
 # newline.  So a gap splits one way only, and a comment that ends the text
 # is left to the token reader.
 _GAP = r"\s*(?:\#[^\n]*\n\s*)*"
-# A plain fact ``R(a1, ..., an);``.  The first alternative reads one
-# without comments: group 1 is ``R``, group 2 the argument list.  The
-# second reads any: group 3 is ``R``, group 5 the argument list.  The list
-# holds no comment but every blank inside the parentheses, so the gaps
-# there are comments alone; a lookahead reads those after ``(`` whole
-# (group 4), so a failed match backtracks in linear time.
+# A plain fact ``R(a1, ..., an);`` without comments; ``{0}`` opens a group.
+_PLAIN = r"\s*{0}[A-Za-z_][A-Za-z0-9_]*)\s*\({0}[^()#;]*)\)\s*;"
+# A plain fact.  The first alternative reads one without comments: group 1
+# is ``R``, group 2 the argument list.  The second reads any: group 3 is
+# ``R``, group 5 the argument list.  The list holds no comment but every
+# blank inside the parentheses, so the gaps there are comments alone; a
+# lookahead reads those after ``(`` whole (group 4), so a failed match
+# backtracks in linear time.
 _FACT_RE = re.compile(
-    r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*\(([^()#;]*)\)\s*;"
-    rf"|{_GAP}([A-Za-z_][A-Za-z0-9_]*){_GAP}\((?=((?:\s*\#[^\n]*\n)*))\4"
+    _PLAIN.format("(")
+    + rf"|{_GAP}([A-Za-z_][A-Za-z0-9_]*){_GAP}\((?=((?:\s*\#[^\n]*\n)*))\4"
     rf"([^()#;]*)(?:\#[^\n]*\n\s*)*\){_GAP};")
 # The names of a sort line from the first on, without comments, and ``;``.
 _NAMES_RE = re.compile(r"((?:[A-Za-z_][A-Za-z0-9_]*(?:\s+|(?=;)))*);")
 _CHUNK = 64  # the most facts ``_load`` holds at once
+# 1 to ``_CHUNK`` such facts, and the ``(R, argument list)`` of each.
+_RUN_RE = re.compile(f"(?:{_PLAIN.format('(?:')}){{1,{_CHUNK}}}")
+_PLAIN_RE = re.compile(_PLAIN.format("("))
 
 
 def parse_facts(text: str, sig: Signature) -> tuple[Structure, dict[str, El]]:
@@ -94,15 +101,23 @@ def _load(text: str, pos: int, x: Structure, tables: dict,
           find: Optional[Callable], size: int = _CHUNK) -> int:
     """Add the plain facts from ``pos`` on, at most ``size`` of them, up to
     the first that ``_tuples`` rejects; the offset after the last one
-    added.  When one is rejected, the first half of them is tried alone."""
+    added.  When one is rejected, the first half of them is tried alone.
+    A full chunk of facts without comments is found by one match and read
+    by one ``findall``; otherwise ``_FACT_RE`` reads one fact a match."""
     groups: defaultdict[str, list[str]] = defaultdict(list)
-    end = pos
-    for _ in range(size):
-        if not (m := _FACT_RE.match(text, end)):
-            break
-        rel, body = m.group(1, 2) if m[1] else m.group(3, 5)
-        groups[rel].append(body)
-        end = m.end()
+    if size == _CHUNK and (run := _RUN_RE.match(text, pos)):
+        end = run.end()
+        for rel, pairs in groupby(_PLAIN_RE.findall(text, pos, end),
+                                  itemgetter(0)):
+            groups[rel] += map(itemgetter(1), pairs)
+    else:
+        end = pos
+        for _ in range(size):
+            if not (m := _FACT_RE.match(text, end)):
+                break
+            rel, body = m.group(1, 2) if m[1] else m.group(3, 5)
+            groups[rel].append(body)
+            end = m.end()
     loads = {rel: _tuples(x.sig, rel, bodies, tables, find)
              for rel, bodies in groups.items()}
     if None in loads.values():

@@ -94,6 +94,21 @@ class TestStructure:
             x.merge(El("V", -3), b)
         assert x.elements("V") == [a, b, c]
 
+    def test_find_and_merge_reject_out_of_range_index(self):
+        """An index past either end of the parent list is rejected as "not
+        in structure", as ``_check_tuple`` rejects it, not with an
+        ``IndexError``."""
+        x = Structure(SIG)
+        a, b, c = (x.add_element("V") for _ in range(3))
+        for call, bad in ((lambda: x.find(El("V", 3)), 3),
+                          (lambda: x.merge(El("V", 7), a), 7),
+                          (lambda: x.find(El("V", -9)), -9)):
+            message = f"element {El('V', bad)} not in structure"
+            with pytest.raises(SignatureError,
+                               match=f"^{re.escape(message)}$"):
+                call()
+        assert x.elements("V") == [a, b, c]
+
     def test_elements_are_canonical_and_ordered(self):
         x = Structure(SIG)
         els = [x.add_element("V") for _ in range(4)]

@@ -677,6 +677,66 @@ class TestDirectCheck:
         assert starts.count(True) == 2
 
 
+@pytest.fixture
+def shuffled_rows(monkeypatch):
+    """``engine._rows`` with its rows shuffled by a seeded generator: it
+    promises no order, so every caller must sort what it needs."""
+    rng = random.Random(73)
+    rows = engine._rows
+
+    def shuffled(plan, x, delta=None, start=()):
+        out = rows(plan, x, delta, start)
+        rng.shuffle(out)
+        return out
+    monkeypatch.setattr(engine, "_rows", shuffled)
+
+
+class TestUnorderedRows:
+    """No caller relies on the order of ``_rows``; without conclusion-only
+    variables ``counterexample`` takes the least failing row, and with
+    them it checks the sorted rows up to the first failure."""
+
+    def test_callers_equal_reference(self, shuffled_rows):
+        """The seeded fences, run on shuffled rows: both strategies
+        serialize like ``reference_evaluate``, report included, over 300
+        theories with and without fresh variables, merged inputs and
+        ``max_iterations=3``; ``counterexample`` equals
+        ``reference_witness``; and ``find_matches`` equals
+        ``reference_matches`` in order, with and without a delta and a
+        binding."""
+        TestCompiledRules().test_evaluate_serializes_like_reference()
+        TestCompiledRules().test_counterexample_equals_reference_witness()
+        TestDifferential().test_matches_equal_reference_in_order()
+
+    def test_fresh_variables_check_until_the_first_failure(self, monkeypatch):
+        """On an unclosed path every premise row of ``E(x, y) => R(x, z)``
+        fails; the conclusion plan runs for the least one alone."""
+        starts = []
+        rows = engine._rows
+
+        def counted(plan, x, delta=None, start=()):
+            starts.append(bool(start))
+            return rows(plan, x, delta, start)
+        monkeypatch.setattr(engine, "_rows", counted)
+        t = parse_theory("sort V;\npred E : V * V;\npred R : V * V;\n"
+                         "rule E(x, y) => R(x, z);\n")
+        x = structure_from_edges(t.signature, "E", 50,
+                                 {(i, i + 1) for i in range(49)})
+        got = counterexample(x, t.sequents[0])
+        assert [(v.name, e.index) for v, e in got.items()] == [("x", 0),
+                                                                ("y", 1)]
+        assert starts.count(True) == 1
+
+    def test_least_failing_row_without_fresh_variables(self, shuffled_rows):
+        """Transitivity on a path fails at every two consecutive edges;
+        the least failing row is the first in nested-loop order."""
+        x = structure_from_edges(SIG, "E", 6, {(i, i + 1) for i in range(5)})
+        for _ in range(5):
+            got = counterexample(x, TRANSITIVITY.sequents[0])
+            assert [(v.name, e.index) for v, e in got.items()] == [
+                ("u", 0), ("v", 1), ("w", 2)]
+
+
 class TestPhlSatisfaction:
     def test_agrees_with_flattened(self):
         t = parse_theory("""

@@ -383,6 +383,82 @@ class TestLoader:
         assert str(err.value) == "20002:7: expected ')', found 'x'"
 
 
+def _commented_runs_text(rng: random.Random) -> str:
+    """Runs of plain facts over ``RUN_SIG``, each longer than the loader's
+    chunk, with comment lines between facts and comments inside some
+    facts: after ``(`` or before ``)``, which ``_FACT_RE`` reads, or
+    between two arguments, which only the token reader reads.  Most texts
+    hold one fact of ``BAD_FACTS`` at a random position."""
+    declared = {"A": [f"a{i}" for i in range(5)], "B": ["b0", "b1"]}
+    lines = [f"sort {s}: {' '.join(ns)};" for s, ns in declared.items()]
+    for run in range(rng.randint(1, 3)):
+        if run:
+            lines.append("{} = {};".format(*rng.sample(declared["A"], 2)))
+        for _ in range(rng.randint(facts._CHUNK + 1, 2 * facts._CHUNK + 10)):
+            if rng.random() < 0.02:
+                lines.append(rng.choice(["# a comment line", "#", "  # E(",
+                                         "# P(a0);"]))
+            rel = rng.choice(DIFF_SIG.relations)
+            args = [rng.choice(declared[s]) for s in rel.arity]
+            body = ", ".join(args)
+            comment = rng.choice(["# c\n", " # P(a0);\n", "#\n  "])
+            where = rng.random()
+            if where < 0.01:  # after ``(``
+                body = comment + body
+            elif where < 0.02:  # before ``)``
+                body += comment
+            elif where < 0.03:  # between two arguments, if there are two
+                body = body.replace(", ", f" {comment}, ", 1)
+            lines.append(f"{rel.name}({body});")
+    if rng.random() < 0.7:
+        lines.insert(rng.randrange(2, len(lines) + 1), rng.choice(BAD_FACTS))
+    lines.append("P(a0);")
+    return "\n".join(lines) + rng.choice(["", "\n"])
+
+
+class TestCommentedRuns:
+    def test_equal_token_reader(self, monkeypatch):
+        """Seeded runs of facts with comments: the loader plus token reader
+        against the token reader alone, with each error's text and place.
+        In the texts without an error, where every fact read is loaded,
+        both the run path and the per-fact path load facts."""
+        read = {"run": 0, "fact": 0}
+
+        class Recorded:
+            def __init__(self, pattern, path):
+                self.pattern, self.path = pattern, path
+
+            def findall(self, *args):
+                found = self.pattern.findall(*args)
+                read[self.path] += len(found)
+                return found
+
+            def match(self, *args):
+                m = self.pattern.match(*args)
+                read[self.path] += m is not None
+                return m
+        monkeypatch.setattr(facts, "_PLAIN_RE",
+                            Recorded(facts._PLAIN_RE, "run"))
+        monkeypatch.setattr(facts, "_FACT_RE",
+                            Recorded(facts._FACT_RE, "fact"))
+        rng = random.Random(17)
+        outcomes = {"ok": 0, "ParseError": 0}
+        loaded = {"run": 0, "fact": 0}
+        for _ in range(100):
+            text = _commented_runs_text(rng)
+            want = _outcome(reference_parse_facts, text, RUN_SIG)
+            before = dict(read)
+            assert _outcome(parse_facts, text, RUN_SIG) == want, text
+            if want[0] == "ParseError":
+                outcomes["ParseError"] += 1
+            else:
+                outcomes["ok"] += 1
+                for path in loaded:
+                    loaded[path] += read[path] - before[path]
+        assert min(outcomes.values()) > 15
+        assert loaded["run"] > 2000 and loaded["fact"] > 500, loaded
+
+
 def _sort_lines_text(rng: random.Random) -> str:
     """Sort lines over ``DIFF_SIG`` of 0-150 names each, split across
     lines, then facts that name some of them.  A line may hold a comment
