@@ -3,9 +3,9 @@
 Each iteration matches every sequent's premise against the current result,
 then applies the pending conclusions as a batch: relation atoms insert tuples,
 equality atoms merge union-find classes, conclusion-only variables create
-fresh elements.  Matches whose conclusion already holds are skipped, which
-keeps fresh-element creation bounded for non-surjective sequents; without
-conclusion-only variables they are dropped before the batch is sorted.
+fresh elements.  Matches whose conclusion already holds are dropped before
+the batch is sorted, and skipped when an earlier application made it hold,
+which keeps fresh-element creation bounded for non-surjective sequents.
 Evaluation stops at the first iteration that changes nothing.  Semi-naive
 evaluation then matches only along the last batch's delta: for each relation
 a premise reads, the tuples ``Structure.log`` took in that are still stored,
@@ -114,7 +114,9 @@ class EvalReport:
 # already the start of a conclusion row.  A premise match extends over the
 # conclusion when that plan has a row from it.  Without conclusion-only
 # variables that is a direct test on the canonical row: each relation head's
-# tuple is stored, and each equality head's two elements are the same.
+# tuple is stored, and each equality head's two elements are the same.  A
+# rule's check is linked against a structure as it stands, so its indexes
+# are built once for all the rows it tests until the structure changes.
 
 _FULL, _OLD, _DELTA = 0, 1, 2
 _NONE = frozenset()
@@ -146,7 +148,7 @@ class _Rule(NamedTuple):
     fresh: tuple[str, ...]  # the sorts of the conclusion-only slots
     # per conclusion atom: (relation, slots), or (None, (u, v)) for u = v
     heads: tuple[tuple[Optional[str], tuple[int, ...]], ...]
-    holds: Callable  # holds(x, row): the canonical premise row extends
+    check: Callable  # check(x)(row): the canonical premise row extends in x
 
 
 def _row(slots: tuple[int, ...]) -> Callable:
@@ -250,23 +252,36 @@ def _rule(s: Sequent) -> _Rule:
         for a in s.conclusion.atoms if not isinstance(a, DefinedAtom))
     fresh = tuple(v.sort for v in conclusion.vars[len(premise.vars):])
     return _Rule(premise, conclusion, fresh, heads,
-                 _holds(conclusion, fresh, heads))
+                 _check(conclusion, fresh, heads))
 
 
-def _holds(conclusion: _Plan, fresh, heads) -> Callable:
-    """The extension check on a canonical premise row.  Without
-    conclusion-only slots each head is tested directly: its tuple is
-    stored, or its two slots are equal; a ``v!`` head always holds."""
+def _check(conclusion: _Plan, fresh, heads) -> Callable:
+    """``check(x)``: the extension test of a canonical premise row against
+    ``x`` as it stands.  Each head is tested directly (a ``v!`` head always
+    holds), or with conclusion-only slots, the linked conclusion plan runs."""
     if fresh:
-        return lambda x, row: bool(_rows(conclusion, x, start=row))
-    tests = [(lambda x, row, a=slots[0], b=slots[1]: row[a] == row[b])
+        pad = [None] * len(fresh)
+
+        def check(x):
+            out: list = []
+            run = _link(conclusion.steps, x, None, out)
+
+            def extends(row):
+                out.clear()
+                run([*row, *pad])
+                return bool(out)
+            return extends
+        return check
+    links = [(lambda x, a=slots[0], b=slots[1]: lambda row: row[a] == row[b])
              if name is None else
-             (lambda x, row, name=name, key=_row(slots):
-              key(row) in x.rels[name])
+             (lambda x, name=name, key=_row(slots):
+              lambda row, ts=x.rels[name]: key(row) in ts)
              for name, slots in heads]
-    if len(tests) == 1:
-        return tests[0]
-    return lambda x, row: all(test(x, row) for test in tests)
+
+    def check(x):
+        tests = [link(x) for link in links]
+        return lambda row: all(test(row) for test in tests)
+    return links[0] if len(links) == 1 else check
 
 
 def _read(x: Structure, delta: Optional[dict], name, mode: int) -> set:
@@ -395,17 +410,18 @@ def find_matches(f: Formula, x: Structure, delta: Optional[dict] = None,
         yield dict(zip(plan.vars, row))
 
 
+def _failing(rule: _Rule, x: Structure, delta: Optional[dict]) -> list:
+    """The rule's premise rows in ``x`` (along ``delta``) that do not
+    extend, in no particular order; its check is linked once."""
+    extends = rule.check(x)
+    return [row for row in _rows(rule.premise, x, delta) if not extends(row)]
+
+
 def counterexample(x: Structure, s: Sequent) -> Optional[dict[Var, El]]:
     """The first premise interpretation, in ``find_matches`` order, that
-    does not extend over the conclusion; ``None`` if there is none.  A
-    direct ``holds`` costs less than a sort: the least failing row is kept.
-    A conclusion plan costs more: the sorted rows are checked to a failure."""
+    does not extend over the conclusion; ``None`` if there is none."""
     rule = _rule(s)
-    rows, holds = _rows(rule.premise, x), rule.holds
-    if rule.fresh:
-        row = next((row for row in sorted(rows) if not holds(x, row)), None)
-    else:
-        row = min((row for row in rows if not holds(x, row)), default=None)
+    row = min(_failing(rule, x, None), default=None)
     return None if row is None else dict(zip(rule.premise.vars, row))
 
 
@@ -497,26 +513,27 @@ def evaluate(t: Theory, x: Structure,
     while True:
         stats = IterationStats()
         counts = [result.raw_count(s) for s in sorts]
-        # Every premise is matched, and each direct test run, before any
-        # conclusion is applied, so both read ``result`` itself.  A row that
-        # holds now still holds at its turn: it is dropped before the sort.
+        # Every premise is matched and checked before any conclusion is
+        # applied, so both read ``result`` itself.  A row that holds now
+        # still holds at its turn: it is dropped before the sort.
         pending = []
         for rule in rules:
-            rows = _rows(rule.premise, result, delta)
-            if not rule.fresh:
-                rows = [row for row in rows if not rule.holds(result, row)]
-            pending.append((rule, sorted(rows)))
+            pending.append((rule, sorted(_failing(rule, result, delta))))
         for rule, rows in pending:
-            holds = rule.holds
+            # A check reads ``result`` as it was linked: each application
+            # drops it, and the next row links it anew, so no two are alive.
+            extends = None
             for row in rows:
                 # The rows are canonical until the batch's first merge, and
                 # match up to ``find`` after it: a merge keeps every stored
                 # tuple's canonical image stored.
                 if stats.merges:
                     row = tuple([result.find(e) for e in row])
-                if holds(result, row):
+                extends = extends or rule.check(result)
+                if extends(row):
                     continue
                 stats.matches += 1
+                extends = None
                 apply_match(result, rule, row, stats)
         report.iterations += 1
         report.per_iteration.append(stats)

@@ -23,9 +23,7 @@ a time, a chunk without comments with one match and one ``findall``: it
 resolves each relation's columns through per-sort name tables, which also
 check the sorts, and adds each relation's tuples with one
 ``Structure.store_all``.  The token reader reads every other statement and
-each fact that the loader rejects, and raises every error.  It declares a
-sort line of fresh, distinct names without comments in one batch, and
-reads any other sort line a token at a time.
+the facts of a chunk that the loader rejects, and raises every error.
 """
 
 from __future__ import annotations
@@ -58,8 +56,6 @@ _FACT_RE = re.compile(
     _PLAIN.format("(")
     + rf"|{_GAP}([A-Za-z_][A-Za-z0-9_]*){_GAP}\((?=((?:\s*\#[^\n]*\n)*))\4"
     rf"([^()#;]*)(?:\#[^\n]*\n\s*)*\){_GAP};")
-# The names of a sort line from the first on, without comments, and ``;``.
-_NAMES_RE = re.compile(r"((?:[A-Za-z_][A-Za-z0-9_]*(?:\s+|(?=;)))*);")
 _CHUNK = 64  # the most facts ``_load`` holds at once
 # 1 to ``_CHUNK`` such facts, and the ``(R, argument list)`` of each.
 _RUN_RE = re.compile(f"(?:{_PLAIN.format('(?:')}){{1,{_CHUNK}}}")
@@ -74,11 +70,11 @@ def parse_facts(text: str, sig: Signature) -> tuple[Structure, dict[str, El]]:
     A run of consecutive facts that match ``_FACT_RE`` is loaded by
     ``_load``, up to ``_CHUNK`` facts at a time, and after the first merge
     each loaded column goes through ``find``.  Any other statement, and
-    any fact that ``_load`` rejects once the facts before it are loaded,
-    goes to the token reader, ``_Reader``, on the cursor that
-    ``parse_theory`` reads with.  It reads that one statement and raises
-    the same error, at the same place, as if it had read the whole text; a
-    run of such statements shares one reader."""
+    the facts of a chunk that ``_load`` rejects up to the faulty one, go
+    to the token reader, ``_Reader``, on the cursor that ``parse_theory``
+    reads with.  It reads one statement at a time and raises the same
+    error, at the same place, as if it had read the whole text; a run of
+    such statements shares one reader."""
     x = Structure(sig)
     names: dict[str, El] = {}
     tables: dict[str, dict[str, El]] = {s: {} for s in sig.sorts}
@@ -98,21 +94,21 @@ def parse_facts(text: str, sig: Signature) -> tuple[Structure, dict[str, El]]:
 
 
 def _load(text: str, pos: int, x: Structure, tables: dict,
-          find: Optional[Callable], size: int = _CHUNK) -> int:
-    """Add the plain facts from ``pos`` on, at most ``size`` of them, up to
-    the first that ``_tuples`` rejects; the offset after the last one
-    added.  When one is rejected, the first half of them is tried alone.
-    A full chunk of facts without comments is found by one match and read
-    by one ``findall``; otherwise ``_FACT_RE`` reads one fact a match."""
+          find: Optional[Callable]) -> int:
+    """Add the plain facts from ``pos`` on, at most ``_CHUNK`` of them; the
+    offset after the last one, or ``pos`` if ``_tuples`` rejects one of
+    them, which is then an input error.  A run of facts without comments
+    is found by one match and read by one ``findall``; otherwise
+    ``_FACT_RE`` reads one fact a match."""
     groups: defaultdict[str, list[str]] = defaultdict(list)
-    if size == _CHUNK and (run := _RUN_RE.match(text, pos)):
+    if run := _RUN_RE.match(text, pos):
         end = run.end()
         for rel, pairs in groupby(_PLAIN_RE.findall(text, pos, end),
                                   itemgetter(0)):
             groups[rel] += map(itemgetter(1), pairs)
     else:
         end = pos
-        for _ in range(size):
+        for _ in range(_CHUNK):
             if not (m := _FACT_RE.match(text, end)):
                 break
             rel, body = m.group(1, 2) if m[1] else m.group(3, 5)
@@ -121,8 +117,7 @@ def _load(text: str, pos: int, x: Structure, tables: dict,
     loads = {rel: _tuples(x.sig, rel, bodies, tables, find)
              for rel, bodies in groups.items()}
     if None in loads.values():
-        half = size // 2
-        return _load(text, pos, x, tables, find, half) if half else pos
+        return pos
     for rel, tuples in loads.items():
         x.store_all(rel, tuples)
     return end
@@ -198,16 +193,6 @@ class _Reader(_Cursor):
             if sort not in sig.sorts:
                 raise self.error(f"unknown sort {sort!r}", sort_at)
             self.take_sym(":")
-            m = _NAMES_RE.match(self.text, self.tok[2])
-            run = m[1].split() if m else []
-            fresh = set(run)
-            if m and len(fresh) == len(run) and names.keys().isdisjoint(fresh):
-                # Fresh, distinct names: declared in one batch.
-                batch = {name: x.add_element(sort) for name in run}
-                names.update(batch)
-                tables[sort].update(batch)
-                self.seek(m.end())
-                return False
             while self.tok[0] == "ident":
                 _, name, name_at = self.next()
                 declare(name, name_at, x.add_element(sort))

@@ -210,11 +210,7 @@ class _Cursor:
 
     def __init__(self, text: str, pos: int = 0):
         self.text = text
-        self.seek(pos)
-
-    def seek(self, pos: int) -> None:
-        """Read on from offset ``pos``: ``tok`` becomes the token there."""
-        self._matches = _TOKEN_RE.finditer(self.text, pos)
+        self._matches = _TOKEN_RE.finditer(text, pos)
         self.tok = ("", "", pos)  # before the first token
         self.next()
 

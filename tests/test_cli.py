@@ -4,6 +4,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import warnings
 from collections import Counter
 
 import pytest
@@ -24,6 +25,12 @@ rule E(u, v) & E(v, w) => E(u, w);
 ANTISYMMETRY = """sort V;
 pred Le : V * V;
 rule Le(u, v) & Le(v, u) => u = v;
+"""
+
+EXISTENTIAL = """sort V;
+pred E : V * V;
+pred R : V * V;
+rule E(x, y) => R(x, z);
 """
 
 CHAIN = "sort V: a b c;\nE(a, b);\nE(b, c);\n"
@@ -266,12 +273,19 @@ class TestSatisfies:
         assert code == 0
 
     def test_eval_output_satisfies(self, files, capsys, tmp_path):
-        theory = files("t.hq", TRANSITIVITY)
-        facts = files("f.hq", CHAIN)
-        _, out, _ = run(capsys, "eval", theory, facts)
-        closed = files("g.hq", out)
-        code, _, _ = run(capsys, "satisfies", theory, closed)
-        assert code == 0
+        """Read back, an evaluated model satisfies its theory, also one
+        whose fresh elements carry generated ``_V_k`` names."""
+        for text, facts, fresh in (
+                (TRANSITIVITY, CHAIN, None),
+                (EXISTENTIAL, "sort V: a b c;\nE(a, b);\nE(a, c);\n", "_V_3")):
+            theory = files("t.hq", text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # not surjective
+                _, out, _ = run(capsys, "eval", theory, files("f.hq", facts))
+            assert fresh is None or f"R(a, {fresh});" in out
+            closed = files("g.hq", out)
+            code, _, _ = run(capsys, "satisfies", theory, closed)
+            assert code == 0
 
 
 # Rules whose plans are longer than ``MAX_PLAN_STEPS``, with facts that

