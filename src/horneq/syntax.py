@@ -16,11 +16,13 @@ Grammar (``#`` starts a line comment)::
     atom      := IDENT "(" terms? ")" | term "!" | term "=" term
     term      := IDENT | IDENT "(" terms? ")"
 
-``parse_theory`` reads every statement with one token reader, ``_Parser``,
-and then resolves each rule against the declarations, so a rule may come
+``parse_theory`` reads the tokens of the text as one list, by one
+``findall``, and ``_Parser`` reads every statement off that list by index.
+It then resolves each rule against the declarations, so a rule may come
 before the declarations it uses, and a syntax error comes before any
-resolution error.  Tokens carry their offsets; a line and column are
-counted only for an error and for each rule's ``Sequent.location``.
+resolution error.  Raw terms carry token indices.  An offset, and its line
+and column, is found only for an error, by reading the tokens again, and
+for each rule's ``Sequent.location``, by a walk over the words ``rule``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterator, Optional, Union
 
 from .core import RelDecl, Signature
@@ -175,20 +178,21 @@ def is_rhl(x) -> bool:
 
 # -- reading -------------------------------------------------------------
 
-# One match per token: skip blanks and comments, then read one token.  It
-# always matches, since ``bad`` takes any other character and ``eof`` the
-# end of the text.
+# The lexical syntax, written once: blanks and comments, then one token.
+# One alternative always matches after the gap, so neither pattern
+# backtracks: ``\Z`` takes the end, and ``.`` a character that starts no
+# token.  ``_Cursor`` reads a match at a time, the kind by group name;
+# ``_Parser`` reads every token with one ``findall``, the end as "".
+_GAP = r"(?:\s+|\#[^\n]*)*"
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_SYM = r"=>|->|[;:*(),=!&]"
 _TOKEN_RE = re.compile(
-    r"""(?:\s+|\#[^\n]*)*
-      (?: (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-        | (?P<sym>=>|->|[;:*(),=!&])
-        | (?P<eof>\Z)
-        | (?P<bad>.) )
-    """,
-    re.VERBOSE,
-)
+    rf"{_GAP}(?:(?P<ident>{_NAME})|(?P<sym>{_SYM})|(?P<eof>\Z)|(?P<bad>.))")
+_TOKENS_RE = re.compile(rf"{_GAP}({_NAME}|{_SYM}|\Z|.)")
 
 _KEYWORDS = {"sort", "pred", "func", "rule", "true"}
+_INITIALS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz")
+_NAME_CHARS = _INITIALS | frozenset("0123456789")
 
 # Deepest nesting of function applications in one term.  Every pass over
 # terms recurses once per level, so the limit keeps them well inside
@@ -230,23 +234,45 @@ class _Cursor:
         return ParseError(message, *_line_col(self.text, at))
 
 
-class _Parser(_Cursor):
-    """Reads the statements of a theory, then resolves its rules.
+def _rule_locations(text: str) -> Iterator[tuple[int, int]]:
+    """The line and column of each ``rule`` keyword of a theory that reads
+    without error, in order: each ``rule`` outside comments and names.
+    Every find only moves forward, so the walk is linear."""
+    line, counted, line_start = 1, 0, 0  # the line state at ``counted``
+    at, comment = text.find("rule"), text.find("#")
+    while at != -1:
+        if -1 < comment < at:  # skip the comment, and the rules in it
+            if (end := text.find("\n", comment)) == -1:
+                return
+            at, comment = text.find("rule", max(at, end)), text.find("#", end)
+            continue
+        if (text[at - 1:at] not in _NAME_CHARS
+                and text[at + 4:at + 5] not in _NAME_CHARS):
+            line += text.count("\n", counted, at)
+            line_start = text.rfind("\n", counted, at) + 1 or line_start
+            counted = at
+            yield line, at - line_start + 1
+        at = text.find("rule", at + 4)
 
-    Declarations go into ``sorts`` and ``rels``.  A rule goes into
-    ``rules`` as raw trees and the offset of its ``rule``: a raw term is
-    its name, its offset and its arguments (None for a bare name), and a
-    raw atom is its kind ("rel", "defined" or "equal") and its one or two
-    raw terms."""
+
+class _Parser:
+    """Reads the statements of a theory from ``toks``, its tokens, where
+    ``i`` is the next one's index; then resolves its rules.  Declarations
+    go into ``sorts`` and ``rels``.  A rule goes into ``rules`` as raw
+    trees: a raw term is its name, its token index and its arguments
+    (None for a bare name), and a raw atom is its kind ("rel", "defined"
+    or "equal") and its one or two raw terms."""
 
     def __init__(self, text: str):
-        super().__init__(text)
+        self.text = text
+        self.toks: Optional[list[str]] = _TOKENS_RE.findall(text)
+        self.i = 0
         self.sorts: list[str] = []
         self.rels: dict[str, RelDecl] = {}
         self.rules: list[tuple] = []
         # Each (name, sort) is one Var, whichever rules it occurs in.
         self.vars: dict[tuple[str, str], Var] = {}
-        # The rule being resolved: each variable's first offset and Var,
+        # The rule being resolved: each variable's first token and Var,
         # and a union-find over variable names, with the sort of each
         # root whose sort is known.
         self.first: dict[str, int] = {}
@@ -254,31 +280,51 @@ class _Parser(_Cursor):
         self.parent: dict[str, str] = {}
         self.sort: dict[str, str] = {}
 
+    def error(self, message: str, at: int) -> ParseError:
+        """A ``ParseError`` at token ``at``, located by reading the tokens
+        again; but while the statements are read, a character that starts
+        no token is the error once a cursor one token ahead would meet it.
+        Tokens are checked as they are consumed, so it can only be the
+        last one consumed or the next one."""
+        first = max(self.i - 1, 0)
+        for j, tok in enumerate((self.toks or ())[first:self.i + 1], first):
+            if _TOKEN_RE.match(tok).lastgroup == "bad":
+                message, at = f"unexpected character {tok!r}", j
+                break
+        m = next(islice(_TOKENS_RE.finditer(self.text), at, None))
+        return ParseError(message, *_line_col(self.text, m.start(1)))
+
     def expect(self, text: str) -> None:
-        _, tok, at = self.next()
-        if tok != text:
+        at = self.i
+        self.i = at + 1
+        if (tok := self.toks[at]) != text:
             raise self.error(
                 f"expected {text!r}, found {tok or 'end of input'!r}", at)
 
     def ident(self) -> tuple[str, int]:
-        kind, tok, at = self.next()
-        if kind != "ident" or tok in _KEYWORDS:
+        at = self.i
+        name = self.toks[at]
+        self.i = at + 1
+        if name in _KEYWORDS or name[:1] not in _INITIALS:
             raise self.error(
-                f"expected identifier, found {tok or 'end of input'!r}", at)
-        return tok, at
+                f"expected identifier, found {name or 'end of input'!r}", at)
+        return name, at
 
     def statement(self) -> None:
         """Read one declaration or rule."""
         sorts, rels = self.sorts, self.rels
-        _, word, at = self.tok
+        at = self.i
+        word = self.toks[at]
+        if word not in ("sort", "pred", "func", "rule"):
+            raise self.error("expected declaration or rule, found "
+                             f"{word or 'end of input'!r}", at)
+        self.i = at + 1
         if word == "sort":
-            self.next()
             name = self.ident()[0]
             if name in sorts:
                 raise self.error(f"duplicate sort {name!r}", at)
             sorts.append(name)
         elif word in ("pred", "func"):
-            self.next()
             name = self.ident()[0]
             if name in rels:
                 raise self.error(f"duplicate relation {name!r}", at)
@@ -291,71 +337,69 @@ class _Parser(_Cursor):
                     raise self.error(f"unknown sort {result!r}", at)
                 arity.append(result)
             rels[name] = RelDecl(name, tuple(arity), word)
-        elif word == "rule":
-            self.next()
+        else:
             premise = self.formula()
             self.expect("=>")
-            self.rules.append((premise, self.formula(), at))
-        else:
-            raise self.error("expected declaration or rule, found "
-                             f"{word or 'end of input'!r}", at)
+            self.rules.append((premise, self.formula()))
         self.expect(";")
 
     def sort_list(self) -> list[str]:
         sorts = self.sorts
         out: list[str] = []
-        if self.tok[1] in (";", "->"):
+        if self.toks[self.i] in (";", "->"):
             return out
         while True:
             name, at = self.ident()
             if name not in sorts:
                 raise self.error(f"unknown sort {name!r}", at)
             out.append(name)
-            if self.tok[1] != "*":
+            if self.toks[self.i] != "*":
                 return out
-            self.next()
+            self.i += 1
 
     def formula(self) -> list[tuple]:
-        if self.tok[1] == "true":
-            self.next()
+        if self.toks[self.i] == "true":
+            self.i += 1
             return []
         atoms = [self.atom()]
-        while self.tok[1] == "&":
-            self.next()
+        while self.toks[self.i] == "&":
+            self.i += 1
             atoms.append(self.atom())
         return atoms
 
     def atom(self) -> tuple:
         term = self.term()
-        _, tok, at = self.tok
+        tok = self.toks[self.i]
         if tok == "!":
-            self.next()
+            self.i += 1
             return "defined", term, None
         if tok == "=":
-            self.next()
+            self.i += 1
             return "equal", term, self.term()
         if term[2] is None:
-            raise self.error("expected '!', '=' or '(' after identifier", at)
+            raise self.error("expected '!', '=' or '(' after identifier",
+                             self.i)
         return "rel", term, None
 
     def term(self, depth: int = 0) -> tuple:
-        # ``ident``, inlined: most names in a rule are read here, and the
-        # call costs flattened theories about 7 % of their parse.
-        kind, name, at = self.next()
-        if kind != "ident" or name in _KEYWORDS:
+        # ``ident``, inlined: most names in a rule are read here.
+        toks, at = self.toks, self.i
+        name = toks[at]
+        self.i = i = at + 1
+        if name in _KEYWORDS or name[:1] not in _INITIALS:
             raise self.error(
                 f"expected identifier, found {name or 'end of input'!r}", at)
-        if self.tok[1] != "(":
+        if toks[i] != "(":
             return name, at, None
         if depth == MAX_TERM_DEPTH:
             raise self.error(
                 f"term nested deeper than {MAX_TERM_DEPTH} applications", at)
-        self.next()
+        self.i = i + 1
         args = []
-        if self.tok[1] != ")":
+        if toks[i + 1] != ")":
             args.append(self.term(depth + 1))
-            while self.tok[1] == ",":
-                self.next()
+            while toks[self.i] == ",":
+                self.i += 1
                 args.append(self.term(depth + 1))
         self.expect(")")
         return name, at, tuple(args)
@@ -492,18 +536,14 @@ class _Parser(_Cursor):
 def parse_theory(text: str) -> Theory:
     """Read a theory; the module docstring says how."""
     p = _Parser(text)
-    while p.tok[0] != "eof":
+    while p.toks[p.i]:
         p.statement()
+    p.toks = None  # resolution reads no token
     sig = Signature(tuple(p.sorts), tuple(p.rels.values()))
     sequents = []
-    line, counted, line_start = 1, 0, 0  # the line state at ``counted``
-    for premise, conclusion, at in p.rules:
-        newlines = text.count("\n", counted, at)
-        if newlines:
-            line += newlines
-            line_start = text.rindex("\n", counted, at) + 1
-        counted = at
-        seq = p.sequent(premise, conclusion, (line, at - line_start + 1))
+    for (premise, conclusion), location in zip(
+            p.rules, _rule_locations(text), strict=True):
+        seq = p.sequent(premise, conclusion, location)
         if not seq.conclusion.atoms:
             warnings.warn("{}:{}: sequent has an empty conclusion and is "
                           "vacuous".format(*seq.location),
@@ -516,14 +556,14 @@ def parse_theory(text: str) -> Theory:
 
 
 def _pp_term(t: Term) -> str:
-    if isinstance(t, Var):
+    if t.__class__ is Var:
         return t.name
-    return f"{t.func.name}({', '.join(_pp_term(a) for a in t.args)})"
+    return f"{t.func.name}({', '.join([_pp_term(a) for a in t.args])})"
 
 
 def _pp_atom(a: Atom) -> str:
     if isinstance(a, RelAtom):
-        return f"{a.rel.name}({', '.join(_pp_term(t) for t in a.args)})"
+        return f"{a.rel.name}({', '.join([_pp_term(t) for t in a.args])})"
     if isinstance(a, DefinedAtom):
         return f"{_pp_term(a.term)}!"
     return f"{_pp_term(a.lhs)} = {_pp_term(a.rhs)}"
@@ -532,7 +572,7 @@ def _pp_atom(a: Atom) -> str:
 def _pp_formula(f: Formula) -> str:
     if not f.atoms:
         return "true"
-    return " & ".join(_pp_atom(a) for a in f.atoms)
+    return " & ".join([_pp_atom(a) for a in f.atoms])
 
 
 def _pp_sequent(s: Sequent) -> str:

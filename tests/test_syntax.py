@@ -149,6 +149,12 @@ class TestErrorLocations:
          "4:8: unknown symbol 'q'"),
         ("sort V;\npred E : V * V;\nrule E(x, y) => E(y x);\n",
          "3:21: expected ')', found 'x'"),
+        # the bad character beats the duplicate sort before it
+        ("sort V;\nsort V $\n", "2:8: unexpected character '$'"),
+        ("$sort V;", "1:1: unexpected character '$'"),
+        pytest.param("# a long theory\nsort V;\npred P : V;\n"
+                     + "rule P(x) => P(x);\n" * 1999 + "rule P(x) => P(x);@\n",
+                     "2003:19: unexpected character '@'", id="2000-rules"),
     ])
     def test_message_and_position(self, text, message):
         with pytest.raises(ParseError) as err:
@@ -324,6 +330,12 @@ class TestDifferential:
         "sort V;\r\npred P : V;\r\nrule P(x) => x = y;\r\n"
         "\trule P(x) => true;\r\n",
         "sort V;\r\npred P : V;\r\nrule P(x) =>\r\n  Q(x);\r\n",
+        # two rules on one line
+        "sort V; pred P : V; rule P(x) => P(x); rule P(y) => P(y);\n",
+        # the word rule in a comment and inside names
+        "sort V;\npred P : V;\n# rule P(x) => P(x); rules\n"
+        "  rule P(rules) => P(_rule);\n"
+        "\trule P(rule_1) => P(rule_1);  # rule\n",
     ])
     def test_edge_cases(self, text):
         assert _outcome(parse_theory, text) == \
@@ -350,16 +362,22 @@ class TestDifferential:
         assert {v.sort for v in sequent_vars(t.sequents[0])} == {"V"}
         assert len(t.sequents[0].premise.atoms) == n + 1
 
-    def test_one_cursor_reads_a_theory(self, monkeypatch):
-        """One token cursor reads every statement of a theory, flat rules
-        and declarations alike."""
-        made = []
-        init = syntax._Cursor.__init__
+    def test_one_findall_reads_a_theory(self, monkeypatch):
+        """One ``findall`` reads every token of a theory, flat rules and
+        declarations alike, and no token cursor is built."""
+        pattern = syntax._TOKENS_RE
+        calls = []
 
-        def counted_init(self, *args):
-            made.append(args)
-            init(self, *args)
+        class Counted:  # a valid theory is never read again
+            def findall(self, text):
+                calls.append(text)
+                return pattern.findall(text)
 
-        monkeypatch.setattr(syntax._Cursor, "__init__", counted_init)
-        parse_theory(TRANSITIVITY + "rule E(u, v) => E(v, u);\n")
-        assert len(made) == 1
+        def no_cursor(self, *args):
+            raise AssertionError("a _Cursor was built")
+
+        monkeypatch.setattr(syntax, "_TOKENS_RE", Counted())
+        monkeypatch.setattr(syntax._Cursor, "__init__", no_cursor)
+        text = TRANSITIVITY + "rule E(u, v) => E(v, u);\n"
+        parse_theory(text)
+        assert calls == [text]
