@@ -520,8 +520,8 @@ def evaluate(t: Theory, x: Structure,
         for rule in rules:
             pending.append((rule, sorted(_failing(rule, result, delta))))
         for rule, rows in pending:
-            # A check reads ``result`` as it was linked: each application
-            # drops it, and the next row links it anew, so no two are alive.
+            # A direct test reads the live relation sets, but a conclusion
+            # plan reads ``result`` as linked: an application drops it.
             extends = None
             for row in rows:
                 # The rows are canonical until the batch's first merge, and
@@ -533,7 +533,8 @@ def evaluate(t: Theory, x: Structure,
                 if extends(row):
                     continue
                 stats.matches += 1
-                extends = None
+                if rule.fresh:
+                    extends = None
                 apply_match(result, rule, row, stats)
         report.iterations += 1
         report.per_iteration.append(stats)

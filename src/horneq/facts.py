@@ -18,12 +18,13 @@ while that name is taken by an input name.  So text output is a valid
 facts file, and reading it back keeps every survivor; output with a
 ``report:`` section, and JSON output, are not.
 
-Reading has two layers.  The loader reads a run of plain facts a chunk at
-a time, a chunk without comments with one match and one ``findall``: it
+Reading has two layers.  The loader reads a run of plain facts, those
+without comments, a chunk at a time with one match and one ``findall``: it
 resolves each relation's columns through per-sort name tables, which also
 check the sorts, and adds each relation's tuples with one
-``Structure.store_all``.  The token reader reads every other statement and
-the facts of a chunk that the loader rejects, and raises every error.
+``Structure.store_all``.  The token reader reads every other statement, a
+fact with a comment among them, and the facts of a chunk that the loader
+rejects, and raises every error.
 """
 
 from __future__ import annotations
@@ -37,25 +38,11 @@ from operator import itemgetter
 from typing import Callable, Optional
 
 from .core import El, Morphism, Signature, Structure
-from .syntax import _Cursor
+from .syntax import _NAME, _TOKENS_RE, ParseError, _kind, _line_col
 
 
-# A gap: what the token reader skips, except that a comment must end in a
-# newline.  So a gap splits one way only, and a comment that ends the text
-# is left to the token reader.
-_GAP = r"\s*(?:\#[^\n]*\n\s*)*"
 # A plain fact ``R(a1, ..., an);`` without comments; ``{0}`` opens a group.
-_PLAIN = r"\s*{0}[A-Za-z_][A-Za-z0-9_]*)\s*\({0}[^()#;]*)\)\s*;"
-# A plain fact.  The first alternative reads one without comments: group 1
-# is ``R``, group 2 the argument list.  The second reads any: group 3 is
-# ``R``, group 5 the argument list.  The list holds no comment but every
-# blank inside the parentheses, so the gaps there are comments alone; a
-# lookahead reads those after ``(`` whole (group 4), so a failed match
-# backtracks in linear time.
-_FACT_RE = re.compile(
-    _PLAIN.format("(")
-    + rf"|{_GAP}([A-Za-z_][A-Za-z0-9_]*){_GAP}\((?=((?:\s*\#[^\n]*\n)*))\4"
-    rf"([^()#;]*)(?:\#[^\n]*\n\s*)*\){_GAP};")
+_PLAIN = rf"\s*{{0}}{_NAME})\s*\({{0}}[^()#;]*)\)\s*;"
 _CHUNK = 64  # the most facts ``_load`` holds at once
 # 1 to ``_CHUNK`` such facts, and the ``(R, argument list)`` of each.
 _RUN_RE = re.compile(f"(?:{_PLAIN.format('(?:')}){{1,{_CHUNK}}}")
@@ -67,14 +54,14 @@ def parse_facts(text: str, sig: Signature) -> tuple[Structure, dict[str, El]]:
     load, so returned name bindings are canonical.  Declared names come
     first, in declaration order, then the ``merged:`` aliases.
 
-    A run of consecutive facts that match ``_FACT_RE`` is loaded by
-    ``_load``, up to ``_CHUNK`` facts at a time, and after the first merge
-    each loaded column goes through ``find``.  Any other statement, and
-    the facts of a chunk that ``_load`` rejects up to the faulty one, go
-    to the token reader, ``_Reader``, on the cursor that ``parse_theory``
-    reads with.  It reads one statement at a time and raises the same
-    error, at the same place, as if it had read the whole text; a run of
-    such statements shares one reader."""
+    A run of plain facts, those without comments, is loaded by ``_load``,
+    up to ``_CHUNK`` facts at a time, and after the first merge each
+    loaded column goes through ``find``.  Any other statement, a fact with
+    a comment among them, and the facts of a chunk that ``_load`` rejects
+    up to the faulty one, go to the token reader, ``_Reader``, one
+    statement at a time, with ``_load`` tried again after each.  It raises
+    the same error, at the same place, as if it had read the whole text,
+    and a run of statements that ``_load`` leaves shares one reader."""
     x = Structure(sig)
     names: dict[str, El] = {}
     tables: dict[str, dict[str, El]] = {s: {} for s in sig.sorts}
@@ -95,32 +82,23 @@ def parse_facts(text: str, sig: Signature) -> tuple[Structure, dict[str, El]]:
 
 def _load(text: str, pos: int, x: Structure, tables: dict,
           find: Optional[Callable]) -> int:
-    """Add the plain facts from ``pos`` on, at most ``_CHUNK`` of them; the
-    offset after the last one, or ``pos`` if ``_tuples`` rejects one of
-    them, which is then an input error.  A run of facts without comments
-    is found by one match and read by one ``findall``; otherwise
-    ``_FACT_RE`` reads one fact a match."""
+    """Add the plain facts from ``pos`` on, at most ``_CHUNK``, found by
+    one match and read by one ``findall``: a comment ends the run.  The
+    offset after the last one, or ``pos`` if there is none or ``_tuples``
+    rejects one of them, which is then an input error."""
+    if not (run := _RUN_RE.match(text, pos)):
+        return pos
     groups: defaultdict[str, list[str]] = defaultdict(list)
-    if run := _RUN_RE.match(text, pos):
-        end = run.end()
-        for rel, pairs in groupby(_PLAIN_RE.findall(text, pos, end),
-                                  itemgetter(0)):
-            groups[rel] += map(itemgetter(1), pairs)
-    else:
-        end = pos
-        for _ in range(_CHUNK):
-            if not (m := _FACT_RE.match(text, end)):
-                break
-            rel, body = m.group(1, 2) if m[1] else m.group(3, 5)
-            groups[rel].append(body)
-            end = m.end()
+    for rel, pairs in groupby(_PLAIN_RE.findall(text, pos, run.end()),
+                              itemgetter(0)):
+        groups[rel] += map(itemgetter(1), pairs)
     loads = {rel: _tuples(x.sig, rel, bodies, tables, find)
              for rel, bodies in groups.items()}
     if None in loads.values():
         return pos
     for rel, tuples in loads.items():
         x.store_all(rel, tuples)
-    return end
+    return run.end()
 
 
 def _tuples(sig: Signature, rel: str, bodies: list[str], tables: dict,
@@ -148,12 +126,31 @@ def _tuples(sig: Signature, rel: str, bodies: list[str], tables: dict,
     return list(zip(*cols))
 
 
-class _Reader(_Cursor):
-    """The token reader: one statement at a time, every error located."""
+class _Reader:
+    """The token reader: one statement at a time, every error located.
+    ``tok`` is the next token of ``text`` from ``pos`` on, as its kind (see
+    ``_kind``), its text ("" at the end) and its offset; ``next`` consumes
+    it.  A symbol is told by its text.  A character that starts no token
+    is an error as soon as it is read."""
 
-    def at_sym(self, text: str) -> bool:
-        kind, tok, _ = self.tok
-        return kind == "sym" and tok == text
+    def __init__(self, text: str, pos: int):
+        self.text = text
+        self._matches = _TOKENS_RE.finditer(text, pos)
+        self.tok = ("", "", pos)  # before the first token
+        self.next()
+
+    def next(self) -> tuple[str, str, int]:
+        tok = self.tok
+        if tok[0] != "eof":
+            m = next(self._matches)
+            if (kind := _kind(text := m[1])) == "bad":
+                raise self.error(f"unexpected character {text!r}", m.start(1))
+            self.tok = kind, text, m.start(1)
+        return tok
+
+    def error(self, message: str, at: int) -> ParseError:
+        """A ``ParseError`` located at offset ``at``."""
+        return ParseError(message, *_line_col(self.text, at))
 
     def take_ident(self) -> tuple[str, int]:
         kind, tok, at = self.next()
@@ -162,8 +159,8 @@ class _Reader(_Cursor):
         return tok, at
 
     def take_sym(self, text: str) -> None:
-        kind, tok, at = self.next()
-        if kind != "sym" or tok != text:
+        _, tok, at = self.next()
+        if tok != text:
             raise self.error(f"expected {text!r}, found {tok!r}", at)
 
     def statement(self, x: Structure, names: dict[str, El],
@@ -197,7 +194,7 @@ class _Reader(_Cursor):
                 _, name, name_at = self.next()
                 declare(name, name_at, x.add_element(sort))
             self.take_sym(";")
-        elif self.at_sym("="):
+        elif self.tok[1] == "=":
             self.next()
             rhs = self.take_ident()
             self.take_sym(";")
@@ -208,7 +205,7 @@ class _Reader(_Cursor):
             if a != b:
                 x.merge(a, b)
                 return True
-        elif head == "merged" and self.at_sym(":"):
+        elif head == "merged" and self.tok[1] == ":":
             # ``old -> new`` lines up to the end: old names new's element.
             self.next()
             while self.tok[0] != "eof":
@@ -221,9 +218,9 @@ class _Reader(_Cursor):
             decl = sig.relation(head)
             self.take_sym("(")
             args = []
-            if not self.at_sym(")"):
+            if self.tok[1] != ")":
                 args.append(element(*self.take_ident()))
-                while self.at_sym(","):
+                while self.tok[1] == ",":
                     self.next()
                     args.append(element(*self.take_ident()))
             self.take_sym(")")

@@ -23,6 +23,8 @@ before the declarations it uses, and a syntax error comes before any
 resolution error.  Raw terms carry token indices.  An offset, and its line
 and column, is found only for an error, by reading the tokens again, and
 for each rule's ``Sequent.location``, by a walk over the words ``rule``.
+The facts reader reads the same tokens, one match at a time; both readers
+tell a token's kind from its text by ``_kind``.
 """
 
 from __future__ import annotations
@@ -179,16 +181,14 @@ def is_rhl(x) -> bool:
 # -- reading -------------------------------------------------------------
 
 # The lexical syntax, written once: blanks and comments, then one token.
-# One alternative always matches after the gap, so neither pattern
-# backtracks: ``\Z`` takes the end, and ``.`` a character that starts no
-# token.  ``_Cursor`` reads a match at a time, the kind by group name;
-# ``_Parser`` reads every token with one ``findall``, the end as "".
-_GAP = r"(?:\s+|\#[^\n]*)*"
+# One alternative always matches after the gap, so the pattern never
+# backtracks: ``\Z`` takes the end, as "", and ``.`` a character that
+# starts no token.  ``_Parser`` reads every token with one ``findall``, and
+# the facts reader one match at a time; both tell a token's kind from its
+# text by ``_kind``.
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_SYM = r"=>|->|[;:*(),=!&]"
-_TOKEN_RE = re.compile(
-    rf"{_GAP}(?:(?P<ident>{_NAME})|(?P<sym>{_SYM})|(?P<eof>\Z)|(?P<bad>.))")
-_TOKENS_RE = re.compile(rf"{_GAP}({_NAME}|{_SYM}|\Z|.)")
+_TOKENS_RE = re.compile(rf"(?:\s+|\#[^\n]*)*({_NAME}|=>|->|[;:*(),=!&]|\Z|.)")
+_SYMS = frozenset(("=>", "->", *";:*(),=!&"))
 
 _KEYWORDS = {"sort", "pred", "func", "rule", "true"}
 _INITIALS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz")
@@ -206,32 +206,14 @@ def _line_col(text: str, at: int) -> tuple[int, int]:
     return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
 
 
-class _Cursor:
-    """The tokens of ``text`` from offset ``pos``, read one ahead: ``tok``
-    is the next token, as its kind ("ident", "sym" or "eof"), its text
-    ("" at the end) and its offset, and ``next`` consumes it.  A character
-    that starts no token is an error as soon as it is read."""
-
-    def __init__(self, text: str, pos: int = 0):
-        self.text = text
-        self._matches = _TOKEN_RE.finditer(text, pos)
-        self.tok = ("", "", pos)  # before the first token
-        self.next()
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tok
-        if tok[0] != "eof":
-            m = next(self._matches)
-            kind = m.lastgroup
-            if kind == "bad":
-                raise self.error(f"unexpected character {m[kind]!r}",
-                                 m.start(kind))
-            self.tok = kind, m[kind], m.start(kind)
-        return tok
-
-    def error(self, message: str, at: int) -> ParseError:
-        """A ``ParseError`` located at offset ``at``."""
-        return ParseError(message, *_line_col(self.text, at))
+def _kind(tok: str) -> str:
+    """The kind of a token of ``_TOKENS_RE``, read off its text: "ident",
+    "eof" for "", "sym", or "bad" for a character that starts no token."""
+    if tok[:1] in _INITIALS:
+        return "ident"
+    if not tok:
+        return "eof"
+    return "sym" if tok in _SYMS else "bad"
 
 
 def _rule_locations(text: str) -> Iterator[tuple[int, int]]:
@@ -283,12 +265,12 @@ class _Parser:
     def error(self, message: str, at: int) -> ParseError:
         """A ``ParseError`` at token ``at``, located by reading the tokens
         again; but while the statements are read, a character that starts
-        no token is the error once a cursor one token ahead would meet it.
+        no token is the error once a reader one token ahead would meet it.
         Tokens are checked as they are consumed, so it can only be the
         last one consumed or the next one."""
         first = max(self.i - 1, 0)
         for j, tok in enumerate((self.toks or ())[first:self.i + 1], first):
-            if _TOKEN_RE.match(tok).lastgroup == "bad":
+            if _kind(tok) == "bad":
                 message, at = f"unexpected character {tok!r}", j
                 break
         m = next(islice(_TOKENS_RE.finditer(self.text), at, None))

@@ -667,6 +667,42 @@ class TestDirectCheck:
             assert [(v.name, e.index) for v, e in got.items()] == [("v", 1)]
             assert links[_rule(t.sequents[0]).conclusion.steps] == calls
 
+    def test_direct_check_is_not_relinked(self, monkeypatch):
+        """In one ``evaluate``, a rule without conclusion-only variables
+        links its check a bounded number of times an iteration, however
+        often it applies: a direct test reads the live relation sets.  A
+        rule with them links its check again for each row after an
+        application."""
+        made = Counter()
+        rule = engine._rule
+
+        def counted_rule(s):
+            r = rule(s)
+
+            def check(x):
+                made[s] += 1
+                return r.check(x)
+            return r._replace(check=check)
+        monkeypatch.setattr(engine, "_rule", counted_rule)
+        reach = parse_theory("sort V;\npred E : V * V;\npred P : V * V;\n"
+                             "rule E(u, v) => P(u, v);\n"
+                             "rule P(u, v) & E(v, w) => P(u, w);\n")
+        x = structure_from_edges(reach.signature, "E", 12,
+                                 {(i, i + 1) for i in range(11)})
+        res, _, rep = evaluate(reach, x)
+        assert len(res.rels["P"]) == 66
+        assert sum(st.matches for st in rep.per_iteration) == 66
+        assert rep.iterations == 12
+        # ``_failing`` links each check once an iteration, and the loop
+        # over the failing rows at most once more.
+        for s in reach.sequents:
+            assert made[s] <= 2 * rep.iterations
+        made.clear()
+        res, _, rep = evaluate(EXISTENTIAL, _path(12),
+                               EvalConfig(epic_origin=True))
+        assert rep.iterations == 2 and rep.per_iteration[0].matches == 11
+        assert made[EXISTENTIAL.sequents[0]] == rep.iterations + 11
+
 
 @pytest.fixture
 def links(monkeypatch):

@@ -74,3 +74,63 @@ def test_no_unused_imports():
         "from collections import Counter\n"
         "from .core import El, Structure\n"
         "def f(x: 'Structure') -> El: ...\n") == ["Counter"]
+
+
+def _unread_names(modules: dict[str, str], sources: list[str]) -> list[str]:
+    """The module-level private names and the non-dunder methods that the
+    ``modules`` (name: source) define but nothing reads.  A private name
+    is read where its own module loads it as a ``Name``, or where any of
+    ``sources`` reads it as an attribute or imports it; a method, where
+    any of ``sources`` reads it as an attribute."""
+    nodes = [n for source in sources for n in ast.walk(ast.parse(source))]
+    attrs = {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    attrs |= {a.name for n in nodes if isinstance(n, ast.ImportFrom)
+              for a in n.names}
+
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.endswith("__")
+
+    unread = []
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        read = attrs | {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                        and isinstance(n.ctx, ast.Load)}
+        for node in tree.body:
+            targets = [node.target] if isinstance(node, ast.AnnAssign) else []
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.append(node.name)
+            unread += [f"{module}.{name}" for name in names
+                       if private(name) and name not in read]
+            if isinstance(node, ast.ClassDef):
+                unread += [f"{module}.{node.name}.{f.name}"
+                           for f in node.body
+                           if isinstance(f, ast.FunctionDef)
+                           and not f.name.startswith("__")
+                           and f.name not in attrs]
+    return unread
+
+
+def test_no_unread_names():
+    src = pathlib.Path(horneq.__file__).parent
+    root = src.parents[1]
+    paths = [*src.glob("*.py"), *(root / "tests").glob("*.py"),
+             *(root / "scripts").glob("*.py")]
+    modules = {path.stem: path.read_text() for path in src.glob("*.py")}
+    sources = [path.read_text() for path in paths]
+    assert _unread_names(modules, sources) == []
+    # The check itself: a leftover pattern and a method nothing calls,
+    # though another file defines and reads a name of the same spelling.
+    module = ("import re\n_TOKEN_RE = re.compile('a')\n"
+              "_TOKENS_RE: re.Pattern = re.compile('b')\n"
+              "class _Reader:\n"
+              "    def __init__(self): self.next()\n"
+              "    def next(self): return _TOKENS_RE\n"
+              "    def error(self): ...\n"
+              "_Reader()\n")
+    other = "_TOKEN_RE = 1\nprint(_TOKEN_RE, x.read)\n"
+    assert _unread_names({"syntax": module}, [module, other]) == [
+        "syntax._TOKEN_RE", "syntax._Reader.error"]

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 from horneq import syntax
 from horneq.classify import flatten_theory
 from horneq.core import RelDecl, Signature
+from horneq.facts import parse_facts
 from horneq.syntax import (MAX_TERM_DEPTH, App, DefinedAtom, Formula,
                            ParseError, Sequent, Theory,
                            VacuousSequentWarning, Var, formula_vars, is_rhl,
                            parse_theory, pretty_print, sequent_vars)
 
 from helpers import (compile_style_text, random_signature, random_theory,
-                     reference_parse_theory)
+                     reference_parse_facts, reference_parse_theory)
 
 
 TRANSITIVITY = """
@@ -364,7 +365,7 @@ class TestDifferential:
 
     def test_one_findall_reads_a_theory(self, monkeypatch):
         """One ``findall`` reads every token of a theory, flat rules and
-        declarations alike, and no token cursor is built."""
+        declarations alike."""
         pattern = syntax._TOKENS_RE
         calls = []
 
@@ -373,11 +374,38 @@ class TestDifferential:
                 calls.append(text)
                 return pattern.findall(text)
 
-        def no_cursor(self, *args):
-            raise AssertionError("a _Cursor was built")
-
         monkeypatch.setattr(syntax, "_TOKENS_RE", Counted())
-        monkeypatch.setattr(syntax._Cursor, "__init__", no_cursor)
         text = TRANSITIVITY + "rule E(u, v) => E(v, u);\n"
         parse_theory(text)
         assert calls == [text]
+
+
+class TestOneCharacterRule:
+    def test_theory_and_facts_readers_agree(self):
+        """Each ASCII character, ``é``, and the blanks ``\\u00a0`` and
+        ``\\u2028`` of ``\\s``, at one spot of a theory text and of a facts
+        text: each reader gives its reference's outcome, error message and
+        place."""
+        sig = parse_theory(TRANSITIVITY).signature
+
+        def facts_outcome(parse, text):
+            try:
+                x, names = parse(text, sig)
+            except ParseError as err:
+                return "ParseError", str(err)
+            return x.rels, names
+
+        seen = {"ok": 0, "unexpected character": 0}
+        for char in [chr(i) for i in range(128)] + ["é", "\u00a0", "\x1c",
+                                                    "\u2028"]:
+            theory = TRANSITIVITY + f"rule E(x,{char} y) => E(y, x);\n"
+            want = _outcome(reference_parse_theory, theory)
+            assert _outcome(parse_theory, theory) == want, repr(char)
+            facts = f"sort V: a b;\nE(a,{char} b);\n"
+            assert facts_outcome(parse_facts, facts) == \
+                facts_outcome(reference_parse_facts, facts), repr(char)
+            if want[0][0] != "ParseError":
+                seen["ok"] += 1
+            elif "unexpected character" in want[0][1]:
+                seen["unexpected character"] += 1
+        assert seen["ok"] >= 8 and seen["unexpected character"] >= 30, seen
