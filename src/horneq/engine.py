@@ -568,8 +568,8 @@ def evaluate(t: Theory, x: Structure,
         image = unit.mapping.__getitem__
         for r in aside:
             ts, n = x.rels[r], len(x.sig.relation(r).arity)
-            result.rels[r] = set(zip(*[map(image, map(itemgetter(i), ts))
-                                       for i in range(n)])) if n else set(ts)
+            result.store_all(r, zip(*[map(image, map(itemgetter(i), ts))
+                                      for i in range(n)]) if n else ts)
     if not report.fixed_point:
         raise EvaluationBudgetError(result, unit, report)
     return result, unit, report

@@ -24,7 +24,8 @@ resolves each relation's columns through per-sort name tables, which also
 check the sorts, and adds each relation's tuples with one
 ``Structure.store_all``.  The token reader reads every other statement, a
 fact with a comment among them, and the facts of a chunk that the loader
-rejects, and raises every error.
+rejects, and raises every error.  It is the theory parser's token cursor,
+``syntax._Cursor``, pointed at one statement's tokens at a time.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from operator import itemgetter
 from typing import Callable, Optional
 
 from .core import El, Morphism, Signature, Structure
-from .syntax import _NAME, _TOKENS_RE, ParseError, _kind, _line_col
+from .syntax import _INITIALS, _NAME, _TOKENS_RE, _Cursor
 
 
 # A plain fact ``R(a1, ..., an);`` without comments; ``{0}`` opens a group.
@@ -47,6 +48,9 @@ _CHUNK = 64  # the most facts ``_load`` holds at once
 # 1 to ``_CHUNK`` such facts, and the ``(R, argument list)`` of each.
 _RUN_RE = re.compile(f"(?:{_PLAIN.format('(?:')}){{1,{_CHUNK}}}")
 _PLAIN_RE = re.compile(_PLAIN.format("("))
+# Up to the first ``;`` outside comments.  Each part can end in one place
+# only, so a failed match does not backtrack into the text.
+_STATEMENT_RE = re.compile(r"[^;#]*(?:#[^\n]*\n[^;#]*)*;")
 
 
 def parse_facts(text: str, sig: Signature) -> tuple[Structure, dict[str, El]]:
@@ -61,21 +65,21 @@ def parse_facts(text: str, sig: Signature) -> tuple[Structure, dict[str, El]]:
     up to the faulty one, go to the token reader, ``_Reader``, one
     statement at a time, with ``_load`` tried again after each.  It raises
     the same error, at the same place, as if it had read the whole text,
-    and a run of statements that ``_load`` leaves shares one reader."""
+    and one reader, pointed at each statement in turn, reads them all."""
     x = Structure(sig)
     names: dict[str, El] = {}
     tables: dict[str, dict[str, El]] = {s: {} for s in sig.sorts}
-    pos, reader, find = 0, None, None  # a reader's next token is at ``pos``
+    reader, pos, find = _Reader(text), 0, None
     while True:
         if (end := _load(text, pos, x, tables, find)) != pos:
-            pos, reader = end, None
+            pos = end
             continue
-        reader = reader or _Reader(text, pos)
-        if reader.tok[0] == "eof":
+        reader.point(pos)
+        if not reader.toks[0]:
             break
         if reader.statement(x, names, tables):
             find = x.find
-        pos = reader.tok[2]
+        pos = reader.after
     names = {n: x.find(e) for n, e in names.items()}
     return x, names
 
@@ -126,114 +130,107 @@ def _tuples(sig: Signature, rel: str, bodies: list[str], tables: dict,
     return list(zip(*cols))
 
 
-class _Reader:
+class _Reader(_Cursor):
     """The token reader: one statement at a time, every error located.
-    ``tok`` is the next token of ``text`` from ``pos`` on, as its kind (see
-    ``_kind``), its text ("" at the end) and its offset; ``next`` consumes
-    it.  A symbol is told by its text.  A character that starts no token
-    is an error as soon as it is read."""
+    ``point`` points it at the statement from an offset on."""
 
-    def __init__(self, text: str, pos: int):
-        self.text = text
-        self._matches = _TOKENS_RE.finditer(text, pos)
-        self.tok = ("", "", pos)  # before the first token
-        self.next()
+    def point(self, pos: int) -> None:
+        """Take as ``toks`` the tokens from ``pos`` up to the first ``;``
+        outside comments, and the one after it, whose offset goes to
+        ``after``: a character that starts no token there is the error.
+        With no such ``;``, take every token up to the end."""
+        text, self.start, self.i = self.text, pos, 0
+        if not (m := _STATEMENT_RE.match(text, pos)):
+            self.toks, self.after = _TOKENS_RE.findall(text, pos), len(text)
+        else:  # that ``findall`` ends in "", the end it was given
+            self.toks = _TOKENS_RE.findall(text, pos, m.end())
+            m = _TOKENS_RE.match(text, m.end())
+            self.toks[-1], self.after = m[1], m.start(1)
 
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tok
-        if tok[0] != "eof":
-            m = next(self._matches)
-            if (kind := _kind(text := m[1])) == "bad":
-                raise self.error(f"unexpected character {text!r}", m.start(1))
-            self.tok = kind, text, m.start(1)
-        return tok
-
-    def error(self, message: str, at: int) -> ParseError:
-        """A ``ParseError`` located at offset ``at``."""
-        return ParseError(message, *_line_col(self.text, at))
-
-    def take_ident(self) -> tuple[str, int]:
-        kind, tok, at = self.next()
-        if kind != "ident":
+    def take_ident(self) -> int:
+        at = self.i
+        self.i = at + 1
+        if (tok := self.toks[at])[:1] not in _INITIALS:
             raise self.error(f"expected a name, found {tok!r}", at)
-        return tok, at
+        return at
 
     def take_sym(self, text: str) -> None:
-        _, tok, at = self.next()
-        if tok != text:
+        at = self.i
+        self.i = at + 1
+        if (tok := self.toks[at]) != text:
             raise self.error(f"expected {text!r}, found {tok!r}", at)
 
     def statement(self, x: Structure, names: dict[str, El],
                   tables: dict[str, dict[str, El]]) -> bool:
-        """Read one statement into ``x``, ``names`` and the per-sort name
-        ``tables``; whether it merged two elements.  A ``merged:`` section
-        runs to the end of the text."""
-        sig = x.sig
+        """Read the statement that ``toks`` start with into ``x``,
+        ``names`` and the per-sort name ``tables``; whether it merged two
+        elements.  A ``merged:`` section runs to the end of the text."""
+        sig, toks = x.sig, self.toks
 
-        def element(name: str, at: int) -> El:
-            if name not in names:
+        def element(at: int) -> El:
+            if (name := toks[at]) not in names:
                 raise self.error(f"unknown element {name!r}", at)
             return x.find(names[name])
 
-        def declare(name: str, at: int, e: El) -> None:
-            if name in names:
+        def declare(at: int, e: El) -> None:
+            if (name := toks[at]) in names:
                 raise self.error(f"element name {name!r} already declared",
                                  at)
             names[name] = tables[e.sort][name] = e
 
-        kind, head, at = self.tok
-        if kind != "ident":
-            raise self.error(f"unexpected {head!r}", at)
-        self.next()
+        head = toks[0]
+        if head[:1] not in _INITIALS:
+            raise self.error(f"unexpected {head!r}", 0)
+        self.i = 1
         if head == "sort":
-            sort, sort_at = self.take_ident()
+            sort = toks[at := self.take_ident()]
             if sort not in sig.sorts:
-                raise self.error(f"unknown sort {sort!r}", sort_at)
+                raise self.error(f"unknown sort {sort!r}", at)
             self.take_sym(":")
-            while self.tok[0] == "ident":
-                _, name, name_at = self.next()
-                declare(name, name_at, x.add_element(sort))
+            while toks[at := self.i][:1] in _INITIALS:
+                self.i = at + 1
+                declare(at, x.add_element(sort))
             self.take_sym(";")
-        elif self.tok[1] == "=":
-            self.next()
+        elif toks[1] == "=":
+            self.i = 2
             rhs = self.take_ident()
             self.take_sym(";")
-            a, b = element(head, at), element(*rhs)
+            a, b = element(0), element(rhs)
             if a.sort != b.sort:
                 raise self.error("cannot identify elements of different "
-                                 f"sorts {a.sort!r} and {b.sort!r}", at)
+                                 f"sorts {a.sort!r} and {b.sort!r}", 0)
             if a != b:
                 x.merge(a, b)
                 return True
-        elif head == "merged" and self.tok[1] == ":":
+        elif head == "merged" and toks[1] == ":":
             # ``old -> new`` lines up to the end: old names new's element.
-            self.next()
-            while self.tok[0] != "eof":
+            self.i = 2
+            while toks[self.i]:
                 old = self.take_ident()
                 self.take_sym("->")
-                declare(*old, element(*self.take_ident()))
+                declare(old, element(self.take_ident()))
         else:
             if not sig.has_relation(head):
-                raise self.error(f"unknown relation {head!r}", at)
+                raise self.error(f"unknown relation {head!r}", 0)
             decl = sig.relation(head)
             self.take_sym("(")
             args = []
-            if self.tok[1] != ")":
-                args.append(element(*self.take_ident()))
-                while self.tok[1] == ",":
-                    self.next()
-                    args.append(element(*self.take_ident()))
+            if toks[self.i] != ")":
+                args.append(element(self.take_ident()))
+                while toks[self.i] == ",":
+                    self.i += 1
+                    args.append(element(self.take_ident()))
             self.take_sym(")")
             self.take_sym(";")
             if len(args) != len(decl.arity):
                 raise self.error(
                     f"relation {decl.name!r} expects {len(decl.arity)} "
-                    f"arguments, got {len(args)}", at)
+                    f"arguments, got {len(args)}", 0)
             for e, s in zip(args, decl.arity):
                 if e.sort != s:
                     raise self.error(
                         f"argument of sort {e.sort!r} where {s!r} expected",
-                        at)
+                        0)
             x.store(decl.name, tuple(args))
         return False
 
@@ -302,12 +299,10 @@ def serialize_model(x: Structure, names: dict[El, str],
         lines.append("report:")
         lines.append(f"  iterations: {report['iterations']}")
         lines.append(f"  fixed_point: {report['fixed_point']}")
+        # Each ``IterationStats`` field, in its order, as ``name=value``.
         for i, stats in enumerate(report["per_iteration"], start=1):
-            lines.append(
-                f"  iteration {i}: matches={stats['matches']} "
-                f"tuples_added={stats['tuples_added']} "
-                f"merges={stats['merges']} "
-                f"elements_created={stats['elements_created']}")
+            lines.append(f"  iteration {i}: "
+                         + " ".join([f"{k}={v}" for k, v in stats.items()]))
     return "\n".join(lines) + "\n"
 
 

@@ -23,8 +23,8 @@ before the declarations it uses, and a syntax error comes before any
 resolution error.  Raw terms carry token indices.  An offset, and its line
 and column, is found only for an error, by reading the tokens again, and
 for each rule's ``Sequent.location``, by a walk over the words ``rule``.
-The facts reader reads the same tokens, one match at a time; both readers
-tell a token's kind from its text by ``_kind``.
+That cursor, ``_Cursor``, is the only one: the facts reader is one too,
+pointed at one statement's tokens at a time.
 """
 
 from __future__ import annotations
@@ -183,9 +183,9 @@ def is_rhl(x) -> bool:
 # The lexical syntax, written once: blanks and comments, then one token.
 # One alternative always matches after the gap, so the pattern never
 # backtracks: ``\Z`` takes the end, as "", and ``.`` a character that
-# starts no token.  ``_Parser`` reads every token with one ``findall``, and
-# the facts reader one match at a time; both tell a token's kind from its
-# text by ``_kind``.
+# starts no token.  A token is a name if its first character is in
+# ``_INITIALS``, a symbol if it is in ``_SYMS``, and otherwise the end or a
+# bad character.
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _TOKENS_RE = re.compile(rf"(?:\s+|\#[^\n]*)*({_NAME}|=>|->|[;:*(),=!&]|\Z|.)")
 _SYMS = frozenset(("=>", "->", *";:*(),=!&"))
@@ -204,16 +204,6 @@ def _line_col(text: str, at: int) -> tuple[int, int]:
     """The line and column of offset ``at``, both counted from 1; a tab
     counts as one column."""
     return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
-
-
-def _kind(tok: str) -> str:
-    """The kind of a token of ``_TOKENS_RE``, read off its text: "ident",
-    "eof" for "", "sym", or "bad" for a character that starts no token."""
-    if tok[:1] in _INITIALS:
-        return "ident"
-    if not tok:
-        return "eof"
-    return "sym" if tok in _SYMS else "bad"
 
 
 def _rule_locations(text: str) -> Iterator[tuple[int, int]]:
@@ -237,18 +227,41 @@ def _rule_locations(text: str) -> Iterator[tuple[int, int]]:
         at = text.find("rule", at + 4)
 
 
-class _Parser:
-    """Reads the statements of a theory from ``toks``, its tokens, where
-    ``i`` is the next one's index; then resolves its rules.  Declarations
-    go into ``sorts`` and ``rels``.  A rule goes into ``rules`` as raw
-    trees: a raw term is its name, its token index and its arguments
-    (None for a bare name), and a raw atom is its kind ("rel", "defined"
-    or "equal") and its one or two raw terms."""
+class _Cursor:
+    """A token cursor: ``toks`` are the tokens of ``text`` from offset
+    ``start`` on, or a prefix of them, and ``i`` is the next one's
+    index."""
+
+    def __init__(self, text: str, toks: Optional[list[str]] = None):
+        self.text = text
+        self.toks = toks
+        self.start = self.i = 0
+
+    def error(self, message: str, at: int) -> ParseError:
+        """A ``ParseError`` at token ``at``, located by reading the tokens
+        again; but while ``toks`` is set, a character that starts no token
+        is the error once a reader one token ahead would meet it.  Tokens
+        are checked as they are consumed, so it can only be the last one
+        consumed or the next one."""
+        first = max(self.i - 1, 0)
+        for j, tok in enumerate((self.toks or ())[first:self.i + 1], first):
+            if tok and tok[:1] not in _INITIALS and tok not in _SYMS:
+                message, at = f"unexpected character {tok!r}", j
+                break
+        m = next(islice(_TOKENS_RE.finditer(self.text, self.start), at, None))
+        return ParseError(message, *_line_col(self.text, m.start(1)))
+
+
+class _Parser(_Cursor):
+    """Reads the statements of a theory from ``toks``, all its tokens;
+    then resolves its rules.  Declarations go into ``sorts`` and ``rels``.
+    A rule goes into ``rules`` as raw trees: a raw term is its name, its
+    token index and its arguments (None for a bare name), and a raw atom
+    is its kind ("rel", "defined" or "equal") and its one or two raw
+    terms."""
 
     def __init__(self, text: str):
-        self.text = text
-        self.toks: Optional[list[str]] = _TOKENS_RE.findall(text)
-        self.i = 0
+        super().__init__(text, _TOKENS_RE.findall(text))
         self.sorts: list[str] = []
         self.rels: dict[str, RelDecl] = {}
         self.rules: list[tuple] = []
@@ -261,20 +274,6 @@ class _Parser:
         self.var: dict[str, Var] = {}
         self.parent: dict[str, str] = {}
         self.sort: dict[str, str] = {}
-
-    def error(self, message: str, at: int) -> ParseError:
-        """A ``ParseError`` at token ``at``, located by reading the tokens
-        again; but while the statements are read, a character that starts
-        no token is the error once a reader one token ahead would meet it.
-        Tokens are checked as they are consumed, so it can only be the
-        last one consumed or the next one."""
-        first = max(self.i - 1, 0)
-        for j, tok in enumerate((self.toks or ())[first:self.i + 1], first):
-            if _kind(tok) == "bad":
-                message, at = f"unexpected character {tok!r}", j
-                break
-        m = next(islice(_TOKENS_RE.finditer(self.text), at, None))
-        return ParseError(message, *_line_col(self.text, m.start(1)))
 
     def expect(self, text: str) -> None:
         at = self.i

@@ -23,6 +23,14 @@ from horneq.syntax import (MAX_TERM_DEPTH, App, Atom, DefinedAtom, EqualAtom,
                            VacuousSequentWarning, Var, formula_vars)
 
 
+def call_outcome(call) -> object:
+    """What ``call()`` returns, or its error's type name and message."""
+    try:
+        return call()
+    except Exception as err:  # compared by type and message
+        return type(err).__name__, str(err)
+
+
 def random_signature(rng: random.Random, max_sorts: int = 2,
                      max_rels: int = 3) -> Signature:
     sorts = tuple(f"S{i}" for i in range(rng.randint(1, max_sorts)))

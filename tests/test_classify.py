@@ -16,10 +16,10 @@ from horneq.core import Morphism, RelDecl, Signature, SignatureError, Structure
 from horneq.engine import satisfies_theory
 from horneq.oracle import is_injective_to, is_orthogonal_to
 from horneq.syntax import (App, DefinedAtom, EqualAtom, Formula, RelAtom,
-                           Theory, Var, VacuousSequentWarning, formula_vars,
-                           parse_theory, pretty_print)
+                           Sequent, Theory, Var, VacuousSequentWarning,
+                           formula_vars, parse_theory, pretty_print)
 
-from helpers import (compile_style_text, enumerate_structures,
+from helpers import (call_outcome, compile_style_text, enumerate_structures,
                      morphisms_isomorphic, random_signature, random_structure,
                      random_theory, reference_strengthen_theory)
 
@@ -388,3 +388,18 @@ class TestPhlClassifying:
         f = classifying_morphism_phl(MONOID.sequents[0], MONOID.signature)
         f.check_valid()
         assert f.is_surjective()
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: unflatten_formula(MONOID.sequents[0].premise, MONOID.signature),
+     ("SignatureError", "unflatten expects an RHL formula")),
+    # Built without the parser, so the sequent has no location to report.
+    (lambda: strengthen_theory(Theory(MONOID.signature, (Sequent(
+        MONOID.sequents[0].premise, MONOID.sequents[0].conclusion),))),
+     ("SignatureError",
+      "classifying structures are defined on RHL formulas")),
+])
+def test_classify_rejections(call, want):
+    """The checks of ``classify`` that no other test reaches, each with
+    its message."""
+    assert call_outcome(call) == want

@@ -10,8 +10,8 @@ from horneq.core import (El, Morphism, RelDecl, Signature, SignatureError,
 from horneq.oracle import (enumerate_morphisms, find_isomorphism,
                            is_total_function)
 
-from helpers import (all_isomorphisms, full_scan_merge, random_signature,
-                     random_structure)
+from helpers import (all_isomorphisms, call_outcome, full_scan_merge,
+                     random_signature, random_structure)
 
 
 SIG = Signature(("V",), (RelDecl("E", ("V", "V"), "pred"),))
@@ -362,3 +362,78 @@ def test_is_total_function():
     assert is_total_function(y, "c")
     with pytest.raises(SignatureError):
         is_total_function(x, "missing")
+
+
+# Two sorts, and the same ``E`` on ``V`` as ``SIG``.
+TWO_SORTS = Signature(("V", "W"), SIG.relations)
+
+
+def points(n: int) -> Structure:
+    x = Structure(SIG)
+    for _ in range(n):
+        x.add_element("V")
+    return x
+
+
+def one_of_each() -> tuple[Structure, El, El]:
+    x = Structure(TWO_SORTS)
+    return x, x.add_element("V"), x.add_element("W")
+
+
+def to_w() -> Morphism:
+    """The map of both elements of ``one_of_each`` to its ``W`` one."""
+    x, v, w = one_of_each()
+    return Morphism(x, x, {v: w, w: w})
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: RelDecl("R", ("V",), "rel"),
+     ("SignatureError", "bad relation kind 'rel'")),
+    (lambda: RelDecl("c", (), "func"),
+     ("SignatureError", "function c needs a result sort")),
+    (lambda: SIG.relation("E").arg_sorts,
+     ("SignatureError", "E is not a function symbol")),
+    (lambda: SIG.relation("E").result_sort,
+     ("SignatureError", "E is not a function symbol")),
+    (lambda: Structure(SIG).add_element("W"),
+     ("SignatureError", "unknown sort 'W'")),
+    (lambda: Structure(SIG).find(El("W", 0)),
+     ("SignatureError", "unknown sort 'W'")),
+    (lambda: Structure.merge(*one_of_each()),
+     ("SignatureError", "merging across sorts 'V'/'W'")),
+    (lambda: Morphism(points(1), points(1), {}).check_valid(),
+     ("SignatureError", "morphism undefined on El(sort='V', index=0)")),
+    (lambda: to_w().check_valid(),
+     ("SignatureError",
+      "morphism not sort-preserving at El(sort='V', index=0)")),
+    (lambda: Morphism(points(1), points(2),
+                      {El("V", 0): El("V", 0)}).is_surjective(), False),
+    (lambda: coproduct([]),
+     ("SignatureError", "coproduct of [] needs an explicit signature")),
+    (lambda: coproduct([Structure(SIG), Structure(TWO_SORTS)]),
+     ("SignatureError", "coproduct over mismatched signatures")),
+    (lambda: pushout(Morphism.identity(Structure(SIG)),
+                     Morphism.identity(Structure(TWO_SORTS))),
+     ("SignatureError", "pushout legs must share a domain signature")),
+])
+def test_core_rejections_and_refusals(call, want):
+    """The checks of ``core`` that no other test reaches, each with its
+    message."""
+    assert call_outcome(call) == want
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: list(enumerate_morphisms(Structure(SIG),
+                                      Structure(TWO_SORTS))),
+     ("SignatureError", "morphism enumeration over mismatched signatures")),
+    # Two signatures, one element against two, one ``E`` tuple against
+    # none.
+    (lambda: find_isomorphism(points(1), Structure(TWO_SORTS)), None),
+    (lambda: find_isomorphism(points(1), points(2)), None),
+    (lambda: find_isomorphism(chain(2)[0], points(2)), None),
+    (lambda: is_total_function(chain(2)[0], "E"),
+     ("SignatureError", "E is not a function symbol")),
+])
+def test_oracle_rejections_and_refusals(call, want):
+    """The checks of ``oracle`` that no other test reaches."""
+    assert call_outcome(call) == want

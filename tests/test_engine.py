@@ -22,10 +22,10 @@ from horneq.oracle import is_injective_to, is_orthogonal_to, satisfies_phl
 from horneq.syntax import (EqualAtom, Formula, RelAtom, Sequent, Theory, Var,
                            parse_theory, sequent_vars)
 
-from helpers import (random_sequent, random_signature, random_structure,
-                     random_theory, reference_evaluate, reference_matches,
-                     reference_witness, structure_from_edges,
-                     transitive_closure)
+from helpers import (call_outcome, random_sequent, random_signature,
+                     random_structure, random_theory, reference_evaluate,
+                     reference_matches, reference_witness,
+                     structure_from_edges, transitive_closure)
 
 
 TRANSITIVITY = parse_theory("""
@@ -42,6 +42,9 @@ rule Le(u, v) & Le(v, w) => Le(u, w);
 """)
 
 SIG = TRANSITIVITY.signature
+
+# Outside RHL: a function symbol.
+PHL = parse_theory("sort M;\nfunc f : M -> M;\nrule f(x)! => f(x) = x;\n")
 
 
 class TestMatching:
@@ -325,6 +328,21 @@ class TestEvaluate:
         x = Structure(ANTISYMMETRY.signature)
         with pytest.raises(SignatureError):
             evaluate(TRANSITIVITY, x)
+
+    @pytest.mark.parametrize("call, want", [
+        (lambda: EvalConfig(max_iterations=0),
+         ("ValueError", "max_iterations must be >= 1")),
+        (lambda: EvalConfig(strategy="fast"),
+         ("ValueError", "unknown strategy 'fast'")),
+        (lambda: EvalConfig(strictness="lax"),
+         ("ValueError", "unknown strictness 'lax'")),
+        (lambda: evaluate(PHL, Structure(PHL.signature)),
+         ("SignatureError", "evaluate expects an RHL theory; flatten first")),
+    ])
+    def test_rejections(self, call, want):
+        """The checks of ``EvalConfig`` and ``evaluate`` on their input,
+        each with its message."""
+        assert call_outcome(call) == want
 
 
 class TestDifferential:

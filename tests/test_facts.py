@@ -75,6 +75,10 @@ class TestErrorLocations:
          "4:5: relation 'E' expects 2 arguments, got 3"),
         ("sort V: a b;\nE(a, # the source\n\n   q # and no target\n);\n",
          "4:4: unknown element 'q'"),
+        # a bad character right after a statement that fails a check made
+        # after its ``;``: the bad character is the error
+        ("sort V: a b;\nE(a, b, a); @\n", "2:13: unexpected character '@'"),
+        ("sort V: a;\na = b;$", "2:7: unexpected character '$'"),
     ])
     def test_message_and_position(self, text, message):
         with pytest.raises(ParseError) as err:
@@ -333,7 +337,7 @@ class TestLoader:
         read, statement = [], facts._Reader.statement
 
         def recorded(reader, x, *args):
-            read.append(reader.tok[2])
+            read.append(reader.start)
             if len(read) == 2:
                 assert len(x.rels["E"]) == 1  # the 70 facts are one tuple
             return statement(reader, x, *args)
@@ -571,6 +575,26 @@ class TestSerialization:
             res, unit, _ = evaluate(t, x)
         names, merged = model_names(res, input_names, unit)
         assert set(names.values()) == {"a"}  # conclusion already satisfied
+
+    @pytest.mark.parametrize("fmt", ["xml", "JSON", ""])
+    def test_unknown_format(self, fmt):
+        res, input_names, unit, _ = self.eval_chain()
+        names, merged = model_names(res, input_names, unit)
+        with pytest.raises(ValueError, match=f"^unknown format {fmt!r}$"):
+            serialize_model(res, names, merged, fmt=fmt)
+
+    def test_report_lines(self):
+        """One ``name=value`` pair for each ``IterationStats`` field, in
+        field order."""
+        res, input_names, unit, rep = self.eval_chain()
+        names, merged = model_names(res, input_names, unit)
+        text = serialize_model(res, names, merged, report=report_dict(rep))
+        assert text.endswith(
+            "report:\n  iterations: 2\n  fixed_point: True\n"
+            "  iteration 1: matches=1 tuples_added=1 merges=0 "
+            "elements_created=0\n"
+            "  iteration 2: matches=0 tuples_added=0 merges=0 "
+            "elements_created=0\n")
 
     def test_deterministic_bytes(self):
         outs = set()

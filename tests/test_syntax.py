@@ -342,6 +342,30 @@ class TestDifferential:
         assert _outcome(parse_theory, text) == \
             _outcome(reference_parse_theory, text)
 
+    @pytest.mark.parametrize("text, want", [
+        # ``x = f(y)``: ``x`` takes the result sort of ``f``
+        ("sort A;\nsort B;\nfunc f : B -> A;\npred P : A;\npred Q : B;\n"
+         "rule Q(y) & x = f(y) => P(x);\n", ({"y": "B", "x": "A"}, [(6, 1)])),
+        ("sort A;\nsort B;\nfunc f : A -> B;\npred P : A;\n"
+         "rule P(f(x)) => P(x);\n", "5:8: f has sort 'B', expected 'A'"),
+        # the word rule in a last comment that has no newline
+        ("sort V;\npred P : V;\nrule P(x) => P(x);\n# rule",
+         ({"x": "V"}, [(3, 1)])),
+    ])
+    def test_rare_branches(self, text, want):
+        """Sort inference through a function term, its sort error, and
+        the locations of a text that ends in a comment: each agrees with
+        the reference."""
+        result, caught = _outcome(parse_theory, text)
+        assert (result, caught) == _outcome(reference_parse_theory, text)
+        if isinstance(result[0], Theory):
+            theory, locations = result
+            result = ({v.name: v.sort for s in theory.sequents
+                       for v in sequent_vars(s)}, locations)
+        else:
+            result = result[1]
+        assert result == want
+
     def test_keyword_error_comes_first(self):
         with pytest.raises(ParseError) as err:
             parse_theory("sort V;\npred P : V;\nrule Q(x) => P(x);\n"

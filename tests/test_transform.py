@@ -11,8 +11,8 @@ from horneq.transform import (PreconditionError, diagonal_embed,
                               epic_transform, quotient_model,
                               setoid_transform, sparse_setoid_transform)
 
-from helpers import (random_signature, random_structure, random_theory,
-                     structure_from_edges)
+from helpers import (call_outcome, random_signature, random_structure,
+                     random_theory, structure_from_edges)
 
 
 TRANSITIVITY = parse_theory("""
@@ -294,3 +294,20 @@ class TestEpicTransform:
                          "rule f(x)! => f(x) = x;\n")
         with pytest.raises(SignatureError):
             epic_transform(t)
+
+
+@pytest.mark.parametrize("call, want", [
+    # A structure over the plain signature has no ``Eq_V`` to quotient by.
+    (lambda: quotient_model(structure_from_edges(
+        TRANSITIVITY.signature, "E", 2, {(0, 1)})),
+     ("PreconditionError", "missing relation 'Eq_V'")),
+    # Rule 0's conclusion-only ``y`` would become ``f_0_y``, a name in use.
+    (lambda: epic_transform(parse_theory(
+        "sort V;\npred E : V * V;\npred f_0_y : V * V;\n"
+        "rule E(x, x) => E(x, y);\n")),
+     ("SignatureError", "relation name 'f_0_y' already in use")),
+])
+def test_transform_rejections(call, want):
+    """The checks of ``transform`` that no other test reaches, each with
+    its message."""
+    assert call_outcome(call) == want
