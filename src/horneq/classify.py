@@ -5,8 +5,8 @@ signature; classifying structures/morphisms turn formulas and sequents into
 finite structures and maps between them; ``classify_sequent`` computes the
 syntactic fragment flags; ``strengthen_theory`` appends codiagonal sequents so
 that injectivity against the result coincides with orthogonality against the
-input.  Each is read directly off [premise & conclusion]: the pushout it
-classifies only doubles the elements outside the premise's image.
+input.  Each is computed from the sequent's atoms on variable numbers,
+without building [premise & conclusion] or its pushout along itself.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .core import El, Morphism, RelDecl, Signature, SignatureError, Structure
 from .syntax import (App, Atom, DefinedAtom, EqualAtom, Formula, RelAtom,
-                     Sequent, Term, Theory, Var, formula_vars, is_rhl,
-                     sequent_vars)
+                     Sequent, Term, Theory, Var, atom_terms, formula_vars,
+                     is_rhl, sequent_vars)
 
 
 def relationalize(sig: Signature) -> Signature:
@@ -324,40 +324,84 @@ def _codiagonal_sequent(s: Sequent, sig: Signature) -> Sequent:
 
     B +_A B is B with the elements outside the image of A doubled, with
     their tuples; the fold map is onto and identifies only each double
-    with its original.  Elements are numbered as by ``core.pushout``, so
-    the result equals ``sequent_from_morphism`` of the fold map."""
+    with its original.  B is read off the atoms on variable numbers: the
+    checks are those of ``classifying_structure``, in its order; each
+    class is kept under its least number, as ``Structure.merge`` keeps
+    the smallest index; and elements are numbered as by ``core.pushout``,
+    so the result equals ``sequent_from_morphism`` of the fold map."""
+    at = {sort: si for si, sort in enumerate(sig.sorts)}
+    ids: dict[tuple[str, str], int] = {}  # (name, sort): number, in order
     try:
-        b, interp = classifying_structure(s.premise & s.conclusion, sig)
-    except SignatureError as err:  # outside RHL: say where
+        if not is_rhl(s):
+            raise SignatureError("classifying structures are defined on RHL formulas")
+        rows = []
+        for f in (s.premise, s.conclusion):
+            in_premise = len(ids)  # last taken before the conclusion
+            for a in f.atoms:
+                row = []
+                for v in atom_terms(a):
+                    if v.sort not in at:
+                        raise SignatureError(f"unknown sort {v.sort!r}")
+                    row.append(ids.setdefault((v.name, v.sort), len(ids)))
+                rows.append(row)
+        parent = list(range(len(ids)))  # union-find; a root is its class's least
+        rels: dict[str, list] = {r.name: [] for r in sig.relations}
+        for a, row in zip(s.premise.atoms + s.conclusion.atoms, rows):
+            if isinstance(a, RelAtom):  # the checks of ``add_tuple``
+                name, arity = a.rel.name, sig.relation(a.rel.name).arity
+                if len(row) != len(arity):
+                    raise SignatureError(f"{name}: expected {len(arity)} "
+                                         f"components, got {len(row)}")
+                for v, sort in zip(a.args, arity):
+                    if v.sort != sort:
+                        raise SignatureError(f"{name}: component of sort "
+                                             f"{v.sort!r}, expected {sort!r}")
+                rels[name].append(row)
+            elif isinstance(a, EqualAtom):
+                if a.lhs.sort != a.rhs.sort:
+                    raise SignatureError("merging across sorts "
+                                         f"{a.lhs.sort!r}/{a.rhs.sort!r}")
+                i, j = row
+                while parent[i] != i:  # path halving
+                    parent[i] = i = parent[parent[i]]
+                while parent[j] != j:
+                    parent[j] = j = parent[parent[j]]
+                parent[max(i, j)] = min(i, j)
+    except SignatureError as err:  # say where
         if s.location is None:
             raise
         raise SignatureError("{}:{}: {}".format(*s.location, err)) from None
-    image = {interp[v] for v in formula_vars(s.premise)}
-    first: dict[El, El] = {}
-    second: dict[El, El] = {}
-    names: dict[El, Var] = {}
-    for sort in sig.sorts:
-        elems = b.elements(sort)
-        for i, e in enumerate(elems):
-            first[e] = El(sort, i)
-            second[e] = first[e] if e in image else El(sort, len(elems) + i)
-        for p in sorted({copy[e] for copy in (first, second) for e in elems}):
-            names[p] = Var(f"_e_{sort}_{p.index}", sort)
+    # Per variable number, its element of B as first and as second copy,
+    # with c of the si-th sort coded si * big + c to sort as listed.
+    big, k = 2 * len(ids), [0] * len(at)  # k: B's elements per sort
+    first: list[int] = []
+    for (_, sort), (i, j) in zip(ids, enumerate(parent)):
+        if j == i:
+            first.append(at[sort] * big + k[at[sort]])
+            k[at[sort]] += 1
+        else:
+            first.append(first[j])
+    image = set(first[:in_premise])
+    second = [x if x in image else x + k[x // big] for x in first]
+    names: dict[int, Var] = {}
+    for x in sorted({*first, *second}):
+        sort = sig.sorts[x // big]
+        names[x] = Var(f"_e_{sort}_{x % big}", sort)
     premise: list[Atom] = [DefinedAtom(v) for v in names.values()]
     for r in sig.relations:
-        ts = {tuple(copy[e] for e in t)
-              for t in b.rels[r.name] for copy in (first, second)}
-        premise += [RelAtom(r, tuple(names[p] for p in t)) for t in sorted(ts)]
-    return Sequent(Formula(tuple(premise)),
-                   Formula(tuple(EqualAtom(names[first[e]], names[second[e]])
-                                 for e in sorted(first) if e not in image)))
+        ts = {tuple([copy[i] for i in row])
+              for row in rels[r.name] for copy in (first, second)}
+        premise += [RelAtom(r, tuple([names[x] for x in t])) for t in sorted(ts)]
+    doubled = sorted(set(first) - image, key=lambda x: (sig.sorts[x // big], x))
+    return Sequent(Formula(tuple(premise)), Formula(tuple(
+        EqualAtom(names[x], names[x + k[x // big]]) for x in doubled)))
 
 
 def strengthen_theory(t: Theory) -> Theory:
     """Append, per sequent, the sequent classified by the codiagonal of its
     classifying morphism; models of the result are exactly the structures
-    orthogonal to the input's classifying morphisms.  Each one is read
-    straight off [premise & conclusion], without building the pushout;
-    a sequent outside RHL is rejected with its location."""
+    orthogonal to the input's classifying morphisms.  Each is computed
+    from the sequent's atoms, building no ``Structure``; a sequent that
+    ``classifying_structure`` rejects gets its error and location."""
     extra = tuple(_codiagonal_sequent(s, t.signature) for s in t.sequents)
     return Theory(t.signature, t.sequents + extra)

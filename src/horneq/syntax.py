@@ -159,10 +159,6 @@ def sequent_vars(s: Sequent) -> list[Var]:
 def is_rhl(x) -> bool:
     """True iff ``x`` lies in the relational fragment: atoms take bare
     variables only, and relation atoms never use a function symbol."""
-    if isinstance(x, Var):
-        return True
-    if isinstance(x, App):
-        return False
     if isinstance(x, RelAtom):
         return x.rel.kind == "pred" and all(isinstance(t, Var) for t in x.args)
     if isinstance(x, DefinedAtom):
@@ -568,7 +564,7 @@ def _pp_decl(r: RelDecl) -> str:
 
 
 def pretty_print(x) -> str:
-    """Render back to concrete syntax; theories round-trip through the parser."""
+    """A theory or a sequent in concrete syntax; theories round-trip."""
     if isinstance(x, Theory):
         lines = [f"sort {s};" for s in x.signature.sorts]
         lines += [_pp_decl(r) for r in x.signature.relations]
@@ -576,10 +572,4 @@ def pretty_print(x) -> str:
         return "\n".join(lines) + "\n"
     if isinstance(x, Sequent):
         return _pp_sequent(x)
-    if isinstance(x, Formula):
-        return _pp_formula(x)
-    if isinstance(x, (RelAtom, DefinedAtom, EqualAtom)):
-        return _pp_atom(x)
-    if isinstance(x, (Var, App)):
-        return _pp_term(x)
     raise TypeError(f"pretty_print: unsupported {type(x).__name__}")

@@ -203,7 +203,8 @@ def epic_transform(t: Theory) -> tuple[Signature, Theory]:
     sequents = []
     for idx, s in enumerate(t.sequents):
         pvars = formula_vars(s.premise)
-        fresh = [v for v in formula_vars(s.conclusion) if v not in set(pvars)]
+        known = set(pvars)
+        fresh = [v for v in formula_vars(s.conclusion) if v not in known]
         terms: dict[Var, App] = {}
         for v in fresh:
             name = f"f_{idx}_{v.name}"

@@ -403,3 +403,75 @@ def test_classify_rejections(call, want):
     """The checks of ``classify`` that no other test reaches, each with
     its message."""
     assert call_outcome(call) == want
+
+
+_SIG = Signature(("V", "W"), (RelDecl("E", ("V", "V")),
+                              RelDecl("F", ("V", "W")),
+                              RelDecl("f", ("V", "V"), "func")))
+_E, _F, _f = (_SIG.relation(n) for n in ("E", "F", "f"))
+_u, _v, _w, _q = Var("u", "V"), Var("v", "V"), Var("w", "W"), Var("q", "Q")
+
+
+@pytest.mark.parametrize("premise, conclusion, message", [
+    ((RelAtom(_E, (_u, _v)),), (RelAtom(RelDecl("G", ("V",)), (_u,)),),
+     "unknown relation 'G'"),
+    ((RelAtom(RelDecl("E", ("V",)), (_u,)),), (),
+     "E: expected 2 components, got 1"),
+    ((RelAtom(_E, (_u, _v)),), (RelAtom(_F, (_w, _u)),),
+     "F: component of sort 'W', expected 'V'"),
+    ((RelAtom(_F, (_u, _w)),), (EqualAtom(_u, _w),),
+     "merging across sorts 'V'/'W'"),
+    ((DefinedAtom(_u),), (RelAtom(_E, (_u, _q)),), "unknown sort 'Q'"),
+    ((DefinedAtom(App(_f, (_u,))),), (),
+     "classifying structures are defined on RHL formulas"),
+    ((RelAtom(_f, (_u, _v)),), (),
+     "classifying structures are defined on RHL formulas"),
+    # Two faults: an unknown sort is found before any atom's fault, an
+    # atom's fault in atom order, and a non-RHL atom before all else.
+    ((RelAtom(RelDecl("E", ("V",)), (_u,)),), (DefinedAtom(_q),),
+     "unknown sort 'Q'"),
+    ((EqualAtom(_u, _w),), (RelAtom(RelDecl("G", ("V",)), (_u,)),),
+     "merging across sorts 'V'/'W'"),
+    ((DefinedAtom(_q),), (DefinedAtom(App(_f, (_u,))),),
+     "classifying structures are defined on RHL formulas"),
+])
+@pytest.mark.parametrize("location", [None, (4, 2)])
+def test_codiagonal_rejects_as_classifying_structure(premise, conclusion,
+                                                     message, location):
+    """``strengthen_theory`` raises the error of ``classifying_structure``
+    on premise & conclusion, prefixed with the sequent's location."""
+    s = Sequent(Formula(premise), Formula(conclusion), location=location)
+    kind, want = call_outcome(
+        lambda: classifying_structure(s.premise & s.conclusion, _SIG))
+    assert (kind, want) == ("SignatureError", message)
+    if location is not None:
+        want = "4:2: " + want
+    got = call_outcome(lambda: strengthen_theory(Theory(_SIG, (s,))))
+    assert got == (kind, want)
+
+
+def test_strengthening_builds_no_structure(monkeypatch):
+    """A count fence: ``strengthen_theory`` makes no ``Structure`` and no
+    ``merge``, where the pushout route makes both."""
+    rng = random.Random(61)
+    theories = [flatten_theory(_compile_style(rng), with_functionality=True)
+                for _ in range(20)]
+    counts = {"structures": 0, "merges": 0}
+    init, merge = Structure.__init__, Structure.merge
+
+    def counting_init(self, sig):
+        counts["structures"] += 1
+        init(self, sig)
+
+    def counting_merge(self, a, b):
+        counts["merges"] += 1
+        return merge(self, a, b)
+
+    monkeypatch.setattr(Structure, "__init__", counting_init)
+    monkeypatch.setattr(Structure, "merge", counting_merge)
+    for t in theories:
+        strengthen_theory(t)
+    assert counts == {"structures": 0, "merges": 0}
+    for t in theories:  # the fence can fail: the reference trips it
+        reference_strengthen_theory(t)
+    assert counts["structures"] > 0 and counts["merges"] > 0

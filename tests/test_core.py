@@ -422,6 +422,19 @@ def test_core_rejections_and_refusals(call, want):
     assert call_outcome(call) == want
 
 
+def test_reprs():
+    """The reprs that a failed assertion shows: a structure's element
+    counts and nonempty relations' sizes, and a morphism's sorted map."""
+    assert repr(chain(3)[0]) == "Structure(elements={'V': 3}, tuples={'E': 2})"
+    assert repr(one_of_each()[0]) == \
+        "Structure(elements={'V': 1, 'W': 1}, tuples={})"
+    f = Morphism(points(2), points(1), {El("V", 1): El("V", 0),
+                                        El("V", 0): El("V", 0)})
+    assert repr(f) == ("Morphism({El(sort='V', index=0): El(sort='V', "
+                       "index=0), El(sort='V', index=1): El(sort='V', "
+                       "index=0)})")
+
+
 @pytest.mark.parametrize("call, want", [
     (lambda: list(enumerate_morphisms(Structure(SIG),
                                       Structure(TWO_SORTS))),

@@ -16,8 +16,9 @@ from horneq.syntax import (MAX_TERM_DEPTH, App, DefinedAtom, Formula,
                            VacuousSequentWarning, Var, formula_vars, is_rhl,
                            parse_theory, pretty_print, sequent_vars)
 
-from helpers import (compile_style_text, random_signature, random_theory,
-                     reference_parse_facts, reference_parse_theory)
+from helpers import (call_outcome, compile_style_text, random_signature,
+                     random_theory, reference_parse_facts,
+                     reference_parse_theory)
 
 
 TRANSITIVITY = """
@@ -433,3 +434,16 @@ class TestOneCharacterRule:
             elif "unexpected character" in want[0][1]:
                 seen["unexpected character"] += 1
         assert seen["ok"] >= 8 and seen["unexpected character"] >= 30, seen
+
+
+@pytest.mark.parametrize("call, want", [
+    # A variable where an atom belongs, reached through its formula.
+    (lambda: is_rhl(Formula((Var("x", "V"),))),
+     ("TypeError", "is_rhl: unsupported Var")),
+    (lambda: pretty_print(Formula()),
+     ("TypeError", "pretty_print: unsupported Formula")),
+])
+def test_unsupported_types(call, want):
+    """``is_rhl`` takes atoms, formulas, sequents and theories, and
+    ``pretty_print`` theories and sequents; anything else is refused."""
+    assert call_outcome(call) == want
