@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import El, Morphism, RelDecl, Signature, SignatureError, Structure
-from .syntax import (App, Atom, DefinedAtom, EqualAtom, Formula, RelAtom,
+from .syntax import (Atom, DefinedAtom, EqualAtom, Formula, RelAtom,
                      Sequent, Term, Theory, Var, atom_terms, formula_vars,
                      is_rhl, sequent_vars)
 
@@ -34,7 +34,7 @@ class FreshVars:
     """Deterministic supply of fresh variables ``_u0, _u1, ...`` skipping any
     name already present in the input."""
 
-    def __init__(self, used: set[str] = frozenset()):
+    def __init__(self, used: set[str]):
         self.used = set(used)
         self.counter = 0
 
@@ -108,21 +108,6 @@ def flatten_theory(t: Theory, with_functionality: bool = False) -> Theory:
     if with_functionality:
         sequents += functionality_theory(t.signature).sequents
     return Theory(rel_sig, sequents)
-
-
-def unflatten_formula(f: Formula, alg_sig: Signature) -> Formula:
-    """Inverse of flattening at the atom level: each graph atom
-    ``f(x1..xn, x)`` becomes ``f(x1..xn) = x``."""
-    if not is_rhl(f):
-        raise SignatureError("unflatten expects an RHL formula")
-    out: list[Atom] = []
-    for a in f.atoms:
-        if isinstance(a, RelAtom) and alg_sig.relation(a.rel.name).kind == "func":
-            decl = alg_sig.relation(a.rel.name)
-            out.append(EqualAtom(App(decl, a.args[:-1]), a.args[-1]))
-        else:
-            out.append(a)
-    return Formula(tuple(out))
 
 
 # -- classifying structures and morphisms ---------------------------------
@@ -210,39 +195,6 @@ def sequent_from_morphism(f: Morphism) -> Sequent:
                    Formula(tuple(new_atoms + rel_atoms + eq_atoms)))
 
 
-# -- PHL classifying structures (free algebraic reflection) ----------------
-
-
-def _reflect(flat: Formula,
-             sig: Signature) -> tuple[Structure, dict[Var, El]]:
-    """The classifying structure of a flattened formula over the
-    relationalized signature, made functional by evaluating
-    ``functionality_theory(sig)``; the interpretation follows the unit."""
-    from . import engine  # deliberate upward call; classify stays engine-free otherwise
-
-    base, interp = classifying_structure(flat, relationalize(sig))
-    result, unit, _ = engine.evaluate(functionality_theory(sig), base,
-                                      engine.EvalConfig())
-    return result, {v: unit.apply(e) for v, e in interp.items()}
-
-
-def classifying_structure_phl(f: Formula,
-                              sig: Signature) -> tuple[Structure, dict[Var, El]]:
-    """Classifying algebraic structure of a PHL formula: the free algebraic
-    reflection of the classifying structure of its flattening."""
-    result, interp = _reflect(flatten_formula(f, relationalize(sig)), sig)
-    wanted = set(formula_vars(f))
-    return result, {v: e for v, e in interp.items() if v in wanted}
-
-
-def classifying_morphism_phl(s: Sequent, sig: Signature) -> Morphism:
-    flat = flatten_sequent(s, relationalize(sig))
-    dom, dom_interp = _reflect(flat.premise, sig)
-    cod, cod_interp = _reflect(flat.premise & flat.conclusion, sig)
-    mapping = {e: cod_interp[v] for v, e in dom_interp.items()}
-    return Morphism(dom, cod, mapping)
-
-
 # -- sequent classification ------------------------------------------------
 
 
@@ -303,16 +255,6 @@ def functionality_theory(sig: Signature) -> Theory:
     rel_sig = relationalize(sig)
     return Theory(rel_sig, tuple(functionality_sequent(f, rel_sig)
                                  for f in sig.functions()))
-
-
-def totality_sequent(f: RelDecl) -> Sequent:
-    if f.kind != "func":
-        raise SignatureError(f"{f.name} is not a function symbol")
-    args = tuple(Var(f"v{i + 1}", s) for i, s in enumerate(f.arg_sorts))
-    return Sequent(
-        Formula(tuple(DefinedAtom(v) for v in args)),
-        Formula((DefinedAtom(App(f, args)),)),
-    )
 
 
 # -- strengthening ---------------------------------------------------------

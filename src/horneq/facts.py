@@ -236,8 +236,7 @@ class _Reader(_Cursor):
 
 
 def model_names(result: Structure, input_names: dict[str, El],
-                unit: Optional[Morphism] = None
-                ) -> tuple[dict[El, str], list[tuple[str, str]]]:
+                unit: Morphism) -> tuple[dict[El, str], list[tuple[str, str]]]:
     """Name every canonical element of ``result``.  Input names follow the
     unit morphism; a class that absorbed several names keeps the one whose
     element has the smallest index, the first in ``input_names`` order
@@ -248,8 +247,7 @@ def model_names(result: Structure, input_names: dict[str, El],
     until they differ from every input name, merged-away ones too."""
     by_class: dict[El, list[tuple[int, str]]] = {}
     for name, e in input_names.items():
-        img = unit.apply(e) if unit is not None else result.find(e)
-        by_class.setdefault(img, []).append((e.index, name))
+        by_class.setdefault(unit.apply(e), []).append((e.index, name))
     names: dict[El, str] = {}
     merged: list[tuple[str, str]] = []
     for img, entries in by_class.items():

@@ -71,19 +71,6 @@ def find_isomorphism(x: Structure, y: Structure) -> Optional[Morphism]:
     return None
 
 
-def is_total_function(x: Structure, f: str) -> bool:
-    """True iff the function symbol ``f`` is defined on every argument tuple."""
-    decl = x.sig.relation(f)
-    if decl.kind != "func":
-        raise SignatureError(f"{f} is not a function symbol")
-    graph = x.rels[f]
-    arg_spaces = [x.elements(s) for s in decl.arg_sorts]
-    for args in itertools.product(*arg_spaces):
-        if not any(t[:-1] == args for t in graph):
-            return False
-    return True
-
-
 # -- lifting properties -----------------------------------------------------
 
 

@@ -5,15 +5,13 @@ import warnings
 import pytest
 
 from horneq.classify import (FreshVars, classify_sequent, classifying_morphism,
-                             classifying_morphism_phl, classifying_structure,
-                             classifying_structure_phl,
+                             classifying_structure, flatten_formula,
                              flatten_sequent, flatten_theory,
                              functionality_sequent, functionality_theory,
                              relationalize, sequent_from_morphism,
-                             strengthen_theory, totality_sequent,
-                             unflatten_formula)
+                             strengthen_theory)
 from horneq.core import Morphism, RelDecl, Signature, SignatureError, Structure
-from horneq.engine import satisfies_theory
+from horneq.engine import EvalConfig, evaluate, satisfies_theory
 from horneq.oracle import is_injective_to, is_orthogonal_to
 from horneq.syntax import (App, DefinedAtom, EqualAtom, Formula, RelAtom,
                            Sequent, Theory, Var, VacuousSequentWarning,
@@ -77,24 +75,6 @@ class TestFlattening:
         func = flat.sequents[-1]
         assert pretty_print(func) == \
             "rule op(v1, v2, u0) & op(v1, v2, u1) => u0 = u1;"
-
-    def test_unflatten_inverts_graph_atoms(self):
-        sig = MONOID.signature
-        rel_sig = relationalize(sig)
-        op = sig.relation("op")
-        x, y, r = Var("x", "M"), Var("y", "M"), Var("r", "M")
-        flat = Formula((RelAtom(rel_sig.relation("op"), (x, y, r)),))
-        back = unflatten_formula(flat, sig)
-        assert back.atoms == (EqualAtom(App(op, (x, y)), r),)
-
-    def test_flatten_unflatten_round_trip_shape(self):
-        sig = MONOID.signature
-        rel_sig = relationalize(sig)
-        s = MONOID.sequents[0]
-        flat = flatten_sequent(s, rel_sig)
-        back = unflatten_formula(flat.premise, sig)
-        assert all(isinstance(a, (EqualAtom, DefinedAtom))
-                   for a in back.atoms)
 
 
 class TestClassifyingStructures:
@@ -270,13 +250,6 @@ class TestGeneratedSequents:
         assert len(ft.sequents) == 2
         assert pretty_print(ft.sequents[1]) == "rule c(u0) & c(u1) => u0 = u1;"
 
-    def test_totality(self):
-        sig = MONOID.signature
-        s = totality_sequent(sig.relation("op"))
-        assert pretty_print(s) == "rule v1! & v2! => op(v1, v2)!;"
-        with pytest.raises(SignatureError):
-            totality_sequent(RelDecl("P", ("M",), "pred"))
-
 
 class TestStrengthening:
     def test_surjective_theory_gets_trivial_extras(self):
@@ -375,24 +348,37 @@ class TestStrengtheningDifferential:
 
 
 class TestPhlClassifying:
+    """The classifying structure of a PHL formula: the classifying
+    structure of its flattening, closed under ``functionality_theory``."""
+
+    @staticmethod
+    def _classify(flat, sig):
+        base, interp = classifying_structure(flat, relationalize(sig))
+        result, unit, _ = evaluate(functionality_theory(sig), base,
+                                   EvalConfig())
+        return result, {v: unit.apply(e) for v, e in interp.items()}
+
     def test_functionality_collapses_duplicate_results(self):
         sig = MONOID.signature
         op = sig.relation("op")
         x, y = Var("x", "M"), Var("y", "M")
         f = Formula((EqualAtom(App(op, (x, y)), x),
                      EqualAtom(App(op, (x, y)), y)))
-        strct, interp = classifying_structure_phl(f, sig)
+        _, interp = self._classify(flatten_formula(f, relationalize(sig)), sig)
         assert interp[x] == interp[y]
 
     def test_classifying_morphism_phl_valid(self):
-        f = classifying_morphism_phl(MONOID.sequents[0], MONOID.signature)
+        sig = MONOID.signature
+        flat = flatten_sequent(MONOID.sequents[0], relationalize(sig))
+        dom, dom_interp = self._classify(flat.premise, sig)
+        cod, cod_interp = self._classify(flat.premise & flat.conclusion, sig)
+        f = Morphism(dom, cod,
+                     {e: cod_interp[v] for v, e in dom_interp.items()})
         f.check_valid()
         assert f.is_surjective()
 
 
 @pytest.mark.parametrize("call, want", [
-    (lambda: unflatten_formula(MONOID.sequents[0].premise, MONOID.signature),
-     ("SignatureError", "unflatten expects an RHL formula")),
     # Built without the parser, so the sequent has no location to report.
     (lambda: strengthen_theory(Theory(MONOID.signature, (Sequent(
         MONOID.sequents[0].premise, MONOID.sequents[0].conclusion),))),

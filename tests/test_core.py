@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from horneq.core import (El, Morphism, RelDecl, Signature, SignatureError,
                          Structure, coproduct, pushout, quotient_by_relation)
-from horneq.oracle import (enumerate_morphisms, find_isomorphism,
-                           is_total_function)
+from horneq.oracle import enumerate_morphisms, find_isomorphism
 
 from helpers import (all_isomorphisms, call_outcome, full_scan_merge,
                      random_signature, random_structure)
@@ -346,24 +345,6 @@ class TestMorphisms:
         assert idm.compose(idm).mapping == idm.mapping
 
 
-def test_is_total_function():
-    sig = Signature(("V",), (RelDecl("f", ("V", "V"), "func"),))
-    x = Structure(sig)
-    a, b = x.add_element("V"), x.add_element("V")
-    x.add_tuple("f", (a, b))
-    assert not is_total_function(x, "f")
-    x.add_tuple("f", (b, b))
-    assert is_total_function(x, "f")
-    nullary = Signature(("V",), (RelDecl("c", ("V",), "func"),))
-    y = Structure(nullary)
-    p = y.add_element("V")
-    assert not is_total_function(y, "c")
-    y.add_tuple("c", (p,))
-    assert is_total_function(y, "c")
-    with pytest.raises(SignatureError):
-        is_total_function(x, "missing")
-
-
 # Two sorts, and the same ``E`` on ``V`` as ``SIG``.
 TWO_SORTS = Signature(("V", "W"), SIG.relations)
 
@@ -444,8 +425,6 @@ def test_reprs():
     (lambda: find_isomorphism(points(1), Structure(TWO_SORTS)), None),
     (lambda: find_isomorphism(points(1), points(2)), None),
     (lambda: find_isomorphism(chain(2)[0], points(2)), None),
-    (lambda: is_total_function(chain(2)[0], "E"),
-     ("SignatureError", "E is not a function symbol")),
 ])
 def test_oracle_rejections_and_refusals(call, want):
     """The checks of ``oracle`` that no other test reaches."""

@@ -20,9 +20,9 @@ PUBLIC = {
     "sparse_setoid_transform", "strengthen_theory",
 }
 
-ORACLES = ("enumerate_morphisms", "find_isomorphism", "is_total_function",
-           "satisfies_phl", "_eval_term", "_phl_atom_holds",
-           "is_injective_to", "is_orthogonal_to", "_count_lifts")
+ORACLES = ("enumerate_morphisms", "find_isomorphism", "satisfies_phl",
+           "_eval_term", "_phl_atom_holds", "is_injective_to",
+           "is_orthogonal_to", "_count_lifts")
 
 
 def test_public_names():
@@ -134,3 +134,71 @@ def test_no_unread_names():
     other = "_TOKEN_RE = 1\nprint(_TOKEN_RE, x.read)\n"
     assert _unread_names({"syntax": module}, [module, other]) == [
         "syntax._TOKEN_RE", "syntax._Reader.error"]
+
+
+def _unneeded_public(modules: dict[str, str], others: list[str],
+                     exported: set[str]) -> list[str]:
+    """The public module-level functions and classes that the ``modules``
+    (name: source) define, outside ``exported``, and that nothing reads
+    outside their own definition: not as a ``Name``, an attribute or an
+    imported name, in any of ``modules`` or ``others``."""
+
+    def reads(node: ast.AST) -> set[str]:
+        out = set()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                out.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                out.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                out |= {a.name for a in n.names}
+        return out
+
+    read = set().union(*(reads(ast.parse(source)) for source in others))
+    defined = []
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own = node.name
+                if not own.startswith("_"):
+                    defined.append((module, own))
+            read |= reads(node) - {own}
+    return [f"{module}.{name}" for module, name in defined
+            if name not in exported and name not in read]
+
+
+def _imports_engine(source: str) -> bool:
+    """Whether ``source`` imports the ``engine`` module or a name from it,
+    at any depth."""
+    paths = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Import):
+            paths += [a.name for a in n.names]
+        elif isinstance(n, ast.ImportFrom):
+            paths += [f"{n.module or ''}.{a.name}" for a in n.names]
+    return any("engine" in path.split(".") for path in paths)
+
+
+def test_no_unneeded_public_names():
+    """Every public function and class of ``src/horneq`` is exported or
+    used by the package, its scripts or its benchmark; the oracles exist
+    for the tests.  ``classify`` stays below the evaluator."""
+    src = pathlib.Path(horneq.__file__).parent
+    root = src.parents[1]
+    modules = {path.stem: path.read_text() for path in src.glob("*.py")
+               if path.stem not in ("__init__", "oracle")}
+    others = [path.read_text() for path in (
+        src / "__init__.py", src / "oracle.py",
+        *(root / "scripts").glob("*.py"), *(root / "perfbench").glob("*.py"))]
+    assert _unneeded_public(modules, others, set(horneq.__all__)) == []
+    assert not _imports_engine((src / "classify.py").read_text())
+    # The checks themselves: a helper read only by its own recursion, one
+    # read by another module, and imports of the evaluator.
+    module = ("def walk(t): return walk(t.next)\n"
+              "def used(): ...\nclass Old: ...\n")
+    assert _unneeded_public({"classify": module}, ["used()"], {"Old"}) == [
+        "classify.walk"]
+    assert _imports_engine("def f():\n    from . import engine\n")
+    assert _imports_engine("from .engine import evaluate\n")
+    assert not _imports_engine("from .core import Structure\n")
