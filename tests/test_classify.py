@@ -12,7 +12,7 @@ from horneq.classify import (FreshVars, classify_sequent, classifying_morphism,
                              strengthen_theory)
 from horneq.core import Morphism, RelDecl, Signature, SignatureError, Structure
 from horneq.engine import EvalConfig, evaluate, satisfies_theory
-from horneq.oracle import is_injective_to, is_orthogonal_to
+from horneq.oracle import is_injective_to, is_orthogonal_to, satisfies_phl
 from horneq.syntax import (App, DefinedAtom, EqualAtom, Formula, RelAtom,
                            Sequent, Theory, Var, VacuousSequentWarning,
                            formula_vars, parse_theory, pretty_print)
@@ -250,6 +250,27 @@ class TestGeneratedSequents:
         assert len(ft.sequents) == 2
         assert pretty_print(ft.sequents[1]) == "rule c(u0) & c(u1) => u0 = u1;"
 
+    def test_models_are_the_functional_structures(self):
+        """A structure satisfies ``functionality_theory`` iff no two
+        tuples of a graph share their arguments."""
+        sig = parse_theory("sort M;\nfunc f : M -> M;\nfunc c : -> M;\n"
+                           "func op : M * M -> M;").signature
+        ft = functionality_theory(sig)
+        rng = random.Random(31)
+        seen = set()
+        for _ in range(60):
+            x = Structure(ft.signature)
+            els = [x.add_element("M") for _ in range(rng.randint(1, 3))]
+            for r in sig.functions():
+                for _ in range(rng.randint(0, 3)):
+                    x.add_tuple(r.name, tuple(rng.choice(els) for _ in
+                                              range(len(r.arg_sorts) + 1)))
+            functional = all(len({g[:-1] for g in x.rels[r.name]})
+                             == len(x.rels[r.name]) for r in sig.functions())
+            assert satisfies_theory(x, ft) == functional
+            seen.add(functional)
+        assert seen == {False, True}
+
 
 class TestStrengthening:
     def test_surjective_theory_gets_trivial_extras(self):
@@ -347,16 +368,29 @@ class TestStrengtheningDifferential:
             "=> _e_A_1 = _e_A_3 & _e_Z_1 = _e_Z_3;")
 
 
+# op(x, y) = x & op(x, y) = y: flattened, op gets two results on (x, y).
+_COLLAPSE = Formula(tuple(
+    EqualAtom(App(MONOID.signature.relation("op"),
+                  (Var("x", "M"), Var("y", "M"))), Var(v, "M"))
+    for v in "xy"))
+
+
 class TestPhlClassifying:
     """The classifying structure of a PHL formula: the classifying
     structure of its flattening, closed under ``functionality_theory``."""
 
     @staticmethod
-    def _classify(flat, sig):
+    def _unit(flat, sig):
+        """The unit from the classifying structure of ``flat`` to its
+        closure, and the interpretation in its domain."""
         base, interp = classifying_structure(flat, relationalize(sig))
-        result, unit, _ = evaluate(functionality_theory(sig), base,
-                                   EvalConfig())
-        return result, {v: unit.apply(e) for v, e in interp.items()}
+        _, unit, _ = evaluate(functionality_theory(sig), base, EvalConfig())
+        return unit, interp
+
+    @classmethod
+    def _classify(cls, flat, sig):
+        unit, interp = cls._unit(flat, sig)
+        return unit.cod, {v: unit.apply(e) for v, e in interp.items()}
 
     def test_functionality_collapses_duplicate_results(self):
         sig = MONOID.signature
@@ -377,8 +411,62 @@ class TestPhlClassifying:
         f.check_valid()
         assert f.is_surjective()
 
+    def test_closure_is_functional(self):
+        """Flattening may give ``op`` two results on the same arguments;
+        the closure satisfies ``functionality_theory``."""
+        sig, rel_sig = MONOID.signature, relationalize(MONOID.signature)
+        ft = functionality_theory(sig)
+        s = MONOID.sequents[0]
+        for f in (_COLLAPSE, s.premise & s.conclusion):
+            unit, _ = self._unit(flatten_formula(f, rel_sig), sig)
+            assert not satisfies_theory(unit.dom, ft)
+            assert satisfies_theory(unit.cod, ft)
+
+    def test_generic_models_of_the_monoid_sequent(self):
+        """In the PHL oracle, the classifying structure of the premise
+        fails the sequent, and that of premise & conclusion satisfies it."""
+        sig, rel_sig = MONOID.signature, relationalize(MONOID.signature)
+        s = MONOID.sequents[0]
+        premise, _ = self._classify(flatten_formula(s.premise, rel_sig), sig)
+        both, _ = self._classify(
+            flatten_formula(s.premise & s.conclusion, rel_sig), sig)
+        assert not satisfies_phl(premise, s)
+        assert satisfies_phl(both, s)
+
+    def test_functional_structures_are_orthogonal_to_the_unit(self):
+        """The closure is the free functional structure on the classifying
+        structure: into a structure that satisfies ``functionality_theory``
+        every map extends along the unit in exactly one way."""
+        sig, rel_sig = MONOID.signature, relationalize(MONOID.signature)
+        ft = functionality_theory(sig)
+        s = MONOID.sequents[0]
+        units = [self._unit(flatten_formula(f, rel_sig), sig)[0]
+                 for f in (_COLLAPSE, s.premise & s.conclusion)]
+        rng = random.Random(29)
+        for _ in range(30):
+            x = Structure(rel_sig)
+            els = [x.add_element("M") for _ in range(rng.randint(1, 2))]
+            for a in els:
+                for b in els:
+                    if rng.random() < 0.7:
+                        x.add_tuple("op", (a, b, rng.choice(els)))
+            assert satisfies_theory(x, ft)
+            for unit in units:
+                assert is_orthogonal_to(x, unit)
+        # Without functionality a map need not extend: op(a, b) is a and b.
+        x = Structure(rel_sig)
+        a, b = x.add_element("M"), x.add_element("M")
+        x.add_tuple("op", (a, b, a))
+        x.add_tuple("op", (a, b, b))
+        assert not is_injective_to(x, units[0])
+
 
 @pytest.mark.parametrize("call, want", [
+    # The graph of ``op`` is a predicate: the function symbol is wanted.
+    (lambda: functionality_sequent(
+        relationalize(MONOID.signature).relation("op"),
+        relationalize(MONOID.signature)),
+     ("SignatureError", "op is not a function symbol")),
     # Built without the parser, so the sequent has no location to report.
     (lambda: strengthen_theory(Theory(MONOID.signature, (Sequent(
         MONOID.sequents[0].premise, MONOID.sequents[0].conclusion),))),

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from horneq.core import (El, Morphism, RelDecl, Signature, SignatureError,
                          Structure, coproduct, pushout, quotient_by_relation)
-from horneq.oracle import enumerate_morphisms, find_isomorphism
+from horneq.oracle import (enumerate_morphisms, find_isomorphism,
+                           is_injective_to)
 
 from helpers import (all_isomorphisms, call_outcome, full_scan_merge,
                      random_signature, random_structure)
@@ -425,6 +426,10 @@ def test_reprs():
     (lambda: find_isomorphism(points(1), Structure(TWO_SORTS)), None),
     (lambda: find_isomorphism(points(1), points(2)), None),
     (lambda: find_isomorphism(chain(2)[0], points(2)), None),
+    # The lifting oracles take a structure over the morphism's signature.
+    (lambda: is_injective_to(Structure(TWO_SORTS),
+                             Morphism.identity(points(1))),
+     ("SignatureError", "morphism enumeration over mismatched signatures")),
 ])
 def test_oracle_rejections_and_refusals(call, want):
     """The checks of ``oracle`` that no other test reaches."""

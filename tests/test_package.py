@@ -202,3 +202,11 @@ def test_no_unneeded_public_names():
     assert _imports_engine("def f():\n    from . import engine\n")
     assert _imports_engine("from .engine import evaluate\n")
     assert not _imports_engine("from .core import Structure\n")
+
+
+def test_only_the_front_ends_import_engine():
+    """The evaluator sits above the other layers: of the modules of
+    ``src/horneq``, only ``cli`` and the package ``__init__`` import it."""
+    src = pathlib.Path(horneq.__file__).parent
+    assert {path.stem for path in src.glob("*.py")
+            if _imports_engine(path.read_text())} == {"__init__", "cli"}
