@@ -86,9 +86,7 @@ def _flatten_atom(a: Atom, fresh: FreshVars, rel_sig: Signature) -> list[Atom]:
 
 
 def flatten_formula(f: Formula, rel_sig: Signature,
-                    fresh: FreshVars | None = None) -> Formula:
-    if fresh is None:
-        fresh = FreshVars({v.name for v in formula_vars(f)})
+                    fresh: FreshVars) -> Formula:
     out: list[Atom] = []
     for a in f.atoms:
         out.extend(_flatten_atom(a, fresh, rel_sig))

@@ -112,9 +112,9 @@ class EvalReport:
 # A sequent compiles once into a rule: its premise plan, and a conclusion
 # plan whose first slots are the premise's variables, so a premise row is
 # already the start of a conclusion row.  A premise match extends over the
-# conclusion when that plan has a row from it.  Without conclusion-only
-# variables that is a direct test on the canonical row: each relation head's
-# tuple is stored, and each equality head's two elements are the same.  A
+# conclusion when that plan has a row from it, and its check stops at the
+# first.  Without conclusion-only variables the plan is only tests and
+# sames, which write no slot, so it runs on the canonical row as it is.  A
 # rule's check is linked against a structure as it stands, so its indexes
 # are built once for all the rows it tests until the structure changes.
 
@@ -251,37 +251,27 @@ def _rule(s: Sequent) -> _Rule:
         if isinstance(a, RelAtom) else (None, (slot[a.lhs], slot[a.rhs]))
         for a in s.conclusion.atoms if not isinstance(a, DefinedAtom))
     fresh = tuple(v.sort for v in conclusion.vars[len(premise.vars):])
-    return _Rule(premise, conclusion, fresh, heads,
-                 _check(conclusion, fresh, heads))
+    return _Rule(premise, conclusion, fresh, heads, _check(conclusion, fresh))
 
 
-def _check(conclusion: _Plan, fresh, heads) -> Callable:
+def _found(vals) -> bool:
+    """The end of a check's plan: its first row is enough."""
+    return True
+
+
+def _check(conclusion: _Plan, fresh) -> Callable:
     """``check(x)``: the extension test of a canonical premise row against
-    ``x`` as it stands.  Each head is tested directly (a ``v!`` head always
-    holds), or with conclusion-only slots, the linked conclusion plan runs."""
-    if fresh:
-        pad = [None] * len(fresh)
-
-        def check(x):
-            out: list = []
-            run = _link(conclusion.steps, x, None, out)
-
-            def extends(row):
-                out.clear()
-                run([*row, *pad])
-                return bool(out)
-            return extends
-        return check
-    links = [(lambda x, a=slots[0], b=slots[1]: lambda row: row[a] == row[b])
-             if name is None else
-             (lambda x, name=name, key=_row(slots):
-              lambda row, ts=x.rels[name]: key(row) in ts)
-             for name, slots in heads]
+    ``x`` as it stands, the conclusion plan linked to stop at its first
+    row.  Without conclusion-only slots the linked plan takes the row
+    itself; with them, the row padded with those slots."""
+    steps, pad = conclusion.steps, [None] * len(fresh)
+    if not fresh:
+        return lambda x: _link(steps, x, None, _found)
 
     def check(x):
-        tests = [link(x) for link in links]
-        return lambda row: all(test(row) for test in tests)
-    return links[0] if len(links) == 1 else check
+        run = _link(steps, x, None, _found)
+        return lambda row: run([*row, *pad])
+    return check
 
 
 def _read(x: Structure, delta: Optional[dict], name, mode: int) -> set:
@@ -304,12 +294,11 @@ def _agreeing(ts, repeats):
 
 
 def _link(steps: tuple[_Step, ...], x: Structure, delta: Optional[dict],
-          out: list) -> Callable:
-    """Chain the steps into one function of the slot list; it appends every
-    complete match to ``out`` as a tuple of slot values."""
-    def emit(vals):
-        out.append(tuple(vals))
-
+          emit: Callable) -> Callable:
+    """Chain the steps into one function of the slot list, ending in
+    ``emit``.  A step returns what its next step returns, and a scan or
+    probe returns ``True`` at the first next step that does: an ``emit``
+    that returns ``True`` stops the run at its first complete match."""
     run = emit
     for st in reversed(steps):
         run = _LINK[st.kind](st, x, delta, run)
@@ -324,7 +313,8 @@ def _link_scan(st: _Step, x, delta, nxt):
         for t in tuples:
             for c, s in binds:
                 vals[s] = t[c]
-            nxt(vals)
+            if nxt(vals):
+                return True
     return scan
 
 
@@ -345,7 +335,8 @@ def _link_probe(st: _Step, x, delta, nxt):
         for t in get(key(vals), ()):
             for c, s in binds:
                 vals[s] = t[c]
-            nxt(vals)
+            if nxt(vals):
+                return True
     return probe
 
 
@@ -354,7 +345,7 @@ def _link_test(st: _Step, x, delta, nxt):
 
     def test(vals):
         if key(vals) in members:
-            nxt(vals)
+            return nxt(vals)
     return test
 
 
@@ -363,7 +354,7 @@ def _link_same(st: _Step, x, delta, nxt):
 
     def same(vals):
         if vals[a] == vals[b]:
-            nxt(vals)
+            return nxt(vals)
     return same
 
 
@@ -372,7 +363,7 @@ def _link_copy(st: _Step, x, delta, nxt):
 
     def copy(vals):
         vals[dst] = vals[s]
-        nxt(vals)
+        return nxt(vals)
     return copy
 
 
@@ -389,10 +380,13 @@ def _rows(plan: _Plan, x: Structure, delta: Optional[dict] = None,
     vals = list(start)
     vals += [None] * (len(plan.vars) - len(vals))
     rows: list[tuple[El, ...]] = []
+
+    def emit(vals):
+        rows.append(tuple(vals))
     for steps in (plan.steps,) if delta is None else plan.variants:
         if delta is None or all(st.name in delta
                                 for st in steps if st.mode == _DELTA):
-            _link(steps, x, delta, rows)(vals)
+            _link(steps, x, delta, emit)(vals)
     return rows
 
 
@@ -520,8 +514,9 @@ def evaluate(t: Theory, x: Structure,
         for rule in rules:
             pending.append((rule, sorted(_failing(rule, result, delta))))
         for rule, rows in pending:
-            # A direct test reads the live relation sets, but a conclusion
-            # plan reads ``result`` as linked: an application drops it.
+            # A check of tests and sames reads the live relation sets, but
+            # one that scans or probes reads ``result`` as linked: an
+            # application drops it.
             extends = None
             for row in rows:
                 # The rows are canonical until the batch's first merge, and

@@ -39,8 +39,8 @@ from .core import RelDecl, Signature
 
 
 class ParseError(ValueError):
-    def __init__(self, message: str, line: int = 0, col: int = 0):
-        super().__init__(f"{line}:{col}: {message}" if line else message)
+    def __init__(self, message: str, line: int, col: int):
+        super().__init__(f"{line}:{col}: {message}")
         self.message = message
         self.line = line
         self.col = col

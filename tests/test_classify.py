@@ -380,6 +380,12 @@ class TestPhlClassifying:
     structure of its flattening, closed under ``functionality_theory``."""
 
     @staticmethod
+    def _flat(f, rel_sig):
+        """``f`` flattened, with fresh names that skip its variables'."""
+        return flatten_formula(
+            f, rel_sig, FreshVars({v.name for v in formula_vars(f)}))
+
+    @staticmethod
     def _unit(flat, sig):
         """The unit from the classifying structure of ``flat`` to its
         closure, and the interpretation in its domain."""
@@ -398,7 +404,7 @@ class TestPhlClassifying:
         x, y = Var("x", "M"), Var("y", "M")
         f = Formula((EqualAtom(App(op, (x, y)), x),
                      EqualAtom(App(op, (x, y)), y)))
-        _, interp = self._classify(flatten_formula(f, relationalize(sig)), sig)
+        _, interp = self._classify(self._flat(f, relationalize(sig)), sig)
         assert interp[x] == interp[y]
 
     def test_classifying_morphism_phl_valid(self):
@@ -418,7 +424,7 @@ class TestPhlClassifying:
         ft = functionality_theory(sig)
         s = MONOID.sequents[0]
         for f in (_COLLAPSE, s.premise & s.conclusion):
-            unit, _ = self._unit(flatten_formula(f, rel_sig), sig)
+            unit, _ = self._unit(self._flat(f, rel_sig), sig)
             assert not satisfies_theory(unit.dom, ft)
             assert satisfies_theory(unit.cod, ft)
 
@@ -427,9 +433,9 @@ class TestPhlClassifying:
         fails the sequent, and that of premise & conclusion satisfies it."""
         sig, rel_sig = MONOID.signature, relationalize(MONOID.signature)
         s = MONOID.sequents[0]
-        premise, _ = self._classify(flatten_formula(s.premise, rel_sig), sig)
+        premise, _ = self._classify(self._flat(s.premise, rel_sig), sig)
         both, _ = self._classify(
-            flatten_formula(s.premise & s.conclusion, rel_sig), sig)
+            self._flat(s.premise & s.conclusion, rel_sig), sig)
         assert not satisfies_phl(premise, s)
         assert satisfies_phl(both, s)
 
@@ -440,7 +446,7 @@ class TestPhlClassifying:
         sig, rel_sig = MONOID.signature, relationalize(MONOID.signature)
         ft = functionality_theory(sig)
         s = MONOID.sequents[0]
-        units = [self._unit(flatten_formula(f, rel_sig), sig)[0]
+        units = [self._unit(self._flat(f, rel_sig), sig)[0]
                  for f in (_COLLAPSE, s.premise & s.conclusion)]
         rng = random.Random(29)
         for _ in range(30):

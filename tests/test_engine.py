@@ -643,9 +643,8 @@ class TestUnmentionedRelations:
 
 
 class TestDirectCheck:
-    """The extension check of a rule without conclusion-only variables
-    tests the canonical premise row directly; it must agree with running
-    the conclusion plan from that row."""
+    """Every extension check runs the rule's conclusion plan from the
+    canonical premise row, and stops at the plan's first row."""
 
     def test_holds_equals_conclusion_plan(self):
         rng = random.Random(59)
@@ -660,22 +659,48 @@ class TestDirectCheck:
                 rule = _rule(s)
                 extends = rule.check(x)
                 for row in _rows(rule.premise, x):
-                    got = extends(row)
+                    # ``None`` is "does not extend" too.
+                    got = bool(extends(row))
                     assert got == bool(_rows(rule.conclusion, x, start=row))
                     seen[bool(rule.fresh), got] += 1
         # both verdicts, with and without conclusion-only variables
         assert min(seen.values()) > 40 and len(seen) == 4
 
-    def test_no_conclusion_plan_without_fresh_variables(self, links):
-        x = structure_from_edges(ANTISYMMETRY.signature, "Le", 4,
-                                 {(0, 1), (1, 0), (1, 2), (2, 3)})
-        for s in ANTISYMMETRY.sequents:
-            assert counterexample(x, s) is not None
-        res, _, rep = evaluate(ANTISYMMETRY, x)
-        assert sum(st.merges for st in rep.per_iteration) == 1
-        assert satisfies_theory(res, ANTISYMMETRY)
-        assert links and not any(links[_rule(s).conclusion.steps]
-                                 for s in ANTISYMMETRY.sequents)
+    def test_plan_without_fresh_slots_writes_no_slot(self):
+        """A conclusion plan with no conclusion-only slots has only
+        ``test`` and ``same`` steps, which read slots and write none, so
+        the check can run it on the premise row tuple unchanged."""
+        rng = random.Random(61)
+        kinds = Counter()
+        for i in range(400):
+            sig = random_signature(rng)
+            for s in random_theory(rng, sig, surjective=i % 2 == 0).sequents:
+                rule = _rule(s)
+                if not rule.fresh:
+                    assert len(rule.conclusion.vars) == len(rule.premise.vars)
+                    kinds.update(st.kind for st in rule.conclusion.steps)
+        assert set(kinds) == {"test", "same"} and min(kinds.values()) > 15
+
+    def test_check_stops_at_first_witness(self, monkeypatch):
+        """The check of ``E(x, y) => R(x, z)`` on a row whose ``x`` has
+        ``k`` witnesses ``R(x, z)`` reaches the end of the plan once."""
+        ends = []
+        link_probe = engine._LINK["probe"]
+
+        def counted_probe(st, x, delta, nxt):
+            def end(vals):
+                ends.append(tuple(vals))
+                return nxt(vals)
+            return link_probe(st, x, delta, end)
+        monkeypatch.setitem(engine._LINK, "probe", counted_probe)
+        for k in (5, 9):
+            x = structure_from_edges(EXISTENTIAL.signature, "R", k + 2,
+                                     {(0, z) for z in range(2, k + 2)})
+            a, b = x.elements("V")[:2]
+            x.add_tuple("E", (a, b))
+            ends.clear()
+            assert satisfies(x, EXISTENTIAL.sequents[0])
+            assert len(ends) == 1 and ends[0][:2] == (a, b)
 
     def test_fresh_variables_run_the_conclusion_plan(self, links):
         t = parse_theory("sort V;\npred E : V * V;\nrule v! => E(v, w);\n")
