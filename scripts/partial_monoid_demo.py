@@ -8,8 +8,8 @@ that the law forces together are merged, which the unit morphism
 reports.
 """
 
-from horneq import (EvalConfig, Structure, evaluate, flatten_theory,
-                    parse_theory, pretty_print)
+from horneq import (Structure, evaluate, flatten_theory, parse_theory,
+                    pretty_print)
 
 THEORY = """
 sort M;
@@ -31,10 +31,7 @@ def main() -> None:
     x.add_tuple("f", (a, b))
     x.add_tuple("f", (b, c))
 
-    # the source rule introduces no fresh conclusion variables, so the
-    # flattened theory is safe to run in epic-origin mode (the result is
-    # genuinely free, not just weakly free)
-    res, unit, report = evaluate(flat, x, EvalConfig(epic_origin=True))
+    res, unit, report = evaluate(flat, x)
     print(f"\ninput elements: 3, result elements: {res.element_count('M')}")
     print(f"unit injective: {unit.is_injective()} "
           f"(c was merged into a: {unit.apply(c) == unit.apply(a)})")

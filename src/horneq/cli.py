@@ -59,12 +59,18 @@ def cmd_check(args) -> int:
 
 def cmd_eval(args) -> int:
     t = _load_theory(args.theory)
-    rt, epic_origin = _prepare(t)
+    rt, all_epic = _prepare(t)
     x, input_names = _load_facts(args.facts, rt.signature)
     cfg = engine.EvalConfig(max_iterations=args.max_iterations,
-                            strategy=args.strategy,
-                            strictness="error" if args.strict else "warn",
-                            epic_origin=epic_origin)
+                            strategy=args.strategy)
+    # A sequent that is not epic keeps a conclusion-only variable when
+    # flattened; a flattened epic PHL theory has a free model.
+    if not all_epic:
+        message = ("theory has non-surjective sequents of unknown origin; "
+                   "the result is only weakly free")
+        if args.strict:
+            raise SignatureError(message)
+        warnings.warn(message)
     code = EXIT_OK
     try:
         result, unit, report = engine.evaluate(rt, x, cfg)
@@ -107,11 +113,10 @@ def cmd_satisfies(args) -> int:
     x, input_names = _load_facts(args.facts, rt.signature)
     # The first name of an element wins: declared names precede aliases.
     rev = {e: n for n, e in reversed(input_names.items())}
-    for s in rt.sequents:  # a plan error comes before any verdict
-        engine._rule(s)
+    # Every verdict first, so a plan error comes before any output.
+    found = [engine.counterexample(x, s) for s in rt.sequents]
     ok = True
-    for i, s in enumerate(rt.sequents):
-        m = engine.counterexample(x, s)
+    for i, m in enumerate(found):
         if m is None:
             print(f"sequent {i}: satisfied")
         else:

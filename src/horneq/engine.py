@@ -18,7 +18,6 @@ the loop and is carried along the unit once at the end, column by column.
 from __future__ import annotations
 
 import functools
-import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -46,16 +45,12 @@ class EvaluationBudgetError(RuntimeError):
 class EvalConfig:
     max_iterations: Optional[int] = None
     strategy: str = "seminaive"  # "seminaive" | "naive" (the reference)
-    strictness: str = "warn"  # "warn" | "error"
-    epic_origin: bool = False  # set by callers that flattened an epic PHL theory
 
     def __post_init__(self):
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.strategy not in ("naive", "seminaive"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.strictness not in ("warn", "error"):
-            raise ValueError(f"unknown strictness {self.strictness!r}")
 
 
 @dataclass
@@ -464,10 +459,12 @@ def evaluate(t: Theory, x: Structure,
     """Iterate the theory to a fixed point; returns the result, the unit
     morphism from the input, and a report.
 
-    The result is the free model for strong theories and one particular
-    weakly free model otherwise.  A relation no sequent mentions is carried
-    along the unit: in the result, and in a partial one, it is the image of
-    ``x``'s under the unit.
+    The result is one particular weakly free model, and the free model for
+    strong theories.  A theory with conclusion-only variables has a free
+    model when it is a flattened epic PHL theory; only the caller knows
+    where a theory came from, so ``evaluate`` never warns.  A relation no
+    sequent mentions is carried along the unit: in the result, and in a
+    partial one, it is the image of ``x``'s under the unit.
     """
     if not is_rhl(t):
         raise SignatureError("evaluate expects an RHL theory; flatten first")
@@ -477,13 +474,6 @@ def evaluate(t: Theory, x: Structure,
     rules = [_rule(s) for s in t.sequents]
     # An RHL sequent is surjective when its conclusion has no fresh variable.
     all_surjective = not any(rule.fresh for rule in rules)
-    if not all_surjective and not cfg.epic_origin:
-        message = ("theory has non-surjective sequents of unknown origin; "
-                   "the result is only weakly free")
-        if cfg.strictness == "error":
-            raise SignatureError(message)
-        warnings.warn(message, stacklevel=2)
-
     max_iterations = cfg.max_iterations
     if max_iterations is None and not all_surjective:
         max_iterations = DEFAULT_MAX_ITERATIONS

@@ -20,7 +20,7 @@ from horneq.classify import (classify_sequent, classifying_morphism,
                              flatten_sequent, flatten_theory, relationalize,
                              sequent_from_morphism, strengthen_theory)
 from horneq.core import Morphism, RelDecl, Signature, Structure
-from horneq.engine import EvalConfig, evaluate, satisfies, satisfies_theory
+from horneq.engine import evaluate, satisfies, satisfies_theory
 from horneq.facts import model_names, serialize_model
 from horneq.oracle import (enumerate_morphisms, find_isomorphism,
                            is_injective_to, is_orthogonal_to, satisfies_phl)
@@ -196,7 +196,7 @@ def _check_table_factorization(rt, x, models_by_k, rel3, rel1):
     one h : F(X) -> M satisfies h . unit = g.  The free model's carrier is
     covered by the unit, so h is forced; existence and forcedness are both
     asserted vectorized over all models at once."""
-    res, unit, rep = evaluate(rt, x, EvalConfig(epic_origin=True))
+    res, unit, rep = evaluate(rt, x)
     assert rep.fixed_point
     sort = rt.signature.sorts[0]
     fibers = {}
@@ -254,7 +254,7 @@ def _poset_models(max_k):
 
 
 def _check_poset_factorization(rt, x, models):
-    res, unit, rep = evaluate(rt, x, EvalConfig(epic_origin=True))
+    res, unit, rep = evaluate(rt, x)
     assert rep.fixed_point
     sort = "P"
     res_els = res.elements(sort)

@@ -1,7 +1,9 @@
+import argparse
 import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -10,11 +12,14 @@ from collections import Counter
 import pytest
 
 import horneq
-from horneq import engine
-from horneq.cli import main
+from horneq import cli, engine
+from horneq.cli import build_parser, main
 from horneq.engine import MAX_PLAN_STEPS
 from horneq.facts import parse_facts
-from horneq.syntax import parse_theory
+from horneq.syntax import (VacuousSequentWarning, formula_vars, parse_theory,
+                           pretty_print)
+
+from helpers import compile_style_text, random_signature, random_theory
 
 
 TRANSITIVITY = """sort V;
@@ -34,6 +39,9 @@ rule E(x, y) => R(x, z);
 """
 
 CHAIN = "sort V: a b c;\nE(a, b);\nE(b, c);\n"
+
+WEAK = ("theory has non-surjective sequents of unknown origin; the result "
+        "is only weakly free")
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -200,6 +208,53 @@ class TestEval:
         assert "merged:\n  c -> a" in out
 
 
+class TestWeakFreeness:
+    """``eval`` warns that its result is only weakly free, and exits 2
+    under ``--strict``, exactly when some sequent of the source theory has
+    a conclusion variable that its premise lacks.  A flattened PHL theory
+    whose sequents are all epic has a free model, though its flattening
+    has conclusion-only variables."""
+
+    def _texts(self, rng: random.Random):
+        for i in range(120):
+            if i % 3 == 2:
+                yield compile_style_text(
+                    rng, ("Z", "A", "M"),
+                    [("f", ("A",), "Z"), ("g", ("Z", "A"), "A"),
+                     ("c", (), "A"), ("m", ("A", "Z"), "M")],
+                    [("P", ("A",)), ("Q", ("A", "Z")), ("R", ("Z", "M"))],
+                    {"Z": ["z", "y"], "A": ["a", "x"], "M": ["m0"]})
+            else:
+                yield pretty_print(random_theory(rng, random_signature(rng),
+                                                 surjective=i % 3 == 0))
+
+    def test_warning_iff_a_source_sequent_is_not_epic(self, files, capsys):
+        seen = Counter()
+        for text in self._texts(random.Random(29)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", VacuousSequentWarning)
+                t = parse_theory(text)
+            weak = any(set(formula_vars(s.conclusion))
+                       - set(formula_vars(s.premise)) for s in t.sequents)
+            seen[weak, bool(t.signature.functions())] += 1
+            theory = files("t.hq", text)
+            facts = files("f.hq", "".join(f"sort {s}: e{i} f{i};\n" for i, s
+                                          in enumerate(t.signature.sorts)))
+            argv = ["eval", "--max-iterations", "2", "--emit-partial",
+                    theory, facts]
+            code, out, err = run(capsys, *argv)
+            assert code in (0, 3) and out, (text, err)
+            assert err.count(f"warning: {WEAK}\n") == weak, (text, err)
+            strict = run(capsys, *argv, "--strict")
+            if weak:
+                assert strict == (2, "", f"error: {WEAK}\n"), text
+            else:
+                assert strict == (code, out, err), text
+        # Both verdicts, on random and on flattened PHL theories.
+        assert sorted(seen) == [(False, False), (False, True), (True, False),
+                                (True, True)], seen
+
+
 class TestTransformAndFlatten:
     def test_flatten_round_trips(self, files, capsys):
         theory = files("t.hq", "sort M;\nfunc f : M -> M;\n"
@@ -279,9 +334,7 @@ class TestSatisfies:
                 (TRANSITIVITY, CHAIN, None),
                 (EXISTENTIAL, "sort V: a b c;\nE(a, b);\nE(a, c);\n", "_V_3")):
             theory = files("t.hq", text)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # not surjective
-                _, out, _ = run(capsys, "eval", theory, files("f.hq", facts))
+            _, out, _ = run(capsys, "eval", theory, files("f.hq", facts))
             assert fresh is None or f"R(a, {fresh});" in out
             closed = files("g.hq", out)
             code, _, _ = run(capsys, "satisfies", theory, closed)
@@ -322,6 +375,22 @@ class TestLongRules:
         assert code == 2 and out == ""
         assert err.startswith("error: 4:1: a formula of ")
         assert err.count("\n") == 1
+
+    def test_long_non_epic_rule_warns_before_plan_error(self, files,
+                                                        capsys):
+        """The verdict on weak freeness is read off the source theory
+        before any rule is compiled: a rule too long to plan that is not
+        epic gets the warning before the plan error, and under
+        ``--strict`` the strict error in its place."""
+        theory = files("t.hq", CHAIN_RULE.replace("E(x0, x1000)", "E(x0, z)"))
+        facts = files("f.hq", "sort V: a;\nE(a, a);\n")
+        code, out, err = run(capsys, "eval", theory, facts)
+        assert code == 2 and out == ""
+        warning, error = err.splitlines()
+        assert warning == f"warning: {WEAK}"
+        assert error.startswith("error: 3:1: a formula of ")
+        assert run(capsys, "eval", theory, facts, "--strict") == \
+            (2, "", f"error: {WEAK}\n")
 
     # The nested rule is not RHL, so ``transform`` rejects it anyway.
     @pytest.mark.parametrize("theory, argv", [
@@ -428,6 +497,39 @@ class TestReadmeExamples:
         assert names["a"] == names["c"] == names["d"] != names["b"]
         code, out, err = run(capsys, "satisfies", theory, facts)
         assert code == 0 and out.endswith("all satisfied\n") and err == ""
+
+
+def test_readme_matches_parser():
+    """The README's CLI section lists the subcommands, the ``transform``
+    kinds, the flags of ``eval`` with their choices, and the exit codes
+    that ``build_parser`` and ``cli`` define."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("\n## CLI\n"):text.index("\n## Library")]
+    start = section.index("```sh\n")
+    block = section[start:section.index("```\n", start + 6)]
+    paragraph = section[section.index("Flags of `eval`:"):]
+    paragraph = paragraph[:paragraph.index("\n\n")]
+    codes = section[section.index("Exit codes:"):]
+    codes = codes[:codes.index("\n\n")]
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+
+    def options(name):
+        return {a.option_strings[-1] if a.option_strings else a.dest: a
+                for a in sub.choices[name]._actions if a.dest != "help"}
+
+    assert re.findall(r"^horneq (\S+)", block, re.M) == list(sub.choices)
+    comments = block[block.index("horneq transform"):]
+    comments = comments[:comments.index("\nhorneq")]
+    kinds = " ".join(re.findall(r"# (.*)", comments)).split("|")
+    assert [k.strip() for k in kinds] == options("transform")["kind"].choices
+    flags = options("eval")
+    assert re.findall(r"`(--[a-z-]+)", paragraph) == \
+        [f for f in flags if f.startswith("--")]
+    for flag, choices in re.findall(r"`(--[a-z-]+) ([a-z|]+)`", paragraph):
+        assert set(choices.split("|")) == set(flags[flag].choices), flag
+    assert {int(c) for c in re.findall(r"`(\d+)`", codes)} == \
+        {v for k, v in vars(cli).items() if k.startswith("EXIT_")}
 
 
 class TestMutatedInputs:

@@ -396,7 +396,11 @@ def to_w() -> Morphism:
      ("SignatureError", "coproduct over mismatched signatures")),
     (lambda: pushout(Morphism.identity(Structure(SIG)),
                      Morphism.identity(Structure(TWO_SORTS))),
-     ("SignatureError", "pushout legs must share a domain signature")),
+     ("SignatureError", "pushout legs must share a domain")),
+    # Two domains over one signature: ``g`` would be read on ``f``'s.
+    (lambda: pushout(Morphism.identity(points(1)),
+                     Morphism.identity(points(2))),
+     ("SignatureError", "pushout legs must share a domain")),
 ])
 def test_core_rejections_and_refusals(call, want):
     """The checks of ``core`` that no other test reaches, each with its

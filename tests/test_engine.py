@@ -264,10 +264,8 @@ class TestEvaluate:
         t = parse_theory("sort V;\npred E : V * V;\nrule v! => E(v, w);\n")
         x = Structure(t.signature)
         x.add_element("V")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(EvaluationBudgetError) as err:
-                evaluate(t, x, EvalConfig(max_iterations=3))
+        with pytest.raises(EvaluationBudgetError) as err:
+            evaluate(t, x, EvalConfig(max_iterations=3))
         assert err.value.report.iterations == 3
         assert err.value.partial.element_count("V") > 1
 
@@ -281,7 +279,7 @@ class TestEvaluate:
         x = Structure(t.signature)
         x.add_element("V")
         with pytest.raises(EvaluationBudgetError) as err:
-            evaluate(t, x, EvalConfig(max_iterations=2, epic_origin=True))
+            evaluate(t, x, EvalConfig(max_iterations=2))
         assert err.value.partial.log is None
 
     def test_only_premise_relations_are_logged(self, monkeypatch):
@@ -304,23 +302,21 @@ class TestEvaluate:
         assert len(res.rels["P"]) == 15 and rep.iterations > 2
         assert keys and all(k == {"E"} for k in keys)
 
-    def test_nonsurjective_warns_and_strict_raises(self):
+    def test_nonsurjective_never_warns(self):
+        """Whether a result is free depends on where the theory came
+        from, which ``evaluate`` cannot see: it returns the model and
+        warns nothing."""
         t = parse_theory("sort V;\npred E : V * V;\nrule v! => E(v, w);\n")
         x = Structure(t.signature)
-        with pytest.warns(UserWarning):
-            evaluate(t, x)
-        with pytest.raises(SignatureError):
-            evaluate(t, x, EvalConfig(strictness="error"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            evaluate(t, x, EvalConfig(epic_origin=True))
+            res, _, rep = evaluate(t, x)
+        assert rep.fixed_point and res.element_count("V") == 0
 
     def test_skip_if_satisfied_avoids_fresh_elements(self):
         t = parse_theory("sort V;\npred E : V * V;\nrule v! => E(v, w);\n")
         x = structure_from_edges(t.signature, "E", 2, {(0, 1), (1, 0)})
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            res, _, rep = evaluate(t, x)
+        res, _, rep = evaluate(t, x)
         assert res.element_count("V") == 2
         assert rep.fixed_point
 
@@ -334,8 +330,8 @@ class TestEvaluate:
          ("ValueError", "max_iterations must be >= 1")),
         (lambda: EvalConfig(strategy="fast"),
          ("ValueError", "unknown strategy 'fast'")),
-        (lambda: EvalConfig(strictness="lax"),
-         ("ValueError", "unknown strictness 'lax'")),
+        (lambda: evaluate(TRANSITIVITY, Structure(ANTISYMMETRY.signature)),
+         ("SignatureError", "structure signature does not match the theory")),
         (lambda: evaluate(PHL, Structure(PHL.signature)),
          ("SignatureError", "evaluate expects an RHL theory; flatten first")),
     ])
@@ -403,12 +399,10 @@ class TestDifferential:
             for strategy in ("naive", "seminaive"):
                 cfg = EvalConfig(strategy=strategy,
                                  max_iterations=None if surjective else 3)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    try:
-                        res, unit, rep = evaluate(t, x, cfg)
-                    except EvaluationBudgetError as err:
-                        res, unit, rep = err.partial, err.unit, err.report
+                try:
+                    res, unit, rep = evaluate(t, x, cfg)
+                except EvaluationBudgetError as err:
+                    res, unit, rep = err.partial, err.unit, err.report
                 out_names, merged = model_names(res, names, unit)
                 texts.append(serialize_model(res, out_names, merged,
                                              report=report_dict(rep)))
@@ -485,12 +479,10 @@ class TestCompiledRules:
             runs = [reference_evaluate(t, x, limit)]
             for strategy in ("naive", "seminaive"):
                 cfg = EvalConfig(strategy=strategy, max_iterations=limit)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    try:
-                        runs.append(evaluate(t, x, cfg))
-                    except EvaluationBudgetError as err:
-                        runs.append((err.partial, err.unit, err.report))
+                try:
+                    runs.append(evaluate(t, x, cfg))
+                except EvaluationBudgetError as err:
+                    runs.append((err.partial, err.unit, err.report))
             texts = []
             for res, unit, rep in runs:
                 out_names, merged = model_names(res, names, unit)
@@ -572,12 +564,10 @@ class TestUnmentionedRelations:
                                  max_iterations=None if surjective else 2)
                 texts = []
                 for theory in (t, padded):
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore")
-                        try:
-                            res, unit, rep = evaluate(theory, x, cfg)
-                        except EvaluationBudgetError as err:
-                            res, unit, rep = err.partial, err.unit, err.report
+                    try:
+                        res, unit, rep = evaluate(theory, x, cfg)
+                    except EvaluationBudgetError as err:
+                        res, unit, rep = err.partial, err.unit, err.report
                     out_names, merged = model_names(res, names, unit)
                     texts.append(serialize_model(res, out_names, merged,
                                                  report=report_dict(rep)))
@@ -741,8 +731,7 @@ class TestDirectCheck:
         for s in reach.sequents:
             assert made[s] <= 2 * rep.iterations
         made.clear()
-        res, _, rep = evaluate(EXISTENTIAL, _path(12),
-                               EvalConfig(epic_origin=True))
+        res, _, rep = evaluate(EXISTENTIAL, _path(12))
         assert rep.iterations == 2 and rep.per_iteration[0].matches == 11
         assert made[EXISTENTIAL.sequents[0]] == rep.iterations + 11
 
@@ -829,8 +818,7 @@ class TestExistentialCheck:
     def test_counterexample_indexes_once(self, monkeypatch):
         """On the closed model of an n-node path, every premise row holds,
         and the one probe of ``R(x, z)`` is indexed once, not once a row."""
-        res, _, _ = evaluate(EXISTENTIAL, _path(50),
-                             EvalConfig(epic_origin=True))
+        res, _, _ = evaluate(EXISTENTIAL, _path(50))
         assert len(res.rels["R"]) == 49
         calls = []
         index = engine._index
@@ -848,7 +836,7 @@ class TestExistentialCheck:
         application must not be reused."""
         x = structure_from_edges(EXISTENTIAL.signature, "E", 3,
                                  {(0, 1), (0, 2)})
-        res, _, rep = evaluate(EXISTENTIAL, x, EvalConfig(epic_origin=True))
+        res, _, rep = evaluate(EXISTENTIAL, x)
         assert len(res.rels["R"]) == 1 and res.element_count("V") == 4
         assert [st.elements_created for st in rep.per_iteration] == [1, 0]
 
