@@ -35,14 +35,12 @@ def _load_facts(path: str, sig) -> tuple[Structure, dict]:
         return facts.parse_facts(f.read(), sig)
 
 
-def _prepare(t: Theory) -> tuple[Theory, bool]:
+def _prepare(t: Theory) -> Theory:
     """Flatten a theory whose signature has function symbols and append
-    their functionality sequents; reports whether every original sequent
-    was epic."""
-    all_epic = all(classify.classify_sequent(s).epic_phl for s in t.sequents)
+    their functionality sequents."""
     if is_rhl(t) and not t.signature.functions():
-        return t, all_epic
-    return classify.flatten_theory(t, with_functionality=True), all_epic
+        return t
+    return classify.flatten_theory(t, with_functionality=True)
 
 
 def cmd_check(args) -> int:
@@ -59,13 +57,13 @@ def cmd_check(args) -> int:
 
 def cmd_eval(args) -> int:
     t = _load_theory(args.theory)
-    rt, all_epic = _prepare(t)
+    rt = _prepare(t)
     x, input_names = _load_facts(args.facts, rt.signature)
     cfg = engine.EvalConfig(max_iterations=args.max_iterations,
                             strategy=args.strategy)
     # A sequent that is not epic keeps a conclusion-only variable when
     # flattened; a flattened epic PHL theory has a free model.
-    if not all_epic:
+    if not all(classify.classify_sequent(s).epic_phl for s in t.sequents):
         message = ("theory has non-surjective sequents of unknown origin; "
                    "the result is only weakly free")
         if args.strict:
@@ -109,7 +107,7 @@ def cmd_transform(args) -> int:
 
 def cmd_satisfies(args) -> int:
     t = _load_theory(args.theory)
-    rt, _ = _prepare(t)
+    rt = _prepare(t)
     x, input_names = _load_facts(args.facts, rt.signature)
     # The first name of an element wins: declared names precede aliases.
     rev = {e: n for n, e in reversed(input_names.items())}

@@ -17,10 +17,11 @@ stored tuple is on the use-list of each of its elements; an entry whose
 tuple is no longer stored is stale and skipped.  A merge therefore visits
 only the merged-away element's entries, and rewrites each live one.
 ``copy`` does not carry them, so a structure that is never merged never
-builds them.  While ``log`` is a dict from relation names to sets, each
-tuple newly stored in one of those relations joins its set, and no other
-relation is logged; a later merge may rewrite a logged tuple away.  Both
-are kept by ``store``, the one routine that adds to ``rels``, which
+builds them.  While ``log`` is a dict from relation names and carrier
+keys ``(sort,)`` to sets, each set holds exactly what its key gained since
+and still holds: the stored tuples, or the elements ``add_element`` made,
+as 1-tuples, that no merge took away; no other key is logged.  Both are
+kept by ``store``, the one routine that adds to ``rels``, which
 ``add_tuple`` and ``merge`` call with a canonical, sort-checked tuple, and
 by ``store_all``, which stores many such tuples of one relation at once.
 ``add_tuple`` and ``has_tuple`` get theirs from ``_check_tuple``, which
@@ -123,8 +124,8 @@ class Structure:
         # Built by the first merge; see the module docstring.
         self._uses: Optional[
             defaultdict[El, list[tuple[str, tuple[El, ...]]]]] = None
-        # When a dict, each new tuple of a relation it keys joins its set.
-        self.log: Optional[dict[str, set[tuple[El, ...]]]] = None
+        # When a dict, what each key gained; see the module docstring.
+        self.log: Optional[dict[object, set[tuple[El, ...]]]] = None
 
     # -- elements ----------------------------------------------------------
 
@@ -132,8 +133,11 @@ class Structure:
         parent = self._parent.get(sort)
         if parent is None:
             raise SignatureError(f"unknown sort {sort!r}")
-        parent.append(len(parent))
-        return El(sort, len(parent) - 1)
+        e = El(sort, len(parent))
+        parent.append(e.index)
+        if self.log is not None and (sort,) in self.log:
+            self.log[(sort,)].add((e,))
+        return e
 
     def find(self, e: El) -> El:
         """The canonical representative of ``e``; ``e`` itself if it is
@@ -250,11 +254,16 @@ class Structure:
                         uses[e].append(entry)
         keep, lose = (ra, rb) if ra.index < rb.index else (rb, ra)
         self._parent[a.sort][lose.index] = keep.index
+        log = self.log or {}
+        if (a.sort,) in log:
+            log[(a.sort,)].discard((lose,))
         for rel, t in uses.pop(lose, ()):
             tuples = self.rels[rel]
             if t not in tuples:
                 continue  # stale: an earlier merge rewrote it
             tuples.remove(t)
+            if rel in log:
+                log[rel].discard(t)
             # Every other component of t is still canonical.
             self.store(rel, tuple([keep if e == lose else e for e in t]))
         return keep

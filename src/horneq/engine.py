@@ -7,9 +7,9 @@ fresh elements.  Matches whose conclusion already holds are dropped before
 the batch is sorted, and skipped when an earlier application made it hold,
 which keeps fresh-element creation bounded for non-surjective sequents.
 Evaluation stops at the first iteration that changes nothing.  Semi-naive
-evaluation then matches only along the last batch's delta: for each relation
-a premise reads, the tuples ``Structure.log`` took in that are still stored,
-and for each sort, its new canonical elements as 1-tuples under ``(sort,)``.
+evaluation then matches only along the last batch's delta, which is
+``Structure.log`` as it stands: for each relation or carrier a premise reads
+as delta, what the batch added to it that is still there.
 A relation no sequent mentions is empty in every classifying structure, so
 in the result it is the image of the input's under the unit: it stays out of
 the loop and is carried along the unit once at the end, column by column.
@@ -408,8 +408,20 @@ def _failing(rule: _Rule, x: Structure, delta: Optional[dict]) -> list:
 
 def counterexample(x: Structure, s: Sequent) -> Optional[dict[Var, El]]:
     """The first premise interpretation, in ``find_matches`` order, that
-    does not extend over the conclusion; ``None`` if there is none."""
+    does not extend over the conclusion; ``None`` if there is none.  A
+    relation or sort of ``s`` that ``x``'s signature lacks, or declares
+    with other sorts, is refused."""
     rule = _rule(s)
+    for a in s.premise.atoms + s.conclusion.atoms:
+        if isinstance(a, RelAtom):
+            have = x.sig.relation(a.rel.name).arity
+            if have != a.rel.arity:
+                raise SignatureError(
+                    f"relation {a.rel.name!r} has sorts {a.rel.arity} in "
+                    f"the sequent but {have} in the structure")
+    for v in rule.conclusion.vars:
+        if v.sort not in x.sig.sorts:
+            raise SignatureError(f"unknown sort {v.sort!r}")
     row = min(_failing(rule, x, None), default=None)
     return None if row is None else dict(zip(rule.premise.vars, row))
 
@@ -434,7 +446,7 @@ def apply_match(x: Structure, rule: _Rule, row: tuple[El, ...],
     The conclusion-only slots get fresh elements, in slot order.  The row
     is kept canonical across each merge, so its tuples go to ``x.store``
     unchecked.  The tuples, merges and elements it makes are counted into
-    ``stats``; what it stores is also logged when ``x.log`` logs it."""
+    ``stats``, and ``x.log`` keeps what it adds under the keys it logs."""
     full = list(row) + [x.add_element(sort) for sort in rule.fresh]
     stats.elements_created += len(rule.fresh)
     for name, slots in rule.heads:
@@ -489,14 +501,13 @@ def evaluate(t: Theory, x: Structure,
     seminaive = cfg.strategy == "seminaive"
     delta: Optional[dict] = None
     if seminaive:
-        # Only the relations some premise reads are logged.
-        result.log = {a.rel.name: set() for s in t.sequents
-                      for a in s.premise.atoms if isinstance(a, RelAtom)}
+        # Only what some premise variant reads as delta is logged.
+        result.log = {st.name: set() for rule in rules
+                      for steps in rule.premise.variants
+                      for st in steps if st.mode == _DELTA}
 
-    sorts = t.signature.sorts
     while True:
         stats = IterationStats()
-        counts = [result.raw_count(s) for s in sorts]
         # Every premise is matched and checked before any conclusion is
         # applied, so both read ``result`` itself.  A row that holds now
         # still holds at its turn: it is dropped before the sort.
@@ -527,18 +538,8 @@ def evaluate(t: Theory, x: Structure,
             report.fixed_point = True
             break
         if seminaive:
-            # The log holds every tuple stored in this batch; those a later
-            # merge rewrote away drop out in place, so no second set is
-            # kept.  The new elements join under their carrier keys.
-            rels, find = result.rels, result.find
-            for r, new in result.log.items():
-                new &= rels[r]
-            delta = {r: new for r, new in result.log.items() if new}
-            for s, n in zip(sorts, counts):
-                if n < result.raw_count(s):
-                    delta[(s,)] = {(find(El(s, i)),)
-                                   for i in range(n, result.raw_count(s))}
-            result.log = {r: set() for r in result.log}
+            delta = {k: new for k, new in result.log.items() if new}
+            result.log = {k: set() for k in result.log}
         if max_iterations is not None and report.iterations >= max_iterations:
             break
 

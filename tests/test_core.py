@@ -182,26 +182,27 @@ class TestMergeDifferential:
         scan.  Tuples may name merged-away elements, and merges hit copies
         of merged structures (which start without use-lists) as well as
         merged structures after a copy was taken.  Each structure logs
-        every relation from its creation on: its logged tuples still
-        stored are exactly the tuples stored since, and what a merge newly
+        every relation and carrier from its creation on.  After every
+        operation each relation's log is exactly the tuples stored now
+        that were not stored then, and each carrier's log is exactly the
+        elements added since that are still canonical; what a merge newly
         logs lies within what it rewrote, all of which is logged."""
         merges_on_copies = merges_after_copy = 0
-
-        def stored(x):
-            return {(r, t) for r, ts in x.rels.items() for t in ts}
 
         def logged(x):
             return {(r, t) for r, ts in x.log.items() for t in ts}
 
         def log_all(x):
             x.log = {r.name: set() for r in x.sig.relations}
+            x.log.update({(s,): set() for s in x.sig.sorts})
+            return ({r: set(ts) for r, ts in x.rels.items()},
+                    {s: x.raw_count(s) for s in x.sig.sorts})
 
         for seed in range(300):
             rng = random.Random(seed)
             sig = random_signature(rng, max_sorts=2, max_rels=3)
             pairs = [(Structure(sig), Structure(sig))]
-            log_all(pairs[0][0])
-            at_start = {id(pairs[0][0]): set()}
+            at_start = {id(pairs[0][0]): log_all(pairs[0][0])}
             merged, copies_of_merged, copied = set(), set(), set()
             for _ in range(50):
                 x, ref = rng.choice(pairs)
@@ -233,16 +234,19 @@ class TestMergeDifferential:
                 else:
                     y = x.copy()
                     assert y.log is None
-                    log_all(y)
-                    at_start[id(y)] = stored(y)
+                    at_start[id(y)] = log_all(y)
                     if id(x) in merged:
                         copies_of_merged.add(id(y))
                         copied.add(id(x))
                     pairs.append((y, ref.copy()))
                 assert x.rels == ref.rels
                 assert x.is_canonical()
-                assert ({(r, t) for r, t in logged(x) if t in x.rels[r]}
-                        == stored(x) - at_start[id(x)])
+                rels, counts = at_start[id(x)]
+                for r, ts in x.rels.items():
+                    assert x.log[r] == ts - rels[r]
+                for s, n in counts.items():
+                    assert x.log[(s,)] == {(e,) for e in x.elements(s)
+                                           if e.index >= n}
         assert merges_on_copies > 100 and merges_after_copy > 100
 
 

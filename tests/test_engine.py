@@ -19,8 +19,8 @@ from horneq.engine import (_DELTA, _FULL, _OLD, MAX_PLAN_STEPS, EvalConfig,
                            satisfies, satisfies_theory)
 from horneq.facts import model_names, report_dict, serialize_model
 from horneq.oracle import is_injective_to, is_orthogonal_to, satisfies_phl
-from horneq.syntax import (EqualAtom, Formula, RelAtom, Sequent, Theory, Var,
-                           parse_theory, sequent_vars)
+from horneq.syntax import (DefinedAtom, EqualAtom, Formula, RelAtom, Sequent,
+                           Theory, Var, parse_theory, sequent_vars)
 
 from helpers import (call_outcome, random_sequent, random_signature,
                      random_structure, random_theory, reference_evaluate,
@@ -42,6 +42,11 @@ rule Le(u, v) & Le(v, w) => Le(u, w);
 """)
 
 SIG = TRANSITIVITY.signature
+
+# Read on a structure whose ``R`` is ternary and which lacks ``P``.
+MISFIT = parse_theory("sort V;\npred R : V * V;\npred P : V;\npred Q : V;\n"
+                      "rule R(x, y) => Q(x);\nrule R(x, y) => Q(y);\n"
+                      "rule P(x) => Q(x);\n")
 
 # Outside RHL: a function symbol.
 PHL = parse_theory("sort M;\nfunc f : M -> M;\nrule f(x)! => f(x) = x;\n")
@@ -138,6 +143,30 @@ class TestSatisfaction:
         assert not satisfies(x, s)
         x.merge(*x.elements("V"))
         assert satisfies(x, s)
+
+    @pytest.mark.parametrize("s, want", [
+        (MISFIT.sequents[0], "relation 'R' has sorts ('V', 'V') in the "
+         "sequent but ('V', 'V', 'V') in the structure"),
+        (MISFIT.sequents[1], "relation 'R' has sorts ('V', 'V') in the "
+         "sequent but ('V', 'V', 'V') in the structure"),
+        (MISFIT.sequents[2], "unknown relation 'P'"),
+        (Sequent(Formula((DefinedAtom(Var("w", "W")),)), Formula()),
+         "unknown sort 'W'"),
+    ], ids=["arity", "other-column", "relation", "sort"])
+    def test_signature_rejections(self, s, want):
+        """A sequent whose relations or sorts the structure lacks, or
+        declares with other sorts, is refused by ``counterexample``,
+        ``satisfies`` and ``satisfies_theory`` before any matching: a
+        binary ``R`` matched on a ternary one would read two columns."""
+        sig = Signature(("V",), (RelDecl("R", ("V", "V", "V")),
+                                 RelDecl("Q", ("V",))))
+        x = Structure(sig)
+        a, b, c = (x.add_element("V") for _ in range(3))
+        x.add_tuple("R", (a, b, c))
+        x.add_tuple("Q", (a,))
+        for call in (lambda: counterexample(x, s), lambda: satisfies(x, s),
+                     lambda: satisfies_theory(x, Theory(sig, (s,)))):
+            assert call_outcome(call) == ("SignatureError", want)
 
 
 class TestEvaluate:
@@ -285,12 +314,8 @@ class TestEvaluate:
     def test_only_premise_relations_are_logged(self, monkeypatch):
         """Reachability into ``P``, which no premise reads: at every
         matching call of semi-naive evaluation the log keys ``E`` alone,
-        so no tuple of ``P`` is ever logged."""
-        t = parse_theory("sort V;\npred E : V * V;\npred P : V * V;\n"
-                         "rule E(x, y) => P(x, y);\n"
-                         "rule E(x, y) & E(y, z) => E(x, z);\n")
-        x = structure_from_edges(t.signature, "E", 6,
-                                 {(i, i + 1) for i in range(5)})
+        so no tuple of ``P`` is ever logged.  A premise that reads ``v!``
+        adds the carrier key ``("V",)``."""
         keys = []
         rows = engine._rows
 
@@ -298,9 +323,17 @@ class TestEvaluate:
             keys.append(set(y.log))
             return rows(plan, y, *args)
         monkeypatch.setattr(engine, "_rows", recorded)
-        res, _, rep = evaluate(t, x)
-        assert len(res.rels["P"]) == 15 and rep.iterations > 2
-        assert keys and all(k == {"E"} for k in keys)
+        for premise, want in (("E(x, y)", {"E"}),
+                              ("x! & E(x, y)", {"E", ("V",)})):
+            t = parse_theory("sort V;\npred E : V * V;\npred P : V * V;\n"
+                             f"rule {premise} => P(x, y);\n"
+                             "rule E(x, y) & E(y, z) => E(x, z);\n")
+            x = structure_from_edges(t.signature, "E", 6,
+                                     {(i, i + 1) for i in range(5)})
+            keys.clear()
+            res, _, rep = evaluate(t, x)
+            assert len(res.rels["P"]) == 15 and rep.iterations > 2
+            assert keys and all(k == want for k in keys)
 
     def test_nonsurjective_never_warns(self):
         """Whether a result is free depends on where the theory came
@@ -412,37 +445,56 @@ class TestDifferential:
         """The output depends only on the input: ``eval`` under three
         ``PYTHONHASHSEED`` values and both strategies writes the same
         bytes, on a run that makes fresh elements and merges."""
-        theory = ("sort V;\npred E : V * V;\npred R : V * V;\n"
-                  "rule E(x, y) => R(y, z);\n"
-                  "rule R(x, z) & R(x, w) => z = w;\n"
-                  "rule R(x, z) & E(x, y) => E(z, y);\n"
-                  "rule E(x, y) & E(y, x) => x = y;\n")
-        rng = random.Random(3)
-        names = " ".join(f"v{i}" for i in range(12))
-        facts = f"sort V: {names};\n" + "".join(
-            f"E(v{rng.randrange(12)}, v{rng.randrange(12)});\n"
-            for _ in range(20))
-        (tmp_path / "t.hq").write_text(theory)
-        (tmp_path / "f.hq").write_text(facts)
-        argv = ["eval", str(tmp_path / "t.hq"), str(tmp_path / "f.hq"),
-                "--report", "--max-iterations", "4", "--emit-partial"]
-        src = str(pathlib.Path(horneq.__file__).parents[1])
-        outputs = set()
-        for seed in ("0", "1", "2"):
-            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
-            for strategy in ("naive", "seminaive"):
-                done = subprocess.run(
-                    [sys.executable, "-c",
-                     "import sys; from horneq.cli import main; "
-                     "sys.exit(main())", *argv, "--strategy", strategy],
-                    capture_output=True, text=True, env=env)
-                outputs.add((done.returncode, done.stdout, done.stderr))
-        assert len(outputs) == 1
-        (code, out, _), = outputs
-        assert code == 0 and "fixed_point: True" in out
-        stats = re.findall(r"merges=(\d+) elements_created=(\d+)", out)
-        assert sum(int(m) for m, _ in stats) > 0
-        assert sum(int(e) for _, e in stats) > 0
+        _assert_eval_independent_of_hash_seed(
+            tmp_path, "sort V;\npred E : V * V;\npred R : V * V;\n"
+            "rule E(x, y) => R(y, z);\n"
+            "rule R(x, z) & R(x, w) => z = w;\n"
+            "rule R(x, z) & E(x, y) => E(z, y);\n"
+            "rule E(x, y) & E(y, x) => x = y;\n")
+
+    def test_carrier_delta_independent_of_hash_seed(self, tmp_path):
+        """As above, on premises that read the carrier with ``v!``, and
+        fresh elements that merge into old ones, so the carrier delta,
+        read from a set, lacks them in the next iteration."""
+        _assert_eval_independent_of_hash_seed(
+            tmp_path, "sort V;\npred E : V * V;\npred R : V * V;\n"
+            "pred S : V * V;\n"
+            "rule v! & E(v, y) => R(v, z);\n"
+            "rule R(x, z) & E(x, y) => z = y;\n"
+            "rule R(x, z) & R(x, w) => z = w;\n"
+            "rule v! & w! & R(v, w) => S(w, v);\n")
+
+
+def _assert_eval_independent_of_hash_seed(tmp_path, theory):
+    """``eval`` of ``theory`` on 20 seeded edges writes the same bytes
+    under three ``PYTHONHASHSEED`` values and both strategies, reaches a
+    fixed point, and merges and makes fresh elements on the way."""
+    rng = random.Random(3)
+    names = " ".join(f"v{i}" for i in range(12))
+    facts = f"sort V: {names};\n" + "".join(
+        f"E(v{rng.randrange(12)}, v{rng.randrange(12)});\n"
+        for _ in range(20))
+    (tmp_path / "t.hq").write_text(theory)
+    (tmp_path / "f.hq").write_text(facts)
+    argv = ["eval", str(tmp_path / "t.hq"), str(tmp_path / "f.hq"),
+            "--report", "--max-iterations", "4", "--emit-partial"]
+    src = str(pathlib.Path(horneq.__file__).parents[1])
+    outputs = set()
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        for strategy in ("naive", "seminaive"):
+            done = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from horneq.cli import main; "
+                 "sys.exit(main())", *argv, "--strategy", strategy],
+                capture_output=True, text=True, env=env)
+            outputs.add((done.returncode, done.stdout, done.stderr))
+    assert len(outputs) == 1
+    (code, out, _), = outputs
+    assert code == 0 and "fixed_point: True" in out
+    stats = re.findall(r"merges=(\d+) elements_created=(\d+)", out)
+    assert sum(int(m) for m, _ in stats) > 0
+    assert sum(int(e) for _, e in stats) > 0
 
 
 def _merge_some(rng, x):
