@@ -160,10 +160,6 @@ class Structure:
             parent[i], i = root, parent[i]
         return El(e.sort, root)
 
-    def raw_count(self, sort: str) -> int:
-        """Number of allocated indices, including merged-away ones."""
-        return len(self._parent[sort])
-
     def elements(self, sort: str) -> list[El]:
         """Canonical elements of a sort, in index order."""
         return [El(sort, i) for i, p in enumerate(self._parent[sort])
@@ -171,9 +167,6 @@ class Structure:
 
     def element_count(self, sort: str) -> int:
         return len(self.elements(sort))
-
-    def total_element_count(self) -> int:
-        return sum(self.element_count(s) for s in self.sig.sorts)
 
     # -- tuples ------------------------------------------------------------
 
@@ -195,9 +188,6 @@ class Structure:
                 raise SignatureError(f"{rel}: element {e} not in structure")
             out.append(e if parent[e.index] == e.index else self.find(e))
         return tuple(out)
-
-    def canonical(self, t: tuple[El, ...]) -> tuple[El, ...]:
-        return tuple([self.find(e) for e in t])
 
     def store(self, rel: str, ct: tuple[El, ...]) -> bool:
         """Store the canonical, checked ``ct``; ``False`` if already stored."""
@@ -278,13 +268,6 @@ class Structure:
                     for r, ts in self.rels.items()}
         return new
 
-    def is_canonical(self) -> bool:
-        return all(
-            t == self.canonical(t)
-            for ts in self.rels.values()
-            for t in ts
-        )
-
     def __repr__(self):
         counts = {s: self.element_count(s) for s in self.sig.sorts}
         sizes = {r: len(ts) for r, ts in self.rels.items() if ts}
@@ -306,20 +289,6 @@ class Morphism:
     def apply_tuple(self, t: tuple[El, ...]) -> tuple[El, ...]:
         return tuple(self.apply(e) for e in t)
 
-    def check_valid(self) -> None:
-        for s in self.dom.sig.sorts:
-            for e in self.dom.elements(s):
-                if e not in self.mapping:
-                    raise SignatureError(f"morphism undefined on {e}")
-                if self.mapping[e].sort != s:
-                    raise SignatureError(f"morphism not sort-preserving at {e}")
-        for rel, tuples in self.dom.rels.items():
-            for t in tuples:
-                if not self.cod.has_tuple(rel, self.apply_tuple(t)):
-                    raise SignatureError(
-                        f"morphism does not preserve {rel}{t}"
-                    )
-
     def is_injective(self) -> bool:
         for s in self.dom.sig.sorts:
             images = [self.apply(e) for e in self.dom.elements(s)]
@@ -333,18 +302,6 @@ class Morphism:
             if images != set(self.cod.elements(s)):
                 return False
         return True
-
-    def compose(self, other: "Morphism") -> "Morphism":
-        """Return self after other (``self . other``)."""
-        mapping = {e: self.apply(other.apply(e))
-                   for s in other.dom.sig.sorts
-                   for e in other.dom.elements(s)}
-        return Morphism(other.dom, self.cod, mapping)
-
-    @staticmethod
-    def identity(x: Structure) -> "Morphism":
-        return Morphism(x, x, {e: e for s in x.sig.sorts
-                               for e in x.elements(s)})
 
     def __repr__(self):
         return f"Morphism({dict(sorted(self.mapping.items()))})"

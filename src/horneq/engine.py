@@ -385,6 +385,21 @@ def _rows(plan: _Plan, x: Structure, delta: Optional[dict] = None,
     return rows
 
 
+def _fit(x: Structure, f: Formula, vs: tuple[Var, ...]) -> None:
+    """Refuse a relation of ``f`` that ``x``'s signature lacks or declares
+    with other sorts, and a variable of ``vs`` whose sort it lacks."""
+    for a in f.atoms:
+        if isinstance(a, RelAtom):
+            have = x.sig.relation(a.rel.name).arity
+            if have != a.rel.arity:
+                raise SignatureError(
+                    f"relation {a.rel.name!r} has sorts {a.rel.arity} in "
+                    f"the sequent but {have} in the structure")
+    for v in vs:
+        if v.sort not in x.sig.sorts:
+            raise SignatureError(f"unknown sort {v.sort!r}")
+
+
 def find_matches(f: Formula, x: Structure, delta: Optional[dict] = None,
                  binding: Optional[dict[Var, El]] = None) -> Iterator[dict[Var, El]]:
     """All interpretations of an RHL formula in ``x``, sorted into
@@ -392,9 +407,15 @@ def find_matches(f: Formula, x: Structure, delta: Optional[dict] = None,
     carrier keys ``(sort,)`` to nonempty sets of tuples in ``x``, as
     ``evaluate`` makes it, only interpretations touching one of those
     tuples are yielded.  ``binding`` pre-binds variables, ``f``'s or not;
-    they lead every yielded dict."""
+    they lead every yielded dict.  ``f``, or a binding, that does not fit
+    ``x``'s signature is refused, as by ``counterexample``."""
     start = {v: x.find(e) for v, e in binding.items()} if binding else {}
+    for v, e in start.items():
+        if e.sort != v.sort:
+            raise SignatureError(f"variable {v.name!r} of sort {v.sort!r} "
+                                 f"bound to {e}")
     plan = _plan(f, tuple(start))
+    _fit(x, f, plan.vars)
     for row in sorted(_rows(plan, x, delta, tuple(start.values()))):
         yield dict(zip(plan.vars, row))
 
@@ -412,16 +433,7 @@ def counterexample(x: Structure, s: Sequent) -> Optional[dict[Var, El]]:
     relation or sort of ``s`` that ``x``'s signature lacks, or declares
     with other sorts, is refused."""
     rule = _rule(s)
-    for a in s.premise.atoms + s.conclusion.atoms:
-        if isinstance(a, RelAtom):
-            have = x.sig.relation(a.rel.name).arity
-            if have != a.rel.arity:
-                raise SignatureError(
-                    f"relation {a.rel.name!r} has sorts {a.rel.arity} in "
-                    f"the sequent but {have} in the structure")
-    for v in rule.conclusion.vars:
-        if v.sort not in x.sig.sorts:
-            raise SignatureError(f"unknown sort {v.sort!r}")
+    _fit(x, s.premise & s.conclusion, rule.conclusion.vars)
     row = min(_failing(rule, x, None), default=None)
     return None if row is None else dict(zip(rule.premise.vars, row))
 

@@ -215,6 +215,48 @@ def transitive_closure(n: int, edges: set[tuple[int, int]]
     return reach
 
 
+# -- structures and morphisms, beyond what the library needs ---------------
+
+
+def raw_count(x: Structure, sort: str) -> int:
+    """Number of indices ``x`` allocated in ``sort``, merged-away ones
+    included."""
+    return len(x._parent[sort])
+
+
+def element_total(x: Structure) -> int:
+    """Number of canonical elements of ``x``, over all sorts."""
+    return sum(x.element_count(s) for s in x.sig.sorts)
+
+
+def is_canonical(x: Structure) -> bool:
+    """Whether every stored tuple of ``x`` holds only canonical elements."""
+    return all(x.find(e) == e for ts in x.rels.values() for t in ts
+               for e in t)
+
+
+def is_homomorphism(f: Morphism) -> bool:
+    """Whether ``f`` is defined and sort-preserving on every element of its
+    domain, and maps every tuple of its domain to one of its codomain."""
+    for s in f.dom.sig.sorts:
+        for e in f.dom.elements(s):
+            if e not in f.mapping or f.mapping[e].sort != s:
+                return False
+    return all(f.cod.has_tuple(rel, f.apply_tuple(t))
+               for rel, ts in f.dom.rels.items() for t in ts)
+
+
+def identity(x: Structure) -> Morphism:
+    return Morphism(x, x, {e: e for s in x.sig.sorts for e in x.elements(s)})
+
+
+def compose(g: Morphism, f: Morphism) -> Morphism:
+    """``g`` after ``f``."""
+    return Morphism(f.dom, g.cod, {e: g.apply(f.apply(e))
+                                   for s in f.dom.sig.sorts
+                                   for e in f.dom.elements(s)})
+
+
 def all_isomorphisms(a: Structure, b: Structure) -> Iterator[Morphism]:
     for s in a.sig.sorts:
         if len(a.elements(s)) != len(b.elements(s)):
@@ -223,20 +265,17 @@ def all_isomorphisms(a: Structure, b: Structure) -> Iterator[Morphism]:
         if not m.is_injective():
             continue
         inverse = {e2: e1 for e1, e2 in m.mapping.items()}
-        try:
-            Morphism(b, a, inverse).check_valid()
-        except Exception:
-            continue
-        yield m
+        if is_homomorphism(Morphism(b, a, inverse)):
+            yield m
 
 
 def morphisms_isomorphic(f: Morphism, g: Morphism) -> bool:
     """Commuting-square isomorphism of arrows: isos i on domains and j on
     codomains with j . f = g . i."""
     for i in all_isomorphisms(f.dom, g.dom):
-        gi = g.compose(i)
+        gi = compose(g, i)
         for j in all_isomorphisms(f.cod, g.cod):
-            if j.compose(f).mapping == gi.mapping:
+            if compose(j, f).mapping == gi.mapping:
                 return True
     return False
 
@@ -328,7 +367,7 @@ def full_scan_merge(x: Structure, a: El, b: El
         for t in touched:
             tuples.discard(t)
         for t in touched:
-            ct = x.canonical(t)
+            ct = tuple(x.find(e) for e in t)
             if ct not in tuples:
                 tuples.add(ct)
                 rewritten.add((rel, ct))

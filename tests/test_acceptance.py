@@ -29,9 +29,10 @@ from horneq.syntax import (App, DefinedAtom, EqualAtom, Formula, RelAtom,
 from horneq.transform import (diagonal_embed, epic_transform, quotient_model,
                               setoid_transform, sparse_setoid_transform)
 
-from helpers import (enumerate_structures, morphisms_isomorphic,
-                     random_sequent, random_signature, random_structure,
-                     random_theory, structure_from_edges, transitive_closure)
+from helpers import (element_total, enumerate_structures, is_homomorphism,
+                     morphisms_isomorphic, random_sequent, random_signature,
+                     random_structure, random_theory, structure_from_edges,
+                     transitive_closure)
 
 
 @contextmanager
@@ -264,9 +265,7 @@ def _check_poset_factorization(rt, x, models):
             count = 0
             for images in itertools.product(mels, repeat=len(res_els)):
                 h = Morphism(res, m, dict(zip(res_els, images)))
-                try:
-                    h.check_valid()
-                except Exception:
+                if not is_homomorphism(h):
                     continue
                 if all(h.apply(unit.apply(e)) == g.apply(e)
                        for e in x.elements(sort)):
@@ -311,12 +310,12 @@ def test_criterion_05_surjective_termination():
             t = random_theory(rng, sig, surjective=True)
             assert all(classify_sequent(s).surjective for s in t.sequents)
             x = random_structure(rng, sig, max_elements=3)
-            while x.total_element_count() > 6:
+            while element_total(x) > 6:
                 x = random_structure(rng, sig, max_elements=3)
             res, _, rep = evaluate(t, x)  # no iteration bound applies
             assert rep.fixed_point
             assert sum(s.elements_created for s in rep.per_iteration) == 0
-            assert res.total_element_count() <= x.total_element_count()
+            assert element_total(res) <= element_total(x)
 
 
 def test_criterion_06_setoid_pipeline_equivalence():
@@ -327,7 +326,7 @@ def test_criterion_06_setoid_pipeline_equivalence():
             sig = random_signature(rng)
             t = random_theory(rng, sig, surjective=True)
             x = random_structure(rng, sig, max_elements=2)
-            while x.total_element_count() > 5:
+            while element_total(x) > 5:
                 x = random_structure(rng, sig, max_elements=2)
             direct, _, _ = evaluate(t, x)
             for fn in (setoid_transform, sparse_setoid_transform):

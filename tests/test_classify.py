@@ -18,8 +18,9 @@ from horneq.syntax import (App, DefinedAtom, EqualAtom, Formula, RelAtom,
                            formula_vars, parse_theory, pretty_print)
 
 from helpers import (call_outcome, compile_style_text, enumerate_structures,
-                     morphisms_isomorphic, random_signature, random_structure,
-                     random_theory, reference_strengthen_theory)
+                     identity, is_homomorphism, morphisms_isomorphic,
+                     random_signature, random_structure, random_theory,
+                     reference_strengthen_theory)
 
 
 TRANSITIVITY = parse_theory("""
@@ -102,7 +103,7 @@ class TestClassifyingStructures:
         assert f.dom.total_tuple_count() == 2
         assert f.cod.total_tuple_count() == 3
         assert f.is_injective() and f.is_surjective()
-        f.check_valid()
+        assert is_homomorphism(f)
 
     def test_classifying_morphism_merges_on_equality_conclusion(self):
         t = parse_theory("sort V;\npred E : V * V;\n"
@@ -160,7 +161,7 @@ class TestSequentFromMorphism:
     def test_identity_gives_trivial_conclusion(self):
         sig = TRANSITIVITY.signature
         x = random_structure(random.Random(1), sig)
-        s = sequent_from_morphism(Morphism.identity(x))
+        s = sequent_from_morphism(identity(x))
         assert s.conclusion.atoms == ()
 
     @pytest.mark.parametrize("text, printed", [
@@ -187,7 +188,7 @@ class TestSequentFromMorphism:
         for a, b in zip(els, els[1:]):
             x.add_tuple("E", (a, b))
         start = time.perf_counter()
-        s = sequent_from_morphism(Morphism.identity(x))
+        s = sequent_from_morphism(identity(x))
         assert time.perf_counter() - start < 1.0
         assert len(s.premise.atoms) == 2000 + 1999
         assert s.conclusion.atoms == ()
@@ -414,7 +415,7 @@ class TestPhlClassifying:
         cod, cod_interp = self._classify(flat.premise & flat.conclusion, sig)
         f = Morphism(dom, cod,
                      {e: cod_interp[v] for v, e in dom_interp.items()})
-        f.check_valid()
+        assert is_homomorphism(f)
         assert f.is_surjective()
 
     def test_closure_is_functional(self):

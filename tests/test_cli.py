@@ -502,7 +502,8 @@ class TestReadmeExamples:
 def test_readme_matches_parser():
     """The README's CLI section lists the subcommands, the ``transform``
     kinds, the flags of ``eval`` with their choices, and the exit codes
-    that ``build_parser`` and ``cli`` define."""
+    that ``build_parser`` and ``cli`` define; its Library section gives
+    the default iteration budget."""
     text = README.read_text(encoding="utf-8")
     section = text[text.index("\n## CLI\n"):text.index("\n## Library")]
     start = section.index("```sh\n")
@@ -530,6 +531,15 @@ def test_readme_matches_parser():
         assert set(choices.split("|")) == set(flags[flag].choices), flag
     assert {int(c) for c in re.findall(r"`(\d+)`", codes)} == \
         {v for k, v in vars(cli).items() if k.startswith("EXIT_")}
+    budget = " ".join(text[text.index("`--max-iterations` and"):].split())
+    assert budget.startswith(
+        "`--max-iterations` and `EvalConfig.max_iterations` set the budget. "
+        "By default there is none when no rule of the prepared theory has a "
+        "conclusion-only variable, and otherwise it is "
+        f"`engine.DEFAULT_MAX_ITERATIONS`, "
+        f"{engine.DEFAULT_MAX_ITERATIONS:,} iterations.")
+    assert flags["--max-iterations"].default is None
+    assert engine.EvalConfig().max_iterations is None
 
 
 class TestMutatedInputs:

@@ -22,10 +22,11 @@ from horneq.oracle import is_injective_to, is_orthogonal_to, satisfies_phl
 from horneq.syntax import (DefinedAtom, EqualAtom, Formula, RelAtom, Sequent,
                            Theory, Var, parse_theory, sequent_vars)
 
-from helpers import (call_outcome, random_sequent, random_signature,
-                     random_structure, random_theory, reference_evaluate,
-                     reference_matches, reference_witness,
-                     structure_from_edges, transitive_closure)
+from helpers import (call_outcome, is_canonical, random_sequent,
+                     random_signature, random_structure, random_theory,
+                     raw_count, reference_evaluate, reference_matches,
+                     reference_witness, structure_from_edges,
+                     transitive_closure)
 
 
 TRANSITIVITY = parse_theory("""
@@ -85,6 +86,21 @@ class TestMatching:
         u = Var("u", "V")
         els = x.elements("V")
         assert list(find_matches(s.premise, x, binding={u: els[1]})) == []
+
+    def test_binding_of_another_sort_rejected(self):
+        """A bound element of another sort than its variable is refused,
+        not answered with no match."""
+        sig = Signature(("V", "W"), SIG.relations)
+        x = Structure(sig)
+        a, w = x.add_element("V"), x.add_element("W")
+        x.add_tuple("E", (a, a))
+        f = TRANSITIVITY.sequents[0].premise
+        u = Var("u", "V")
+        assert len(list(find_matches(f, x, binding={u: a}))) == 1
+        assert call_outcome(lambda: list(find_matches(
+            f, x, binding={u: w}))) == (
+            "SignatureError",
+            "variable 'u' of sort 'V' bound to El(sort='W', index=0)")
 
     def test_rejects_phl(self):
         t = parse_theory("sort M;\nfunc f : M -> M;\n"
@@ -156,8 +172,9 @@ class TestSatisfaction:
     def test_signature_rejections(self, s, want):
         """A sequent whose relations or sorts the structure lacks, or
         declares with other sorts, is refused by ``counterexample``,
-        ``satisfies`` and ``satisfies_theory`` before any matching: a
-        binary ``R`` matched on a ternary one would read two columns."""
+        ``satisfies`` and ``satisfies_theory``, and its premise by
+        ``find_matches``, before any matching: a binary ``R`` matched on a
+        ternary one would read two columns."""
         sig = Signature(("V",), (RelDecl("R", ("V", "V", "V")),
                                  RelDecl("Q", ("V",))))
         x = Structure(sig)
@@ -165,7 +182,8 @@ class TestSatisfaction:
         x.add_tuple("R", (a, b, c))
         x.add_tuple("Q", (a,))
         for call in (lambda: counterexample(x, s), lambda: satisfies(x, s),
-                     lambda: satisfies_theory(x, Theory(sig, (s,)))):
+                     lambda: satisfies_theory(x, Theory(sig, (s,))),
+                     lambda: list(find_matches(s.premise, x))):
             assert call_outcome(call) == ("SignatureError", want)
 
 
@@ -405,7 +423,7 @@ class TestDifferential:
                     # the sequent that ``f`` may not mention
                     binding = {v: El(v.sort, rng.randrange(n))
                                for v in sequent_vars(s)
-                               if (n := x.raw_count(v.sort))
+                               if (n := raw_count(x, v.sort))
                                and rng.random() < 0.5}
                     for d, b in ((None, None), (delta, None),
                                  (None, binding), (delta, binding)):
@@ -654,7 +672,7 @@ class TestUnmentionedRelations:
         assert len(res.rels["L"]) == 9
         # a later merge rewrites the carried tuples too
         res.merge(El("V", 0), El("V", 5))
-        assert res.is_canonical() and len(res.rels["L"]) == 4
+        assert is_canonical(res) and len(res.rels["L"]) == 4
 
     def test_nullary_unary_and_ternary_carried(self):
         """Beside a merging ``E``: a nullary ``Z``, held in one run and not

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from helpers import reference_parse_facts
+from helpers import raw_count, reference_parse_facts
 from horneq import facts
 from horneq.core import RelDecl, Signature, Structure
 from horneq.engine import evaluate
@@ -93,7 +93,7 @@ class TestMergedSection:
     def test_alias_binds_survivor(self):
         x, names = parse_facts(
             "sort V: a c;\nE(a, c);\nmerged:\n  b -> a\n  d -> c\n", SIG)
-        assert x.element_count("V") == x.raw_count("V") == 2
+        assert x.element_count("V") == raw_count(x, "V") == 2
         assert names["b"] == names["a"] and names["d"] == names["c"]
         assert list(names) == ["a", "c", "b", "d"]
 
@@ -214,7 +214,7 @@ def _outcome(parse, text: str, sig: Signature = DIFF_SIG):
         x, names = parse(text, sig)
     except Exception as err:  # compared by type and message
         return type(err).__name__, str(err)
-    return (x.rels, {s: x.raw_count(s) for s in sig.sorts}, names)
+    return (x.rels, {s: raw_count(x, s) for s in sig.sorts}, names)
 
 
 class TestDifferential:

@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import sys
 
 import horneq
 import horneq.core
@@ -76,6 +77,36 @@ def test_no_unused_imports():
         "def f(x: 'Structure') -> El: ...\n") == ["Counter"]
 
 
+def _foreign_imports(source: str) -> list[str]:
+    """The top-level modules that ``source`` imports, at any depth, from
+    outside the standard library; a relative import is the package's own.
+    ``__future__`` is a standard-library module."""
+    tops = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Import):
+            tops += [a.name.split(".")[0] for a in n.names]
+        elif isinstance(n, ast.ImportFrom) and not n.level:
+            tops.append(n.module.split(".")[0])
+    return [top for top in tops if top not in sys.stdlib_module_names]
+
+
+def test_library_imports_only_the_standard_library():
+    """``pyproject.toml`` declares no runtime dependency, so no module of
+    ``src/horneq`` may import one, not even inside a function."""
+    src = pathlib.Path(horneq.__file__).parent
+    foreign = {path.name: _foreign_imports(path.read_text())
+               for path in sorted(src.glob("*.py"))}
+    assert {m: names for m, names in foreign.items() if names} == {}
+    # The check itself: a test dependency imported late, an absolute
+    # import of the package, and imports that pass.
+    assert _foreign_imports(
+        "from __future__ import annotations\nimport os.path\n"
+        "from . import core\nfrom .engine import evaluate\n"
+        "from horneq import core\n"
+        "def f():\n    import hypothesis.strategies\n") == [
+        "horneq", "hypothesis"]
+
+
 def _unread_names(modules: dict[str, str], sources: list[str]) -> list[str]:
     """The module-level private names and the non-dunder methods that the
     ``modules`` (name: source) define but nothing reads.  A private name
@@ -139,33 +170,57 @@ def test_no_unread_names():
 def _unneeded_public(modules: dict[str, str], others: list[str],
                      exported: set[str]) -> list[str]:
     """The public module-level functions and classes that the ``modules``
-    (name: source) define, outside ``exported``, and that nothing reads
-    outside their own definition: not as a ``Name``, an attribute or an
-    imported name, in any of ``modules`` or ``others``."""
+    (name: source) define, outside ``exported``, and the public methods
+    and properties of their classes, that nothing reads outside their own
+    definition, in any of ``modules`` or ``others``.  A function or class
+    is read as a ``Name``, an attribute or an imported name; a method, as
+    an attribute or as a string constant, which ``setattr`` patches by."""
 
-    def reads(node: ast.AST) -> set[str]:
-        out = set()
+    def reads(node: ast.AST) -> tuple[set[str], set[str]]:
+        """What ``node`` reads as a function or class, and as a method."""
+        names, methods = set(), set()
         for n in ast.walk(node):
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                out.add(n.id)
-            elif isinstance(n, ast.Attribute):
-                out.add(n.attr)
+                names.add(n.id)
             elif isinstance(n, ast.ImportFrom):
-                out |= {a.name for a in n.names}
-        return out
+                names |= {a.name for a in n.names}
+            elif isinstance(n, ast.Attribute):
+                names.add(n.attr)
+                methods.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                methods.add(n.value)
+        return names, methods
 
-    read = set().union(*(reads(ast.parse(source)) for source in others))
-    defined = []
+    read, read_methods = set(), set()
+    for source in others:
+        names, methods = reads(ast.parse(source))
+        read |= names
+        read_methods |= methods
+    defined, defined_methods = [], []
     for module, source in modules.items():
         for node in ast.parse(source).body:
-            own = None
+            own, parts = None, [(node, None)]
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 own = node.name
                 if not own.startswith("_"):
                     defined.append((module, own))
-            read |= reads(node) - {own}
+            if isinstance(node, ast.ClassDef):
+                methods = [f for f in node.body
+                           if isinstance(f, ast.FunctionDef)]
+                defined_methods += [f"{module}.{own}.{f.name}"
+                                    for f in methods
+                                    if not f.name.startswith("_")]
+                parts = [(part, getattr(part, "name", None)) for part in
+                         (*node.bases, *node.keywords, *node.decorator_list,
+                          *node.body)]
+            for part, method in parts:
+                names, methods = reads(part)
+                read |= names - {own}
+                read_methods |= methods - {method}
     return [f"{module}.{name}" for module, name in defined
-            if name not in exported and name not in read]
+            if name not in exported and name not in read] + [
+        name for name in defined_methods
+        if name.rsplit(".", 1)[1] not in read_methods]
 
 
 def _imports_engine(source: str) -> bool:
@@ -182,8 +237,9 @@ def _imports_engine(source: str) -> bool:
 
 def test_no_unneeded_public_names():
     """Every public function and class of ``src/horneq`` is exported or
-    used by the package, its scripts or its benchmark; the oracles exist
-    for the tests.  ``classify`` stays below the evaluator."""
+    used by the package, its scripts or its benchmark, and so is every
+    public method and property of its classes; the oracles exist for the
+    tests.  ``classify`` stays below the evaluator."""
     src = pathlib.Path(horneq.__file__).parent
     root = src.parents[1]
     modules = {path.stem: path.read_text() for path in src.glob("*.py")
@@ -193,12 +249,20 @@ def test_no_unneeded_public_names():
         *(root / "scripts").glob("*.py"), *(root / "perfbench").glob("*.py"))]
     assert _unneeded_public(modules, others, set(horneq.__all__)) == []
     assert not _imports_engine((src / "classify.py").read_text())
-    # The checks themselves: a helper read only by its own recursion, one
-    # read by another module, and imports of the evaluator.
+    # The checks themselves: a helper and a method read only by their own
+    # recursion, one read by another module, a property nothing reads,
+    # methods read as an attribute and patched by name, and imports of the
+    # evaluator.
     module = ("def walk(t): return walk(t.next)\n"
-              "def used(): ...\nclass Old: ...\n")
-    assert _unneeded_public({"classify": module}, ["used()"], {"Old"}) == [
-        "classify.walk"]
+              "def used(): ...\nclass Old:\n"
+              "    def size(self): return self.size()\n"
+              "    def find(self): ...\n"
+              "    def copy(self): ...\n"
+              "    @property\n"
+              "    def arity(self): ...\n")
+    others = ["used()", "x.find()", "setattr(Old, 'copy', None)"]
+    assert _unneeded_public({"classify": module}, others, {"Old"}) == [
+        "classify.walk", "classify.Old.size", "classify.Old.arity"]
     assert _imports_engine("def f():\n    from . import engine\n")
     assert _imports_engine("from .engine import evaluate\n")
     assert not _imports_engine("from .core import Structure\n")
