@@ -285,7 +285,7 @@ def _codiagonal_sequent(s: Sequent, sig: Signature) -> Sequent:
                     row.append(ids.setdefault((v.name, v.sort), len(ids)))
                 rows.append(row)
         parent = list(range(len(ids)))  # union-find; a root is its class's least
-        rels: dict[str, list] = {r.name: [] for r in sig.relations}
+        rels: dict[str, list] = {}  # per relation with atoms: its rows
         for a, row in zip(s.premise.atoms + s.conclusion.atoms, rows):
             if isinstance(a, RelAtom):  # the checks of ``add_tuple``
                 name, arity = a.rel.name, sig.relation(a.rel.name).arity
@@ -296,7 +296,7 @@ def _codiagonal_sequent(s: Sequent, sig: Signature) -> Sequent:
                     if v.sort != sort:
                         raise SignatureError(f"{name}: component of sort "
                                              f"{v.sort!r}, expected {sort!r}")
-                rels[name].append(row)
+                rels.setdefault(name, []).append(row)
             elif isinstance(a, EqualAtom):
                 if a.lhs.sort != a.rhs.sort:
                     raise SignatureError("merging across sorts "
@@ -328,7 +328,7 @@ def _codiagonal_sequent(s: Sequent, sig: Signature) -> Sequent:
         sort = sig.sorts[x // big]
         names[x] = Var(f"_e_{sort}_{x % big}", sort)
     premise: list[Atom] = [DefinedAtom(v) for v in names.values()]
-    for r in sig.relations:
+    for r in [r for r in sig.relations if r.name in rels]:
         ts = {tuple([copy[i] for i in row])
               for row in rels[r.name] for copy in (first, second)}
         premise += [RelAtom(r, tuple([names[x] for x in t])) for t in sorted(ts)]

@@ -16,7 +16,8 @@ from typing import Optional
 
 from . import classify, engine, facts, transform
 from .core import SignatureError, Structure
-from .syntax import ParseError, Theory, is_rhl, parse_theory, pretty_print
+from .syntax import (ParseError, Theory, is_rhl, parse_theory, pretty_print,
+                     theory_lines)  # perfbench/tracing.py patches pretty_print
 
 EXIT_OK = 0
 EXIT_UNSATISFIED = 1
@@ -80,14 +81,15 @@ def cmd_eval(args) -> int:
         code = EXIT_BUDGET
     names, merged = facts.model_names(result, input_names, unit)
     rep = facts.report_dict(report) if args.report else None
-    sys.stdout.write(facts.serialize_model(result, names, merged,
-                                           args.format, rep))
+    sys.stdout.writelines(
+        facts.model_blocks(result, names, merged, rep) if args.format == "text"
+        else [facts.serialize_model(result, names, merged, "json", rep)])
     return code
 
 
 def cmd_flatten(args) -> int:
     t = _load_theory(args.theory)
-    sys.stdout.write(pretty_print(classify.flatten_theory(t)))
+    sys.stdout.writelines(theory_lines(classify.flatten_theory(t)))
     return EXIT_OK
 
 
@@ -101,7 +103,7 @@ def cmd_transform(args) -> int:
         _, out = transform.epic_transform(t)
     else:
         out = classify.strengthen_theory(t)
-    sys.stdout.write(pretty_print(out))
+    sys.stdout.writelines(theory_lines(out))
     return EXIT_OK
 
 

@@ -275,10 +275,14 @@ class Structure:
 
 
 class Morphism:
-    """A sort-indexed map between structures, keyed on canonical elements."""
+    """A sort-preserving map between structures, keyed on canonical
+    elements; ``tests/helpers.is_homomorphism`` checks that it is one."""
 
     def __init__(self, dom: Structure, cod: Structure,
                  mapping: dict[El, El]):
+        for k, v in mapping.items():
+            if k.sort != v.sort:
+                raise SignatureError(f"morphism maps {k} to {v} across sorts")
         self.dom = dom
         self.cod = cod
         self.mapping = {dom.find(k): cod.find(v) for k, v in mapping.items()}

@@ -25,7 +25,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 from .core import El, Morphism, SignatureError, Structure
 from .syntax import (DefinedAtom, EqualAtom, Formula, RelAtom, Sequent,
-                     Theory, Var, atom_vars, formula_vars, is_rhl)
+                     Theory, Var, atom_terms, formula_vars, is_rhl)
 
 
 class EvaluationBudgetError(RuntimeError):
@@ -224,7 +224,7 @@ def _plan(f: Formula, pre: tuple[Var, ...] = (), where: str = "") -> _Plan:
     for i, a in enumerate(atoms):
         if not (isinstance(a, EqualAtom) and (a.lhs in seen or a.rhs in seen)):
             hits.append(i)
-        seen.update(atom_vars(a))
+        seen.update(atom_terms(a))  # an RHL atom's terms are variables
     steps = _steps(atoms, range(len(atoms)), {}, slot, set(pre), where)
     variants = []
     for i in hits:

@@ -36,7 +36,7 @@ import re
 from collections import defaultdict
 from itertools import groupby, repeat
 from operator import itemgetter
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .core import El, Morphism, Signature, Structure
 from .syntax import _INITIALS, _NAME, _TOKENS_RE, _Cursor
@@ -284,24 +284,32 @@ def serialize_model(x: Structure, names: dict[El, str],
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
+    return "".join(model_blocks(x, names, merged, report))
+
+
+def model_blocks(x: Structure, names: dict[El, str],
+                 merged: list[tuple[str, str]],
+                 report: Optional[dict] = None) -> Iterator[str]:
+    """The text format of ``serialize_model``, a block at a time: the sort
+    lines, each relation's facts, ``merged:`` and ``report:``."""
+    if not (x.sig.sorts or merged or report or x.total_tuple_count()):
+        yield "\n"  # a model of no line at all is one empty line
     name = names.__getitem__
-    lines = [f"sort {s}: {' '.join(map(name, x.elements(s)))};"
-             for s in sorted(x.sig.sorts)]
+    yield "".join([f"sort {s}: {' '.join(map(name, x.elements(s)))};\n"
+                   for s in sorted(x.sig.sorts)])
     for r in sorted(x.rels):
-        lines += [f"{r}({', '.join(map(name, t))});"
-                  for t in x.sorted_tuples(r)]
+        yield "".join([f"{r}({', '.join(map(name, t))});\n"
+                       for t in x.sorted_tuples(r)])
     if merged:
-        lines.append("merged:")
-        lines.extend(f"  {old} -> {new}" for old, new in merged)
+        yield "merged:\n" + "".join([f"  {a} -> {b}\n" for a, b in merged])
     if report is not None:
-        lines.append("report:")
-        lines.append(f"  iterations: {report['iterations']}")
-        lines.append(f"  fixed_point: {report['fixed_point']}")
+        lines = ["report:", f"  iterations: {report['iterations']}",
+                 f"  fixed_point: {report['fixed_point']}"]
         # Each ``IterationStats`` field, in its order, as ``name=value``.
-        for i, stats in enumerate(report["per_iteration"], start=1):
-            lines.append(f"  iteration {i}: "
-                         + " ".join([f"{k}={v}" for k, v in stats.items()]))
-    return "\n".join(lines) + "\n"
+        lines += [f"  iteration {i}: "
+                  + " ".join([f"{k}={v}" for k, v in stats.items()])
+                  for i, stats in enumerate(report["per_iteration"], start=1)]
+        yield "\n".join(lines) + "\n"
 
 
 def report_dict(report) -> dict:

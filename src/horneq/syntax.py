@@ -53,13 +53,13 @@ class VacuousSequentWarning(UserWarning):
 # -- AST -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
     sort: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App:
     func: RelDecl
     args: tuple["Term", ...]
@@ -72,18 +72,18 @@ class App:
 Term = Union[Var, App]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelAtom:
     rel: RelDecl
     args: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DefinedAtom:
     term: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EqualAtom:
     lhs: Term
     rhs: Term
@@ -92,7 +92,7 @@ class EqualAtom:
 Atom = Union[RelAtom, DefinedAtom, EqualAtom]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Formula:
     atoms: tuple[Atom, ...] = ()
 
@@ -100,14 +100,14 @@ class Formula:
         return Formula(self.atoms + other.atoms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sequent:
     premise: Formula
     conclusion: Formula
     location: Optional[tuple[int, int]] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Theory:
     signature: Signature
     sequents: tuple[Sequent, ...]
@@ -132,25 +132,21 @@ def atom_terms(a: Atom) -> tuple[Term, ...]:
     return (a.lhs, a.rhs)
 
 
-def atom_vars(a: Atom) -> Iterator[Var]:
-    for t in atom_terms(a):
-        yield from term_vars(t)
-
-
 def formula_vars(f: Formula) -> list[Var]:
     """Variables in first-occurrence order."""
-    seen: dict[Var, None] = {}
+    seen: dict[Var, None] = {}  # assigning an old key keeps its place
     for a in f.atoms:
-        for v in atom_vars(a):
-            seen.setdefault(v)
+        for t in a.args if a.__class__ is RelAtom else atom_terms(a):
+            if t.__class__ is Var:
+                seen[t] = None
+            else:
+                seen.update(dict.fromkeys(term_vars(t)))
     return list(seen)
 
 
 def sequent_vars(s: Sequent) -> list[Var]:
-    seen: dict[Var, None] = {}
-    for v in formula_vars(s.premise) + formula_vars(s.conclusion):
-        seen.setdefault(v)
-    return list(seen)
+    return list(dict.fromkeys(formula_vars(s.premise)
+                              + formula_vars(s.conclusion)))
 
 
 # -- RHL check -------------------------------------------------------------
@@ -159,19 +155,25 @@ def sequent_vars(s: Sequent) -> list[Var]:
 def is_rhl(x) -> bool:
     """True iff ``x`` lies in the relational fragment: atoms take bare
     variables only, and relation atoms never use a function symbol."""
-    if isinstance(x, RelAtom):
-        return x.rel.kind == "pred" and all(isinstance(t, Var) for t in x.args)
-    if isinstance(x, DefinedAtom):
-        return isinstance(x.term, Var)
-    if isinstance(x, EqualAtom):
-        return isinstance(x.lhs, Var) and isinstance(x.rhs, Var)
-    if isinstance(x, Formula):
-        return all(is_rhl(a) for a in x.atoms)
-    if isinstance(x, Sequent):
-        return is_rhl(x.premise) and is_rhl(x.conclusion)
     if isinstance(x, Theory):
         return all(is_rhl(s) for s in x.sequents)
-    raise TypeError(f"is_rhl: unsupported {type(x).__name__}")
+    if isinstance(x, Sequent):
+        return is_rhl(x.premise) and is_rhl(x.conclusion)
+    for a in x.atoms if isinstance(x, Formula) else (x,):
+        if isinstance(a, RelAtom):
+            if a.rel.kind != "pred":
+                return False
+            terms = a.args
+        elif isinstance(a, DefinedAtom):
+            terms = (a.term,)
+        elif isinstance(a, EqualAtom):
+            terms = (a.lhs, a.rhs)
+        else:
+            raise TypeError(f"is_rhl: unsupported {type(a).__name__}")
+        for t in terms:
+            if not isinstance(t, Var):
+                return False
+    return True
 
 
 # -- reading -------------------------------------------------------------
@@ -557,19 +559,27 @@ def _pp_sequent(s: Sequent) -> str:
 
 
 def _pp_decl(r: RelDecl) -> str:
-    if r.kind == "func":
-        args = " * ".join(r.arg_sorts)
-        return f"func {r.name} : {args + ' ' if args else ''}-> {r.result_sort};"
-    return f"pred {r.name} : {' * '.join(r.arity)};"
+    if r.kind == "pred":
+        return f"pred {r.name} : {' * '.join(r.arity)};\n"
+    args = " * ".join(r.arg_sorts)
+    return f"func {r.name} : {args}{' ' if args else ''}-> {r.result_sort};\n"
+
+
+def theory_lines(t: Theory) -> Iterator[str]:
+    """``pretty_print(t)``, one line at a time, each with its newline."""
+    if not (t.signature.sorts or t.signature.relations or t.sequents):
+        yield "\n"  # the empty theory is one empty line
+    for s in t.signature.sorts:
+        yield f"sort {s};\n"
+    yield from map(_pp_decl, t.signature.relations)
+    for s in t.sequents:
+        yield f"{_pp_sequent(s)}\n"
 
 
 def pretty_print(x) -> str:
     """A theory or a sequent in concrete syntax; theories round-trip."""
     if isinstance(x, Theory):
-        lines = [f"sort {s};" for s in x.signature.sorts]
-        lines += [_pp_decl(r) for r in x.signature.relations]
-        lines += [_pp_sequent(s) for s in x.sequents]
-        return "\n".join(lines) + "\n"
+        return "".join(theory_lines(x))
     if isinstance(x, Sequent):
         return _pp_sequent(x)
     raise TypeError(f"pretty_print: unsupported {type(x).__name__}")

@@ -12,14 +12,16 @@ from collections import Counter
 import pytest
 
 import horneq
-from horneq import cli, engine
+from horneq import classify, cli, engine, facts, transform
 from horneq.cli import build_parser, main
 from horneq.engine import MAX_PLAN_STEPS
 from horneq.facts import parse_facts
-from horneq.syntax import (VacuousSequentWarning, formula_vars, parse_theory,
-                           pretty_print)
+from horneq.core import Signature
+from horneq.syntax import (Theory, VacuousSequentWarning, formula_vars,
+                           parse_theory, pretty_print)
 
-from helpers import compile_style_text, random_signature, random_theory
+from helpers import (call_outcome, compile_style_text, random_signature,
+                     random_theory)
 
 
 TRANSITIVITY = """sort V;
@@ -294,6 +296,111 @@ class TestTransformAndFlatten:
         assert code == 2 and out == ""
         assert err == ("error: 3:1: classifying structures are defined on "
                        "RHL formulas\n")
+
+
+class TestStreamedOutput:
+    """The compilers and text ``eval`` write their output piece by piece,
+    and the bytes are those of ``pretty_print`` and ``serialize_model``."""
+
+    COMPILERS = {
+        ("flatten",): classify.flatten_theory,
+        ("transform", "setoid"): transform.setoid_transform,
+        ("transform", "sparse-setoid"): transform.sparse_setoid_transform,
+        ("transform", "epic"): lambda t: transform.epic_transform(t)[1],
+        ("transform", "strengthen"): classify.strengthen_theory,
+    }
+
+    def _theories(self, rng: random.Random):
+        """Seeded RHL theories, PHL theories with nested function terms
+        and their flattenings, and the empty theory."""
+        yield Theory(Signature((), ()), ())
+        for i in range(24):
+            if i % 3 == 2:
+                text = compile_style_text(
+                    rng, ("Z", "A"), [("f", ("A",), "Z"), ("c", (), "A")],
+                    [("P", ("A",)), ("Q", ("A", "Z"))],
+                    {"Z": ["z", "y"], "A": ["a", "x"]})
+                t = parse_theory(text)
+                yield t
+                yield classify.flatten_theory(t)
+            else:
+                yield random_theory(rng, random_signature(rng),
+                                    surjective=i % 3 == 0)
+
+    def test_compilers_write_pretty_print(self, files, capsys):
+        seen = Counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", VacuousSequentWarning)
+            for t in self._theories(random.Random(32)):
+                theory = files("t.hq", pretty_print(t))
+                for argv, compiler in self.COMPILERS.items():
+                    want = call_outcome(lambda: pretty_print(compiler(t)))
+                    code, out, err = run(capsys, *argv, theory)
+                    if isinstance(want, str):
+                        assert (code, out) == (0, want), (argv, t)
+                    else:
+                        assert (code, out) == (2, ""), (argv, t)
+                        assert err.endswith(f"error: {want[1]}\n")
+                    seen[isinstance(want, str)] += 1
+        assert seen[True] > 50 and seen[False] > 20, seen
+
+    def test_text_eval_writes_serialize_model(self, files, capsys):
+        """With and without ``--report``, on facts with equations, so that
+        some models have a ``merged:`` section."""
+        rng, seen = random.Random(32), Counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for t in self._theories(rng):
+                if t.signature.functions():
+                    continue
+                sig = t.signature
+                lines = [f"sort {s}: {s}a {s}b {s}c;" for s in sig.sorts]
+                lines += [f"{s}{rng.choice('abc')} = {s}{rng.choice('abc')};"
+                          for s in sig.sorts if rng.random() < 0.5]
+                for r in sig.relations:
+                    for _ in range(rng.randint(0, 4)):
+                        args = [s + rng.choice("abc") for s in r.arity]
+                        lines.append(f"{r.name}({', '.join(args)});")
+                text = "".join(line + "\n" for line in lines)
+                x, input_names = parse_facts(text, sig)
+                try:
+                    result, unit, report = engine.evaluate(
+                        t, x, engine.EvalConfig(max_iterations=3))
+                except engine.EvaluationBudgetError as err:
+                    result, unit, report = err.partial, err.unit, err.report
+                names, merged = facts.model_names(result, input_names, unit)
+                seen["merged"] += bool(merged)
+                argv = ["eval", "--max-iterations", "3", "--emit-partial",
+                        files("t.hq", pretty_print(t)), files("f.hq", text)]
+                want = facts.serialize_model(result, names, merged)
+                assert run(capsys, *argv)[1] == want, (t, text)
+                want = facts.serialize_model(result, names, merged, "text",
+                                             facts.report_dict(report))
+                assert run(capsys, *argv, "--report")[1] == want, (t, text)
+        assert seen["merged"] > 3, seen
+
+    def test_epic_is_written_in_pieces(self, files, monkeypatch):
+        """A compiled theory goes out a line at a time, not as one string
+        built first."""
+        class Recorder:
+            def __init__(self):
+                self.pieces = []
+
+            def write(self, text):
+                self.pieces.append(text)
+                return len(text)
+
+            def writelines(self, lines):
+                for line in lines:
+                    self.write(line)
+
+        t = parse_theory(TRANSITIVITY + "rule E(u, v) => E(v, u);\n")
+        recorder = Recorder()
+        monkeypatch.setattr(sys, "stdout", recorder)
+        assert main(["transform", "epic", files("t.hq", pretty_print(t))]) == 0
+        assert "".join(recorder.pieces) == \
+            pretty_print(transform.epic_transform(t)[1])
+        assert len([p for p in recorder.pieces if p]) > 1
 
 
 class TestSatisfies:

@@ -390,6 +390,10 @@ def one_of_each() -> tuple[Structure, El, El]:
     # Two domains over one signature: ``g`` would be read on ``f``'s.
     (lambda: pushout(identity(points(1)), identity(points(2))),
      ("SignatureError", "pushout legs must share a domain")),
+    # A morphism keeps sorts: ``V`` goes to ``V`` and ``W`` to ``W``.
+    (lambda: (lambda x, v, w: Morphism(x, x, {v: w, w: w}))(*one_of_each()),
+     ("SignatureError", "morphism maps El(sort='V', index=0) to "
+                        "El(sort='W', index=0) across sorts")),
 ])
 def test_core_rejections_and_refusals(call, want):
     """The checks of ``core`` that no other test reaches, each with its

@@ -1,7 +1,11 @@
+import copy
+import dataclasses
+import pickle
 import random
 import re
 import time
 import warnings
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +15,11 @@ from horneq import syntax
 from horneq.classify import flatten_theory
 from horneq.core import RelDecl, Signature
 from horneq.facts import parse_facts
-from horneq.syntax import (MAX_TERM_DEPTH, App, DefinedAtom, Formula,
-                           ParseError, Sequent, Theory,
-                           VacuousSequentWarning, Var, formula_vars, is_rhl,
-                           parse_theory, pretty_print, sequent_vars)
+from horneq.syntax import (MAX_TERM_DEPTH, App, DefinedAtom, EqualAtom,
+                           Formula, ParseError, RelAtom, Sequent, Theory,
+                           VacuousSequentWarning, Var, atom_terms,
+                           formula_vars, is_rhl, parse_theory, pretty_print,
+                           sequent_vars, term_vars)
 
 from helpers import (call_outcome, compile_style_text, random_signature,
                      random_theory, reference_parse_facts,
@@ -173,6 +178,10 @@ class TestPrinting:
         t = parse_theory(MONOID)
         assert parse_theory(pretty_print(t)) == t
 
+    def test_empty_theory_is_one_empty_line(self):
+        assert pretty_print(parse_theory("")) == "\n"
+        assert pretty_print(parse_theory("pred P : ;")) == "pred P : ;\n"
+
     def test_print_is_deterministic(self):
         t = parse_theory(MONOID)
         assert pretty_print(t) == pretty_print(parse_theory(pretty_print(t)))
@@ -206,6 +215,96 @@ class TestHelpers:
     def test_is_rhl(self):
         assert is_rhl(parse_theory(TRANSITIVITY))
         assert not is_rhl(parse_theory(MONOID))
+
+    def test_derived_syntax_matches_its_definition(self):
+        """``formula_vars`` is the first occurrences of ``term_vars`` over
+        the atoms' terms, and ``is_rhl`` holds of a formula, sequent or theory
+        iff every atom is a predicate atom or an equality or definedness
+        atom on bare variables; on random RHL and compile-style PHL
+        theories, and on each of their atoms."""
+        def rhl(a):
+            terms = a.args if isinstance(a, RelAtom) else (
+                (a.term,) if isinstance(a, DefinedAtom) else (a.lhs, a.rhs))
+            return ((not isinstance(a, RelAtom) or a.rel.kind == "pred")
+                    and all(isinstance(t, Var) for t in terms))
+
+        rng = random.Random(32)
+        seen = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", VacuousSequentWarning)
+            for i in range(60):
+                t = parse_theory(_compile_style(rng)) if i % 2 else \
+                    random_theory(rng, random_signature(rng))
+                assert is_rhl(t) == all(
+                    rhl(a) for s in t.sequents
+                    for a in s.premise.atoms + s.conclusion.atoms)
+                seen.add(is_rhl(t))
+                for s in t.sequents:
+                    assert is_rhl(s) == (is_rhl(s.premise)
+                                         and is_rhl(s.conclusion))
+                    for f in (s.premise, s.conclusion):
+                        want = dict.fromkeys(v for a in f.atoms
+                                             for t in atom_terms(a)
+                                             for v in term_vars(t))
+                        assert formula_vars(f) == list(want)
+                        assert is_rhl(f) == all(rhl(a) for a in f.atoms)
+                        for a in f.atoms:
+                            assert is_rhl(a) == rhl(a)
+        assert seen == {False, True}
+
+
+class TestNodes:
+    """The AST nodes are frozen dataclasses with slots: no ``__dict__``,
+    no weak references, fields that cannot be assigned, and equality and
+    hashing by class and fields."""
+
+    F = RelDecl("f", ("A", "A"), "func")
+    P = RelDecl("P", ("A",), "pred")
+    X, Y = Var("x", "A"), Var("y", "A")
+
+    def nodes(self):
+        fx = App(self.F, (self.X,))
+        atoms = (RelAtom(self.P, (fx,)), DefinedAtom(fx),
+                 EqualAtom(self.X, self.Y))
+        sequent = Sequent(Formula(atoms[:1]), Formula(atoms[1:]), (3, 1))
+        sig = Signature(("A",), (self.F, self.P))
+        return [self.X, fx, *atoms, sequent.premise, sequent,
+                Theory(sig, (sequent,))]
+
+    def test_slotted_and_frozen(self):
+        nodes = self.nodes()
+        assert len({type(n) for n in nodes}) == 8
+        for node in nodes:
+            assert not hasattr(node, "__dict__"), node
+            with pytest.raises(TypeError):
+                weakref.ref(node)
+            field = dataclasses.fields(node)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, field, None)
+
+    def test_equal_fields_equal_nodes(self):
+        for node in self.nodes():
+            fields = [getattr(node, f.name) for f in dataclasses.fields(node)]
+            twin = type(node)(*fields)
+            assert twin == node and hash(twin) == hash(node)
+            assert copy.deepcopy(node) == node
+            assert pickle.loads(pickle.dumps(node)) == node
+
+    def test_class_is_part_of_equality(self):
+        fx, rx = App(self.F, (self.X,)), RelAtom(self.F, (self.X,))
+        assert fx != rx and rx != fx
+        assert DefinedAtom((self.X,)) != Formula((self.X,))
+        assert Var("x", "A") != ("x", "A") and ("x", "A") != Var("x", "A")
+        assert Var("x", "A") != Var("x", "B")
+
+    def test_sequent_equality_ignores_location(self):
+        s = Sequent(Formula(), Formula((DefinedAtom(self.X),)), (1, 1))
+        t = Sequent(s.premise, s.conclusion, (7, 2))
+        assert s == t and hash(s) == hash(t) and s.location != t.location
+        assert pickle.loads(pickle.dumps(s)).location == (1, 1)
+
+    def test_app_sort(self):
+        assert App(self.F, (self.X,)).sort == "A"
 
 
 # -- parse_theory against the reference token reader ------------------------
