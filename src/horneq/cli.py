@@ -16,8 +16,7 @@ from typing import Optional
 
 from . import classify, engine, facts, transform
 from .core import SignatureError, Structure
-from .syntax import (ParseError, Theory, is_rhl, parse_theory, pretty_print,
-                     theory_lines)  # perfbench/tracing.py patches pretty_print
+from .syntax import ParseError, Theory, is_rhl, parse_theory, pretty_print
 
 EXIT_OK = 0
 EXIT_UNSATISFIED = 1
@@ -81,29 +80,25 @@ def cmd_eval(args) -> int:
         code = EXIT_BUDGET
     names, merged = facts.model_names(result, input_names, unit)
     rep = facts.report_dict(report) if args.report else None
-    sys.stdout.writelines(
-        facts.model_blocks(result, names, merged, rep) if args.format == "text"
-        else [facts.serialize_model(result, names, merged, "json", rep)])
+    sys.stdout.write(facts.serialize_model(result, names, merged,
+                                           args.format, rep))
     return code
 
 
 def cmd_flatten(args) -> int:
     t = _load_theory(args.theory)
-    sys.stdout.writelines(theory_lines(classify.flatten_theory(t)))
+    sys.stdout.write(pretty_print(classify.flatten_theory(t)))
     return EXIT_OK
 
 
 def cmd_transform(args) -> int:
-    t = _load_theory(args.theory)
-    if args.kind == "setoid":
-        out = transform.setoid_transform(t)
-    elif args.kind == "sparse-setoid":
-        out = transform.sparse_setoid_transform(t)
-    elif args.kind == "epic":
-        _, out = transform.epic_transform(t)
-    else:
-        out = classify.strengthen_theory(t)
-    sys.stdout.writelines(theory_lines(out))
+    compile_ = {"setoid": transform.setoid_transform,
+                "sparse-setoid": transform.sparse_setoid_transform,
+                "epic": lambda t: transform.epic_transform(t)[1],
+                "strengthen": classify.strengthen_theory}[args.kind]
+    # The input theory is not kept while the output is printed.
+    out = compile_(_load_theory(args.theory))
+    sys.stdout.write(pretty_print(out))
     return EXIT_OK
 
 

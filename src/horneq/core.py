@@ -39,7 +39,7 @@ class SignatureError(ValueError):
     """Raised on sort/arity mismatches and unknown symbols."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelDecl:
     """A relation symbol.  For functions, ``arity`` is the full relational
     arity: argument sorts followed by the result sort."""

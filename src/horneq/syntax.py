@@ -136,7 +136,7 @@ def formula_vars(f: Formula) -> list[Var]:
     """Variables in first-occurrence order."""
     seen: dict[Var, None] = {}  # assigning an old key keeps its place
     for a in f.atoms:
-        for t in a.args if a.__class__ is RelAtom else atom_terms(a):
+        for t in atom_terms(a):
             if t.__class__ is Var:
                 seen[t] = None
             else:
@@ -160,18 +160,12 @@ def is_rhl(x) -> bool:
     if isinstance(x, Sequent):
         return is_rhl(x.premise) and is_rhl(x.conclusion)
     for a in x.atoms if isinstance(x, Formula) else (x,):
-        if isinstance(a, RelAtom):
-            if a.rel.kind != "pred":
-                return False
-            terms = a.args
-        elif isinstance(a, DefinedAtom):
-            terms = (a.term,)
-        elif isinstance(a, EqualAtom):
-            terms = (a.lhs, a.rhs)
-        else:
+        if not isinstance(a, (RelAtom, DefinedAtom, EqualAtom)):
             raise TypeError(f"is_rhl: unsupported {type(a).__name__}")
-        for t in terms:
-            if not isinstance(t, Var):
+        if isinstance(a, RelAtom) and a.rel.kind != "pred":
+            return False
+        for t in atom_terms(a):
+            if t.__class__ is not Var:
                 return False
     return True
 

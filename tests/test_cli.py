@@ -137,6 +137,33 @@ class TestEval:
         assert by_rule == by_fact == ("sort V: b;\nLe(b, b);\n"
                                       "merged:\n  a -> b\n")
 
+    @pytest.mark.parametrize("theory, facts, flags, want", [
+        ("", "", [], "\n"),
+        ("", "", ["--report"],
+         "report:\n  iterations: 1\n  fixed_point: True\n"
+         "  iteration 1: matches=0 tuples_added=0 merges=0 "
+         "elements_created=0\n"),
+        (ANTISYMMETRY, "sort V: a b c;\nLe(a, b);\nLe(b, a);\nLe(b, c);\n",
+         ["--report"],
+         "sort V: a c;\nLe(a, a);\nLe(a, c);\nmerged:\n  b -> a\n"
+         "report:\n  iterations: 2\n  fixed_point: True\n"
+         "  iteration 1: matches=1 tuples_added=0 merges=1 "
+         "elements_created=0\n"
+         "  iteration 2: matches=0 tuples_added=0 merges=0 "
+         "elements_created=0\n"),
+        (TRANSITIVITY + "pred P : V;\n", CHAIN, [],
+         "sort V: a b c;\nE(a, b);\nE(a, c);\nE(b, c);\n"),
+        ("sort V;\nsort W;\npred P : V;\n", "sort V:;\nsort W: w;\n", [],
+         "sort V: ;\nsort W: w;\n"),
+    ], ids=["empty", "empty-report", "merged-report", "relation-without-rows",
+            "sort-without-elements"])
+    def test_text_output_bytes(self, files, capsys, theory, facts, flags,
+                               want):
+        """The text format byte for byte: a model with no line is one empty
+        line, and relations and sorts without members print as shown."""
+        argv = ["eval", files("t.hq", theory), files("f.hq", facts), *flags]
+        assert run(capsys, *argv)[:2] == (0, want)
+
     def test_seminaive_identical_bytes(self, files, capsys):
         theory = files("t.hq", TRANSITIVITY)
         facts = files("f.hq", CHAIN)
@@ -298,9 +325,10 @@ class TestTransformAndFlatten:
                        "RHL formulas\n")
 
 
-class TestStreamedOutput:
-    """The compilers and text ``eval`` write their output piece by piece,
-    and the bytes are those of ``pretty_print`` and ``serialize_model``."""
+class TestPrintedOutput:
+    """The compilers and text ``eval`` write the bytes of ``pretty_print``
+    and ``serialize_model`` of the library's result, or exit 2 with no
+    output."""
 
     COMPILERS = {
         ("flatten",): classify.flatten_theory,
@@ -378,29 +406,6 @@ class TestStreamedOutput:
                                              facts.report_dict(report))
                 assert run(capsys, *argv, "--report")[1] == want, (t, text)
         assert seen["merged"] > 3, seen
-
-    def test_epic_is_written_in_pieces(self, files, monkeypatch):
-        """A compiled theory goes out a line at a time, not as one string
-        built first."""
-        class Recorder:
-            def __init__(self):
-                self.pieces = []
-
-            def write(self, text):
-                self.pieces.append(text)
-                return len(text)
-
-            def writelines(self, lines):
-                for line in lines:
-                    self.write(line)
-
-        t = parse_theory(TRANSITIVITY + "rule E(u, v) => E(v, u);\n")
-        recorder = Recorder()
-        monkeypatch.setattr(sys, "stdout", recorder)
-        assert main(["transform", "epic", files("t.hq", pretty_print(t))]) == 0
-        assert "".join(recorder.pieces) == \
-            pretty_print(transform.epic_transform(t)[1])
-        assert len([p for p in recorder.pieces if p]) > 1
 
 
 class TestSatisfies:

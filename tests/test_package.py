@@ -63,36 +63,18 @@ def _unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
-def _patched_in_cli(source: str) -> set[str]:
-    """The ``cli`` names that the benchmark's tracer, whose source is
-    ``source``, patches: the second entry of each ``("cli", name, span)``
-    constant."""
-    return {n.elts[1].value for n in ast.walk(ast.parse(source))
-            if isinstance(n, ast.Tuple) and len(n.elts) == 3
-            and all(isinstance(e, ast.Constant) for e in n.elts)
-            and n.elts[0].value == "cli"}
-
-
 def test_no_unused_imports():
-    """Every top-level import is read.  In ``cli``, a name that the
-    benchmark's tracer patches there by name counts as read: it must stay
-    bound in ``cli`` whether or not a command calls it."""
     src = pathlib.Path(horneq.__file__).parent
-    tracing = src.parents[1] / "perfbench" / "tracing.py"
-    patched = _patched_in_cli(tracing.read_text())
     unused = {path.name: _unused_imports(path.read_text())
               for path in sorted(src.glob("*.py"))
               if path.name != "__init__.py"}
-    unused["cli.py"] = [n for n in unused["cli.py"] if n not in patched]
     assert {m: names for m, names in unused.items() if names} == {}
-    # The checks themselves: a leftover import, one read only in a quoted
-    # annotation, and the reading of the tracer's patch list.
+    # The check itself: a leftover import, and one read only in a quoted
+    # annotation.
     assert _unused_imports(
         "from collections import Counter\n"
         "from .core import El, Structure\n"
         "def f(x: 'Structure') -> El: ...\n") == ["Counter"]
-    assert _patched_in_cli(
-        "_CALLS = (('cli', 'f', 'a'), ('engine', 'g', 'b'))") == {"f"}
 
 
 def _foreign_imports(source: str) -> list[str]:

@@ -254,9 +254,9 @@ class TestHelpers:
 
 
 class TestNodes:
-    """The AST nodes are frozen dataclasses with slots: no ``__dict__``,
-    no weak references, fields that cannot be assigned, and equality and
-    hashing by class and fields."""
+    """The AST nodes and relation symbols are frozen dataclasses with
+    slots: no ``__dict__``, no weak references, fields that cannot be
+    assigned, and equality and hashing by class and fields."""
 
     F = RelDecl("f", ("A", "A"), "func")
     P = RelDecl("P", ("A",), "pred")
@@ -269,11 +269,11 @@ class TestNodes:
         sequent = Sequent(Formula(atoms[:1]), Formula(atoms[1:]), (3, 1))
         sig = Signature(("A",), (self.F, self.P))
         return [self.X, fx, *atoms, sequent.premise, sequent,
-                Theory(sig, (sequent,))]
+                Theory(sig, (sequent,)), self.F]
 
     def test_slotted_and_frozen(self):
         nodes = self.nodes()
-        assert len({type(n) for n in nodes}) == 8
+        assert len({type(n) for n in nodes}) == 9
         for node in nodes:
             assert not hasattr(node, "__dict__"), node
             with pytest.raises(TypeError):
