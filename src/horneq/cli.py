@@ -64,8 +64,8 @@ def cmd_eval(args) -> int:
     # A sequent that is not epic keeps a conclusion-only variable when
     # flattened; a flattened epic PHL theory has a free model.
     if not all(classify.classify_sequent(s).epic_phl for s in t.sequents):
-        message = ("theory has non-surjective sequents of unknown origin; "
-                   "the result is only weakly free")
+        message = ("a rule has a conclusion variable that its premise "
+                   "lacks; the result is only weakly free")
         if args.strict:
             raise SignatureError(message)
         warnings.warn(message)

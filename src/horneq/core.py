@@ -280,12 +280,16 @@ class Morphism:
 
     def __init__(self, dom: Structure, cod: Structure,
                  mapping: dict[El, El]):
+        self.dom = dom
+        self.cod = cod
+        self.mapping = images = {}
         for k, v in mapping.items():
             if k.sort != v.sort:
                 raise SignatureError(f"morphism maps {k} to {v} across sorts")
-        self.dom = dom
-        self.cod = cod
-        self.mapping = {dom.find(k): cod.find(v) for k, v in mapping.items()}
+            c, w = dom.find(k), cod.find(v)
+            if images.setdefault(c, w) != w:
+                raise SignatureError(f"morphism maps the class of {k} to "
+                                     f"both {images[c]} and {w}")
 
     def apply(self, e: El) -> El:
         return self.cod.find(self.mapping[self.dom.find(e)])

@@ -25,7 +25,9 @@ check the sorts, and adds each relation's tuples with one
 ``Structure.store_all``.  The token reader reads every other statement, a
 fact with a comment among them, and the facts of a chunk that the loader
 rejects, and raises every error.  It is the theory parser's token cursor,
-``syntax._Cursor``, pointed at one statement's tokens at a time.
+``syntax._Cursor``, pointed at one statement's tokens at a time, and takes
+names and symbols through its ``ident`` and ``expect``, so its errors read
+as the theory parser's do.
 """
 
 from __future__ import annotations
@@ -147,19 +149,6 @@ class _Reader(_Cursor):
             m = _TOKENS_RE.match(text, m.end())
             self.toks[-1], self.after = m[1], m.start(1)
 
-    def take_ident(self) -> int:
-        at = self.i
-        self.i = at + 1
-        if (tok := self.toks[at])[:1] not in _INITIALS:
-            raise self.error(f"expected a name, found {tok!r}", at)
-        return at
-
-    def take_sym(self, text: str) -> None:
-        at = self.i
-        self.i = at + 1
-        if (tok := self.toks[at]) != text:
-            raise self.error(f"expected {text!r}, found {tok!r}", at)
-
     def statement(self, x: Structure, names: dict[str, El],
                   tables: dict[str, dict[str, El]]) -> bool:
         """Read the statement that ``toks`` start with into ``x``,
@@ -182,19 +171,10 @@ class _Reader(_Cursor):
         if head[:1] not in _INITIALS:
             raise self.error(f"unexpected {head!r}", 0)
         self.i = 1
-        if head == "sort":
-            sort = toks[at := self.take_ident()]
-            if sort not in sig.sorts:
-                raise self.error(f"unknown sort {sort!r}", at)
-            self.take_sym(":")
-            while toks[at := self.i][:1] in _INITIALS:
-                self.i = at + 1
-                declare(at, x.add_element(sort))
-            self.take_sym(";")
-        elif toks[1] == "=":
+        if toks[1] == "=":
             self.i = 2
-            rhs = self.take_ident()
-            self.take_sym(";")
+            rhs = self.ident()[1]
+            self.expect(";")
             a, b = element(0), element(rhs)
             if a.sort != b.sort:
                 raise self.error("cannot identify elements of different "
@@ -202,26 +182,35 @@ class _Reader(_Cursor):
             if a != b:
                 x.merge(a, b)
                 return True
+        elif head == "sort":
+            sort, at = self.ident()
+            if sort not in sig.sorts:
+                raise self.error(f"unknown sort {sort!r}", at)
+            self.expect(":")
+            while toks[at := self.i][:1] in _INITIALS:
+                self.i = at + 1
+                declare(at, x.add_element(sort))
+            self.expect(";")
         elif head == "merged" and toks[1] == ":":
             # ``old -> new`` lines up to the end: old names new's element.
             self.i = 2
             while toks[self.i]:
-                old = self.take_ident()
-                self.take_sym("->")
-                declare(old, element(self.take_ident()))
+                old = self.ident()[1]
+                self.expect("->")
+                declare(old, element(self.ident()[1]))
         else:
             if not sig.has_relation(head):
                 raise self.error(f"unknown relation {head!r}", 0)
             decl = sig.relation(head)
-            self.take_sym("(")
+            self.expect("(")
             args = []
             if toks[self.i] != ")":
-                args.append(element(self.take_ident()))
+                args.append(element(self.ident()[1]))
                 while toks[self.i] == ",":
                     self.i += 1
-                    args.append(element(self.take_ident()))
-            self.take_sym(")")
-            self.take_sym(";")
+                    args.append(element(self.ident()[1]))
+            self.expect(")")
+            self.expect(";")
             if len(args) != len(decl.arity):
                 raise self.error(
                     f"relation {decl.name!r} expects {len(decl.arity)} "

@@ -23,8 +23,9 @@ before the declarations it uses, and a syntax error comes before any
 resolution error.  Raw terms carry token indices.  An offset, and its line
 and column, is found only for an error, by reading the tokens again, and
 for each rule's ``Sequent.location``, by a walk over the words ``rule``.
-That cursor, ``_Cursor``, is the only one: the facts reader is one too,
-pointed at one statement's tokens at a time.
+That cursor, ``_Cursor``, is the only one, with one ``expect`` and one
+``ident``: the facts reader is one too, pointed at one statement's tokens
+at a time, and its ``ident`` takes keywords as names.
 """
 
 from __future__ import annotations
@@ -222,7 +223,9 @@ def _rule_locations(text: str) -> Iterator[tuple[int, int]]:
 class _Cursor:
     """A token cursor: ``toks`` are the tokens of ``text`` from offset
     ``start`` on, or a prefix of them, and ``i`` is the next one's
-    index."""
+    index.  ``ident`` refuses the names in ``reserved``."""
+
+    reserved = frozenset()
 
     def __init__(self, text: str, toks: Optional[list[str]] = None):
         self.text = text
@@ -243,6 +246,22 @@ class _Cursor:
         m = next(islice(_TOKENS_RE.finditer(self.text, self.start), at, None))
         return ParseError(message, *_line_col(self.text, m.start(1)))
 
+    def expect(self, text: str) -> None:
+        at = self.i
+        self.i = at + 1
+        if (tok := self.toks[at]) != text:
+            raise self.error(
+                f"expected {text!r}, found {tok or 'end of input'!r}", at)
+
+    def ident(self) -> tuple[str, int]:
+        at = self.i
+        name = self.toks[at]
+        self.i = at + 1
+        if name in self.reserved or name[:1] not in _INITIALS:
+            raise self.error(
+                f"expected identifier, found {name or 'end of input'!r}", at)
+        return name, at
+
 
 class _Parser(_Cursor):
     """Reads the statements of a theory from ``toks``, all its tokens;
@@ -251,6 +270,8 @@ class _Parser(_Cursor):
     token index and its arguments (None for a bare name), and a raw atom
     is its kind ("rel", "defined" or "equal") and its one or two raw
     terms."""
+
+    reserved = _KEYWORDS
 
     def __init__(self, text: str):
         super().__init__(text, _TOKENS_RE.findall(text))
@@ -266,22 +287,6 @@ class _Parser(_Cursor):
         self.var: dict[str, Var] = {}
         self.parent: dict[str, str] = {}
         self.sort: dict[str, str] = {}
-
-    def expect(self, text: str) -> None:
-        at = self.i
-        self.i = at + 1
-        if (tok := self.toks[at]) != text:
-            raise self.error(
-                f"expected {text!r}, found {tok or 'end of input'!r}", at)
-
-    def ident(self) -> tuple[str, int]:
-        at = self.i
-        name = self.toks[at]
-        self.i = at + 1
-        if name in _KEYWORDS or name[:1] not in _INITIALS:
-            raise self.error(
-                f"expected identifier, found {name or 'end of input'!r}", at)
-        return name, at
 
     def statement(self) -> None:
         """Read one declaration or rule."""

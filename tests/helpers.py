@@ -907,15 +907,17 @@ def reference_parse_facts(text: str, sig: Signature
     def take_ident() -> _Token:
         tok = cur.next()
         if tok.kind != "ident":
-            raise ParseError(f"expected a name, found {tok.text!r}",
-                             tok.line, tok.col)
+            raise ParseError(
+                f"expected identifier, found {tok.text or 'end of input'!r}",
+                tok.line, tok.col)
         return tok
 
     def take_sym(text: str) -> _Token:
         tok = cur.next()
         if tok.kind != "sym" or tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}",
-                             tok.line, tok.col)
+            raise ParseError(
+                f"expected {text!r}, found {tok.text or 'end of input'!r}",
+                tok.line, tok.col)
         return tok
 
     def element(tok: _Token) -> El:
@@ -925,8 +927,22 @@ def reference_parse_facts(text: str, sig: Signature
 
     while cur.peek().kind != "eof":
         tok = cur.peek()
-        if tok.kind == "ident" and tok.text == "sort":
+        if tok.kind != "ident":
+            raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
+        head = cur.next()
+        if at_sym("="):
             cur.next()
+            rhs = take_ident()
+            take_sym(";")
+            a, b = element(head), element(rhs)
+            if a.sort != b.sort:
+                raise ParseError("cannot identify elements of different "
+                                 f"sorts {a.sort!r} and {b.sort!r}",
+                                 head.line, head.col)
+            if a != b:
+                x.merge(a, b)
+            continue
+        if head.text == "sort":
             sort_tok = take_ident()
             if sort_tok.text not in sig.sorts:
                 raise ParseError(f"unknown sort {sort_tok.text!r}",
@@ -940,45 +956,30 @@ def reference_parse_facts(text: str, sig: Signature
                         name_tok.line, name_tok.col)
                 names[name_tok.text] = x.add_element(sort_tok.text)
             take_sym(";")
-        elif tok.kind == "ident":
-            head = cur.next()
-            if at_sym("="):
+            continue
+        if not sig.has_relation(head.text):
+            raise ParseError(f"unknown relation {head.text!r}",
+                             head.line, head.col)
+        decl = sig.relation(head.text)
+        take_sym("(")
+        args = []
+        if not at_sym(")"):
+            args.append(element(take_ident()))
+            while at_sym(","):
                 cur.next()
-                rhs = take_ident()
-                take_sym(";")
-                a, b = element(head), element(rhs)
-                if a.sort != b.sort:
-                    raise ParseError("cannot identify elements of different "
-                                     f"sorts {a.sort!r} and {b.sort!r}",
-                                     head.line, head.col)
-                if a != b:
-                    x.merge(a, b)
-                continue
-            if not sig.has_relation(head.text):
-                raise ParseError(f"unknown relation {head.text!r}",
-                                 head.line, head.col)
-            decl = sig.relation(head.text)
-            take_sym("(")
-            args = []
-            if not at_sym(")"):
                 args.append(element(take_ident()))
-                while at_sym(","):
-                    cur.next()
-                    args.append(element(take_ident()))
-            take_sym(")")
-            take_sym(";")
-            if len(args) != len(decl.arity):
+        take_sym(")")
+        take_sym(";")
+        if len(args) != len(decl.arity):
+            raise ParseError(
+                f"relation {decl.name!r} expects {len(decl.arity)} "
+                f"arguments, got {len(args)}", head.line, head.col)
+        for e, s in zip(args, decl.arity):
+            if e.sort != s:
                 raise ParseError(
-                    f"relation {decl.name!r} expects {len(decl.arity)} "
-                    f"arguments, got {len(args)}", head.line, head.col)
-            for e, s in zip(args, decl.arity):
-                if e.sort != s:
-                    raise ParseError(
-                        f"argument of sort {e.sort!r} where {s!r} expected",
-                        head.line, head.col)
-            x.add_tuple(decl.name, tuple(args))
-        else:
-            raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
+                    f"argument of sort {e.sort!r} where {s!r} expected",
+                    head.line, head.col)
+        x.add_tuple(decl.name, tuple(args))
 
     names = {n: x.find(e) for n, e in names.items()}
     return x, names

@@ -42,8 +42,8 @@ rule E(x, y) => R(x, z);
 
 CHAIN = "sort V: a b c;\nE(a, b);\nE(b, c);\n"
 
-WEAK = ("theory has non-surjective sequents of unknown origin; the result "
-        "is only weakly free")
+WEAK = ("a rule has a conclusion variable that its premise lacks; the "
+        "result is only weakly free")
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -188,8 +188,8 @@ class TestEval:
         code, out, err = run(capsys, "eval", theory, facts,
                              "--max-iterations", "2")
         assert code == 3 and out == ""
-        assert err == ("warning: theory has non-surjective sequents of "
-                       "unknown origin; the result is only weakly free\n"
+        assert err == ("warning: a rule has a conclusion variable that its "
+                       "premise lacks; the result is only weakly free\n"
                        "error: no fixed point within 2 iterations\n")
         code, out, _ = run(capsys, "eval", theory, facts,
                            "--max-iterations", "2", "--emit-partial")

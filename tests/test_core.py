@@ -358,6 +358,13 @@ def one_of_each() -> tuple[Structure, El, El]:
     return x, x.add_element("V"), x.add_element("W")
 
 
+def merged_and_apart() -> tuple[Structure, Structure]:
+    """Two points merged into one, and two points apart."""
+    x = points(2)
+    x.merge(El("V", 0), El("V", 1))
+    return x, points(2)
+
+
 @pytest.mark.parametrize("call, want", [
     (lambda: RelDecl("R", ("V",), "rel"),
      ("SignatureError", "bad relation kind 'rel'")),
@@ -394,6 +401,13 @@ def one_of_each() -> tuple[Structure, El, El]:
     (lambda: (lambda x, v, w: Morphism(x, x, {v: w, w: w}))(*one_of_each()),
      ("SignatureError", "morphism maps El(sort='V', index=0) to "
                         "El(sort='W', index=0) across sorts")),
+    # A morphism maps each class to one class: two merged points may not
+    # go to two points apart.
+    (lambda: Morphism(*merged_and_apart(), {El("V", 0): El("V", 0),
+                                             El("V", 1): El("V", 1)}),
+     ("SignatureError", "morphism maps the class of El(sort='V', index=1) "
+                        "to both El(sort='V', index=0) and "
+                        "El(sort='V', index=1)")),
 ])
 def test_core_rejections_and_refusals(call, want):
     """The checks of ``core`` that no other test reaches, each with its

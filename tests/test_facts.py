@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from helpers import raw_count, reference_parse_facts
+from helpers import raw_count, reference_parse_facts, reference_parse_theory
 from horneq import facts
 from horneq.core import RelDecl, Signature, Structure
 from horneq.engine import evaluate
@@ -56,15 +56,16 @@ class TestParseFacts:
 
 
 class TestErrorLocations:
-    """The exact ``line:col: message`` of each error.  Unlike the theory
-    parser, the facts parser names the end of input as ``''``."""
+    """The exact ``line:col: message`` of each error.  As the theory
+    parser does, the facts parser names the end of input ``'end of
+    input'``."""
 
     @pytest.mark.parametrize("text, message", [
         ("# facts\n\nsort V: a b;\n\tE(a, c);\n", "4:7: unknown element 'c'"),
         ("sort V: a;\n# $ in a comment\nE(a, @);\n",
          "3:6: unexpected character '@'"),
-        ("sort V: a b;\nE(a, b)\n# end\n", "4:1: expected ';', found ''"),
-        ("sort V: a b;\nE(a, b)", "2:8: expected ';', found ''"),
+        ("sort V: a b;\nE(a, b)\n# end\n", "4:1: expected ';', found 'end of input'"),
+        ("sort V: a b;\nE(a, b)", "2:8: expected ';', found 'end of input'"),
         ("sort V: a;\n\n  \tF(a);\n", "3:4: unknown relation 'F'"),
         ("sort V: a b;\n\ta = \n  c;\n", "3:3: unknown element 'c'"),
         # after facts the fast path read, with no line count from the top
@@ -270,11 +271,68 @@ class TestDifferential:
         line."""
         sig = Signature(("A",), (RelDecl("sort", ("A",)),))
         text = "sort A: a;\nsort(a);\n"
-        want = "2:5: expected a name, found '('"
+        want = "2:5: expected identifier, found '('"
         for parse in (reference_parse_facts, parse_facts):
             with pytest.raises(ParseError) as err:
                 parse(text, sig)
             assert str(err.value) == want
+
+    def test_element_named_sort(self):
+        """An element may be named ``sort``, and stand on either side of
+        ``=``: a statement is an equation before it is a sort line."""
+        text = "sort V: sort b c;\nE(sort, b);\nsort = b;\nc = sort;\n"
+        for parse in (reference_parse_facts, parse_facts):
+            x, names = parse(text, SIG)
+            assert len(set(names.values())) == 1, parse
+            assert x.rels["E"] == {(names["b"], names["b"])}
+
+
+class TestEndOfInput:
+    """Each proper prefix of a valid theory and of a valid facts text: each
+    reader gives its reference's outcome, and an error located at the end
+    of the text that names the token it found names ``'end of input'``,
+    in both readers."""
+
+    THEORY = ("# a theory\nsort V;\npred E : V * V;\nfunc f : V -> V;\n"
+              "rule E(x, y) & f(x)! => E(y, x) & f(y) = x;  # c\n"
+              "pred P : ;\nrule P() => E(z, z);\n")
+    FACTS = ("sort V: sort b c;\nE(sort, b);  # c\nE(b,\n  c);\n"
+             "sort = b;\nE(c, c);\n")
+
+    @staticmethod
+    def _check(parse, reference, text: str) -> int:
+        """Check that every prefix of ``text`` reads as ``reference``
+        reads it; the number whose error names what it found at the
+        end."""
+        at_end = 0
+        for n in range(len(text)):
+            prefix = text[:n]
+            want = reference(prefix)
+            assert parse(prefix) == want, prefix
+            if want[0] != "ParseError":
+                continue
+            end = "{}:{}: ".format(prefix.count("\n") + 1,
+                                   n - prefix.rfind("\n"))
+            if want[1].startswith(end) and "found" in want[1]:
+                at_end += 1
+                assert "found 'end of input'" in want[1], prefix
+        return at_end
+
+    def test_theory(self):
+        def outcome(parse, text):
+            try:
+                return "Theory", parse(text)
+            except ParseError as err:
+                return "ParseError", str(err)
+        assert self._check(lambda text: outcome(parse_theory, text),
+                           lambda text: outcome(reference_parse_theory, text),
+                           self.THEORY) > 30
+
+    def test_facts(self):
+        assert self._check(lambda text: _outcome(parse_facts, text, SIG),
+                           lambda text: _outcome(reference_parse_facts,
+                                                 text, SIG),
+                           self.FACTS) > 30
 
 
 # ``DIFF_SIG`` and a relation named ``sort``, which no fact can name: a
