@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import classify, engine, facts, transform
 from .core import SignatureError, Structure
-from .syntax import ParseError, Theory, is_rhl, parse_theory, pretty_print
+from .syntax import Theory, is_rhl, parse_theory, pretty_print
 
 EXIT_OK = 0
 EXIT_UNSATISFIED = 1
@@ -183,8 +183,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         warnings.showwarning = _show_warning
         try:
             return args.func(args)
-        except (ParseError, SignatureError, transform.PreconditionError,
-                OSError, ValueError) as err:
+        # ``ParseError``, ``SignatureError`` and ``PreconditionError`` are
+        # ``ValueError``s.
+        except (OSError, ValueError) as err:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_INPUT_ERROR
         except Exception as err:  # a fault of horneq, not of the input

@@ -80,10 +80,10 @@ class EvalReport:
 # is a map out of a one-element structure, so ``v!`` reads the carrier of
 # v's sort: a relation of 1-tuples keyed ``(sort,)``, which no relation
 # name equals.  ``u = v`` reads it too when neither side is bound.  Each
-# atom becomes one or more steps:
+# atom becomes one or more steps, of four kinds:
 #
-#   scan   a relation or carrier with no argument bound: iterate its tuples;
-#   probe  some arguments bound: look up a hash index on those columns;
+#   probe  a relation or carrier with an argument left to bind: its tuples
+#          that agree on the bound columns, every tuple when none is bound;
 #   test   all arguments bound: a set-membership test;
 #   same, copy  ``u = v`` with both sides or one side bound.
 #
@@ -99,10 +99,11 @@ class EvalReport:
 # a variant whose key at atom i is not in it has no match, and it is not
 # linked.  Linking a step reads its source once, as the relation's set or
 # the carrier, the delta's set under its key, or full minus delta (old); a
-# probe then builds its hash index on the bound columns.  The steps read
-# sets and index buckets in no particular order, and so are the rows; each
-# caller sorts what it needs.  A row's slot values are the match's
-# per-atom witnesses, in order, so sorting them gives nested-loop order.
+# probe with a bound column then builds its hash index on those columns,
+# and one with none takes what it read as its one bucket.  The steps read
+# sets and buckets in no particular order, and so are the rows; each caller
+# sorts what it needs.  A row's slot values are the match's per-atom
+# witnesses, in order, so sorting them gives nested-loop order.
 #
 # A sequent compiles once into a rule: its premise plan, and a conclusion
 # plan whose first slots are the premise's variables, so a premise row is
@@ -126,7 +127,7 @@ class _Step(NamedTuple):
     mode: int = _FULL
     slots: tuple[int, ...] = ()  # the slots read
     key: Optional[Callable] = None  # probe, test: reads the key off the slots
-    cols: tuple[int, ...] = ()  # probe: the bound columns
+    cols: tuple[int, ...] = ()  # probe: the bound columns, () for none
     binds: tuple[tuple[int, int], ...] = ()  # (column, slot) of new variables
     repeats: tuple[tuple[int, int], ...] = ()  # (column, earlier column)
 
@@ -180,21 +181,20 @@ def _steps(atoms, order, modes: dict[int, int], slot: dict[Var, int],
             name, keys = a.rel.name, tuple(keys)
             if not binds:
                 out.append(_Step("test", name, mode, keys, _row(keys)))
-            elif not cols:
-                out.append(_Step("scan", name, mode, binds=tuple(binds),
-                                 repeats=tuple(repeats)))
             else:
-                out.append(_Step("probe", name, mode, keys, itemgetter(*keys),
-                                 tuple(cols), tuple(binds), tuple(repeats)))
+                key = itemgetter(*keys) if keys else _row(keys)
+                out.append(_Step("probe", name, mode, keys, key, tuple(cols),
+                                 tuple(binds), tuple(repeats)))
             bound.update(first)
         else:  # ``u = v``, or ``v!`` read as ``v = v``
             u, v = ((a.term, a.term) if isinstance(a, DefinedAtom)
                     else (a.lhs, a.rhs))
             carrier = (u.sort,)
             if u not in bound and v not in bound:
-                out.append(_Step("scan", carrier, mode, binds=((0, slot[u]),)))
+                out.append(_Step("probe", carrier, mode, key=_row(()),
+                                 binds=((0, slot[u]),)))
                 bound.add(u)
-                mode = _FULL  # the scan already read the delta
+                mode = _FULL  # the probe already read the delta
             if u not in bound or v not in bound:
                 src, dst = (u, v) if u in bound else (v, u)
                 out.append(_Step("copy", slots=(slot[dst], slot[src])))
@@ -291,26 +291,13 @@ def _agreeing(ts, repeats):
 def _link(steps: tuple[_Step, ...], x: Structure, delta: Optional[dict],
           emit: Callable) -> Callable:
     """Chain the steps into one function of the slot list, ending in
-    ``emit``.  A step returns what its next step returns, and a scan or
-    probe returns ``True`` at the first next step that does: an ``emit``
+    ``emit``.  A step returns what its next step returns, and a probe
+    returns ``True`` at the first next step that does: an ``emit``
     that returns ``True`` stops the run at its first complete match."""
     run = emit
     for st in reversed(steps):
         run = _LINK[st.kind](st, x, delta, run)
     return run
-
-
-def _link_scan(st: _Step, x, delta, nxt):
-    tuples = _agreeing(_read(x, delta, st.name, st.mode), st.repeats)
-    binds = st.binds
-
-    def scan(vals):
-        for t in tuples:
-            for c, s in binds:
-                vals[s] = t[c]
-            if nxt(vals):
-                return True
-    return scan
 
 
 def _index(ts, cols: tuple[int, ...]) -> dict:
@@ -322,8 +309,8 @@ def _index(ts, cols: tuple[int, ...]) -> dict:
 
 
 def _link_probe(st: _Step, x, delta, nxt):
-    index = _index(
-        _agreeing(_read(x, delta, st.name, st.mode), st.repeats), st.cols)
+    ts = _agreeing(_read(x, delta, st.name, st.mode), st.repeats)
+    index = _index(ts, st.cols) if st.cols else {(): ts}
     get, key, binds = index.get, st.key, st.binds
 
     def probe(vals):
@@ -362,8 +349,8 @@ def _link_copy(st: _Step, x, delta, nxt):
     return copy
 
 
-_LINK = {"scan": _link_scan, "probe": _link_probe, "test": _link_test,
-         "same": _link_same, "copy": _link_copy}
+_LINK = {"probe": _link_probe, "test": _link_test, "same": _link_same,
+         "copy": _link_copy}
 
 
 def _rows(plan: _Plan, x: Structure, delta: Optional[dict] = None,
@@ -528,8 +515,8 @@ def evaluate(t: Theory, x: Structure,
             pending.append((rule, sorted(_failing(rule, result, delta))))
         for rule, rows in pending:
             # A check of tests and sames reads the live relation sets, but
-            # one that scans or probes reads ``result`` as linked: an
-            # application drops it.
+            # one that probes reads ``result`` as linked: an application
+            # drops it.
             extends = None
             for row in rows:
                 # The rows are canonical until the batch's first merge, and

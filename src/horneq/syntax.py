@@ -355,8 +355,8 @@ class _Parser(_Cursor):
             self.i += 1
             return "equal", term, self.term()
         if term[2] is None:
-            raise self.error("expected '!', '=' or '(' after identifier",
-                             self.i)
+            raise self.error("expected '!', '=' or '(' after identifier, "
+                             f"found {tok or 'end of input'!r}", self.i)
         return "rel", term, None
 
     def term(self, depth: int = 0) -> tuple:

@@ -716,7 +716,8 @@ class _Parser(_Cursor):
             rhs = self.parse_raw_term()
             return _RawAtom("equal", (term, rhs), t.line, t.col)
         if term.args is None:
-            raise ParseError("expected '!', '=' or '(' after identifier",
+            raise ParseError("expected '!', '=' or '(' after identifier, "
+                             f"found {nxt.text or 'end of input'!r}",
                              nxt.line, nxt.col)
         return _RawAtom("rel", (term,), t.line, t.col)
 

@@ -122,21 +122,37 @@ class TestMatching:
                            match=f"^a formula of {MAX_PLAN_STEPS + 1} "):
             list(find_matches(Formula(tuple(atoms)), x))
 
-    def test_premise_equality_runs_as_copy(self):
-        """``f(x) = f(y)`` flattens to ``f(x, _u0) & f(y, _u1) & _u0 = _u1``.
-        The equality runs right after the first ``f``, in the full plan and
-        in both variants, so the second ``f`` is a probe."""
-        t = flatten_theory(parse_theory(
-            "sort V;\nfunc f : V -> V;\nrule f(x) = f(y) => x = y;\n"))
-        plan = _rule(t.sequents[0]).premise
+    def test_plan_shapes(self):
+        """``(kind, mode, cols)`` of every step, in the full plan and in
+        each semi-naive variant.  A relation or carrier atom that binds a
+        slot is a probe, on no column when none of its arguments is bound.
+        ``f(x) = f(y)`` flattens to ``f(x, _u0) & f(y, _u1) & _u0 = _u1``:
+        the equality runs right after the first ``f``, in the full plan and
+        in both variants, so the second ``f`` probes on its result."""
+        P, T, C = "probe", "test", "copy"
+        table = [
+            ("E(x, y)", [(P, _FULL, ())], [[(P, _DELTA, ())]]),
+            ("R(x, x)", [(P, _FULL, ())], [[(P, _DELTA, ())]]),
+            ("x!", [(P, _FULL, ())], [[(P, _DELTA, ())]]),
+            ("x = y", [(P, _FULL, ()), (C, _FULL, ())],
+             [[(P, _DELTA, ()), (C, _FULL, ())]]),
+            ("E(x, y) & E(y, x)", [(P, _FULL, ()), (T, _FULL, ())],
+             [[(P, _DELTA, ()), (T, _FULL, ())],
+              [(P, _DELTA, ()), (T, _OLD, ())]]),
+            ("f(x) = f(y)", [(P, _FULL, ()), (C, _FULL, ()), (P, _FULL, (1,))],
+             [[(P, _DELTA, ()), (C, _FULL, ()), (P, _FULL, (1,))],
+              [(P, _DELTA, ()), (C, _FULL, ()), (P, _OLD, (1,))]]),
+        ]
 
         def shape(steps):
-            return [(st.kind, st.mode) for st in steps]
-        assert shape(plan.steps) == [
-            ("scan", _FULL), ("copy", _FULL), ("probe", _FULL)]
-        assert [shape(v) for v in plan.variants] == [
-            [("scan", _DELTA), ("copy", _FULL), ("probe", _FULL)],
-            [("scan", _DELTA), ("copy", _FULL), ("probe", _OLD)]]
+            return [(st.kind, st.mode, st.cols) for st in steps]
+        for premise, full, variants in table:
+            t = flatten_theory(parse_theory(
+                "sort V;\npred E : V * V;\npred R : V * V;\npred Q : V;\n"
+                f"func f : V -> V;\nrule {premise} => Q(x);\n"))
+            plan = _rule(t.sequents[0]).premise
+            assert (shape(plan.steps), [shape(v) for v in plan.variants]) \
+                == (full, variants), premise
 
 
 class TestSatisfaction:
@@ -252,8 +268,8 @@ class TestEvaluate:
     def test_variant_with_empty_delta_is_not_linked(self, monkeypatch):
         """Reachability on a path: after the first iteration only ``P`` has
         a delta, so the variant reading the delta at ``E(y, z)`` and old
-        ``P`` never runs, while the one probing full ``E`` runs once an
-        iteration."""
+        ``P`` never runs, while the one probing full ``E`` on a bound column
+        runs once an iteration."""
         t = parse_theory("sort V;\npred E : V * V;\npred P : V * V;\n"
                          "rule E(x, y) => P(x, y);\n"
                          "rule P(x, y) & E(y, z) => P(x, z);\n")
@@ -264,7 +280,8 @@ class TestEvaluate:
         link = engine._LINK["probe"]
 
         def recorded(st, *args):
-            probes.append((st.name, st.mode))
+            if st.cols:
+                probes.append((st.name, st.mode))
             return link(st, *args)
         monkeypatch.setitem(engine._LINK, "probe", recorded)
         res, _, rep = evaluate(t, x)
@@ -274,8 +291,9 @@ class TestEvaluate:
         assert probes.count(("E", _FULL)) == n
 
     def test_each_probe_builds_one_index(self, monkeypatch):
-        """A 3-atom ``R`` chain: each probe step is linked once and builds
-        its own index once.  Without a delta both probes read full ``R`` on
+        """A 3-atom ``R`` chain: each probe step on a bound column is linked
+        once and builds its own index once; the first atom's probe, on no
+        column, builds none.  Without a delta both probes read full ``R`` on
         column 0; with one, the second variant adds a probe of old ``R`` on
         column 1."""
         t = parse_theory("sort V;\npred R : V * V;\n"
@@ -287,7 +305,8 @@ class TestEvaluate:
         link, index = engine._LINK["probe"], engine._index
 
         def recorded(st, *args):
-            probes.append((st.name, st.mode, st.cols))
+            if st.cols:
+                probes.append((st.name, st.mode, st.cols))
             return link(st, *args)
 
         def counted(ts, cols):
@@ -743,11 +762,15 @@ class TestDirectCheck:
 
     def test_check_stops_at_first_witness(self, monkeypatch):
         """The check of ``E(x, y) => R(x, z)`` on a row whose ``x`` has
-        ``k`` witnesses ``R(x, z)`` reaches the end of the plan once."""
+        ``k`` witnesses ``R(x, z)`` reaches the end of the plan once: the
+        probe of ``R`` on ``x`` passes on one witness."""
         ends = []
         link_probe = engine._LINK["probe"]
 
         def counted_probe(st, x, delta, nxt):
+            if not st.cols:  # the premise's probe of ``E``
+                return link_probe(st, x, delta, nxt)
+
             def end(vals):
                 ends.append(tuple(vals))
                 return nxt(vals)

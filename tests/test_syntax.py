@@ -156,6 +156,12 @@ class TestErrorLocations:
          "4:8: unknown symbol 'q'"),
         ("sort V;\npred E : V * V;\nrule E(x, y) => E(y x);\n",
          "3:21: expected ')', found 'x'"),
+        # a name where an atom must go on
+        ("sort V;\npred E : V;\nrule E",
+         "3:7: expected '!', '=' or '(' after identifier, "
+         "found 'end of input'"),
+        ("sort V;\npred E : V;\nrule E;",
+         "3:7: expected '!', '=' or '(' after identifier, found ';'"),
         # the bad character beats the duplicate sort before it
         ("sort V;\nsort V $\n", "2:8: unexpected character '$'"),
         ("$sort V;", "1:1: unexpected character '$'"),
