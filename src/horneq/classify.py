@@ -12,6 +12,7 @@ without building [premise & conclusion] or its pushout along itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from .core import El, Morphism, RelDecl, Signature, SignatureError, Structure
 from .syntax import (Atom, DefinedAtom, EqualAtom, Formula, RelAtom,
@@ -30,74 +31,42 @@ def relationalize(sig: Signature) -> Signature:
 # -- flattening ------------------------------------------------------------
 
 
-class FreshVars:
-    """Deterministic supply of fresh variables ``_u0, _u1, ...`` skipping any
-    name already present in the input."""
-
-    def __init__(self, used: set[str]):
-        self.used = set(used)
-        self.counter = 0
-
-    @classmethod
-    def for_sequent(cls, s: Sequent) -> "FreshVars":
-        return cls({v.name for v in sequent_vars(s)})
-
-    def next(self, sort: str) -> Var:
-        while True:
-            name = f"_u{self.counter}"
-            self.counter += 1
-            if name not in self.used:
-                self.used.add(name)
-                return Var(name, sort)
-
-
-def _flatten_term(t: Term, fresh: FreshVars,
-                  rel_sig: Signature) -> tuple[list[Atom], Var]:
-    if isinstance(t, Var):
-        return [], t
-    atoms: list[Atom] = []
-    arg_vars: list[Var] = []
-    for a in t.args:
-        sub, v = _flatten_term(a, fresh, rel_sig)
-        atoms.extend(sub)
-        arg_vars.append(v)
-    u = fresh.next(t.sort)
-    graph = rel_sig.relation(t.func.name)
-    atoms.append(RelAtom(graph, tuple(arg_vars) + (u,)))
-    return atoms, u
-
-
-def _flatten_atom(a: Atom, fresh: FreshVars, rel_sig: Signature) -> list[Atom]:
-    if isinstance(a, RelAtom):
-        atoms: list[Atom] = []
-        arg_vars = []
-        for t in a.args:
-            sub, v = _flatten_term(t, fresh, rel_sig)
-            atoms.extend(sub)
-            arg_vars.append(v)
-        atoms.append(RelAtom(rel_sig.relation(a.rel.name), tuple(arg_vars)))
-        return atoms
-    if isinstance(a, DefinedAtom):
-        atoms, v = _flatten_term(a.term, fresh, rel_sig)
-        return atoms + [DefinedAtom(v)]
-    atoms, v1 = _flatten_term(a.lhs, fresh, rel_sig)
-    more, v2 = _flatten_term(a.rhs, fresh, rel_sig)
-    return atoms + more + [EqualAtom(v1, v2)]
-
-
-def flatten_formula(f: Formula, rel_sig: Signature,
-                    fresh: FreshVars) -> Formula:
-    out: list[Atom] = []
-    for a in f.atoms:
-        out.extend(_flatten_atom(a, fresh, rel_sig))
-    return Formula(tuple(out))
-
-
 def flatten_sequent(s: Sequent, rel_sig: Signature) -> Sequent:
-    fresh = FreshVars.for_sequent(s)
-    premise = flatten_formula(s.premise, rel_sig, fresh)
-    conclusion = flatten_formula(s.conclusion, rel_sig, fresh)
-    return Sequent(premise, conclusion, location=s.location)
+    """``s`` over ``rel_sig``: each composite term becomes a fresh variable
+    ``_u<k>`` fixed by a graph atom placed before the atom that reads it.
+    ``k`` counts in walk order (arguments before the term, premise before
+    conclusion), skipping the names of ``s``'s variables and of
+    ``rel_sig``'s symbols, so the printed result reads back."""
+    taken = {v.name for v in sequent_vars(s)}
+    names = (n for n in map("_u{}".format, count())
+             if n not in taken and not rel_sig.has_relation(n))
+
+    def term(t: Term, out: list[Atom]) -> Var:
+        if isinstance(t, Var):
+            return t
+        args = []
+        for a in t.args:
+            args.append(term(a, out))
+        u = Var(next(names), t.sort)
+        args.append(u)
+        out.append(RelAtom(rel_sig.relation(t.func.name), tuple(args)))
+        return u
+
+    def side(f: Formula) -> Formula:
+        out: list[Atom] = []
+        for a in f.atoms:
+            if isinstance(a, RelAtom):
+                args = []
+                for t in a.args:
+                    args.append(term(t, out))
+                out.append(RelAtom(rel_sig.relation(a.rel.name), tuple(args)))
+            elif isinstance(a, DefinedAtom):
+                out.append(DefinedAtom(term(a.term, out)))
+            else:
+                out.append(EqualAtom(term(a.lhs, out), term(a.rhs, out)))
+        return Formula(tuple(out))
+
+    return Sequent(side(s.premise), side(s.conclusion), location=s.location)
 
 
 def flatten_theory(t: Theory, with_functionality: bool = False) -> Theory:

@@ -4,9 +4,9 @@ import warnings
 
 import pytest
 
-from horneq.classify import (FreshVars, classify_sequent, classifying_morphism,
-                             classifying_structure, flatten_formula,
-                             flatten_sequent, flatten_theory,
+from horneq.classify import (classify_sequent, classifying_morphism,
+                             classifying_structure, flatten_sequent,
+                             flatten_theory,
                              functionality_sequent, functionality_theory,
                              relationalize, sequent_from_morphism,
                              strengthen_theory)
@@ -60,9 +60,11 @@ class TestFlattening:
         assert conclusion_names == ["_u4", "_u5", "_u6", "_u7"]
 
     def test_fresh_vars_skip_used_names(self):
-        fresh = FreshVars({"_u0", "_u2"})
-        assert fresh.next("V").name == "_u1"
-        assert fresh.next("V").name == "_u3"
+        t = parse_theory("sort V;\nfunc f : V -> V;\npred E : V * V;\n"
+                         "rule E(_u0, _u2) => E(f(_u0), f(_u2));\n")
+        flat = flatten_sequent(t.sequents[0], relationalize(t.signature))
+        assert pretty_print(flat) == (
+            "rule E(_u0, _u2) => f(_u0, _u1) & f(_u2, _u3) & E(_u1, _u3);")
 
     def test_flatten_is_rhl(self):
         from horneq.syntax import is_rhl
@@ -383,8 +385,7 @@ class TestPhlClassifying:
     @staticmethod
     def _flat(f, rel_sig):
         """``f`` flattened, with fresh names that skip its variables'."""
-        return flatten_formula(
-            f, rel_sig, FreshVars({v.name for v in formula_vars(f)}))
+        return flatten_sequent(Sequent(f, Formula()), rel_sig).premise
 
     @staticmethod
     def _unit(flat, sig):

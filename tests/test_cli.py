@@ -286,12 +286,15 @@ class TestWeakFreeness:
 
 class TestTransformAndFlatten:
     def test_flatten_round_trips(self, files, capsys):
-        theory = files("t.hq", "sort M;\nfunc f : M -> M;\n"
-                               "rule f(x)! => f(x) = x;\n")
-        code, out, _ = run(capsys, "flatten", theory)
-        assert code == 0
-        from horneq.syntax import parse_theory
-        assert parse_theory(out) is not None
+        """The printed flattening reads back as ``flatten_theory`` of the
+        input, also when a symbol is named like a fresh variable."""
+        for text in ("sort M;\nfunc f : M -> M;\nrule f(x)! => f(x) = x;\n",
+                     "sort V;\nfunc f : V -> V;\npred _u0 : V;\n"
+                     "rule _u0(x) => _u0(f(x));\n"):
+            code, out, _ = run(capsys, "flatten", files("t.hq", text))
+            assert code == 0
+            assert parse_theory(out) == classify.flatten_theory(
+                parse_theory(text)), out
 
     def test_setoid_sequent_count(self, files, capsys):
         theory = files("t.hq", TRANSITIVITY)
@@ -346,7 +349,7 @@ class TestPrintedOutput:
             if i % 3 == 2:
                 text = compile_style_text(
                     rng, ("Z", "A"), [("f", ("A",), "Z"), ("c", (), "A")],
-                    [("P", ("A",)), ("Q", ("A", "Z"))],
+                    [("P", ("A",)), ("Q", ("A", "Z")), ("_u0", ("A",))],
                     {"Z": ["z", "y"], "A": ["a", "x"]})
                 t = parse_theory(text)
                 yield t
@@ -366,6 +369,7 @@ class TestPrintedOutput:
                     code, out, err = run(capsys, *argv, theory)
                     if isinstance(want, str):
                         assert (code, out) == (0, want), (argv, t)
+                        assert parse_theory(out) == compiler(t), (argv, t)
                     else:
                         assert (code, out) == (2, ""), (argv, t)
                         assert err.endswith(f"error: {want[1]}\n")
